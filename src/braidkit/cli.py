@@ -295,8 +295,10 @@ def _parse_image(model, text: str):
 @click.option("--target", required=True, help="one of: %s" % ", ".join(_TARGETS))
 @click.option("--assign", "assign_path", required=True,
               help="file of lines GEN = IMAGE")
+@click.option("--relator", type=int, default=None,
+              help="evaluate only this relator (0-based index)")
 @click.option("--json", "as_json", is_flag=True)
-def hom_check_cmd(path, target, assign_path, as_json):
+def hom_check_cmd(path, target, assign_path, relator, as_json):
     """Evaluate every relator under a generator assignment."""
     p = _load_presentation(path)
     model = _make_target(target)
@@ -312,7 +314,7 @@ def hom_check_cmd(path, target, assign_path, as_json):
         click.echo("parse error: %s" % exc, err=True)
         sys.exit(3)
     try:
-        report = hom.check_hom(p, model, assignment)
+        report = hom.check_hom(p, model, assignment, relator)
     except ValueError as exc:
         click.echo("error: %s" % exc, err=True)
         sys.exit(1)

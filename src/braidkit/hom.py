@@ -7,6 +7,7 @@ well defined exactly when every relator evaluates to the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .models import GroupModel, finite_closure
 from .presentations import Presentation
@@ -35,12 +36,21 @@ class HomReport:
         return tuple(c for c in self.checks if not c.trivial)
 
 
-def check_hom(p: Presentation, model: GroupModel, assignment: dict) -> HomReport:
+def check_hom(p: Presentation, model: GroupModel, assignment: dict,
+              relator: Optional[int] = None) -> HomReport:
+    """Evaluate every relator, or only the one with 0-based index `relator`."""
     missing = [g for g in p.generators if g not in assignment]
     if missing:
         raise ValueError("generator %s has no assigned image" % missing[0])
+    indices = range(len(p.relators))
+    if relator is not None:
+        if relator not in indices:
+            raise ValueError("relator index %d is out of range; %s has %d relators"
+                             % (relator, p.name, len(p.relators)))
+        indices = (relator,)
     checks = []
-    for i, r in enumerate(p.relators):
+    for i in indices:
+        r = p.relators[i]
         image = model.eval_word(assignment, r)
         checks.append(RelatorCheck(
             i, r, str(image), image == model.identity(),

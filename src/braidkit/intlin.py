@@ -1,13 +1,20 @@
 """Exact integer matrices: Smith normal form, unimodular inverses, lattices.
 
-Everything here is dense and small (a handful of rows/columns), so the
-implementation favours clarity over asymptotics.  No floating point anywhere.
+Matrices are dense and the dense routines favour clarity over asymptotics;
+they serve small matrices and every caller that needs the transforms P, Q.
+The one sparse routine is `abelian_invariants`: relation matrices of
+rewritten presentations are large (hundreds of rows), a few percent dense
+and almost all +/-1, so it eliminates unit pivots on sparse rows first and
+gives the dense Smith form only the block left without a unit entry.
+No floating point anywhere.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 
@@ -222,26 +229,96 @@ def inv_unimodular(a: IntMatrix) -> IntMatrix:
     return snf.q * snf.p
 
 
-def abelian_invariants(relations: IntMatrix, num_generators: int) -> tuple[int, tuple[int, ...]]:
+def abelian_invariants(relations: IntMatrix | Sequence[Sequence[int]],
+                       num_generators: int) -> tuple[int, tuple[int, ...]]:
     """Invariants (free_rank, torsion) of Z^n modulo the row span of `relations`.
 
     Rows are relation vectors over `num_generators` generators.  Torsion
     factors are the invariant factors > 1, in divisibility order.
+
+    A +/-1 entry splits off an invariant factor 1: clear its column with row
+    operations, then its row with column operations, and drop both.  Pivots
+    are taken in Markowitz order, least (row weight - 1) * (column count - 1)
+    first, to keep fill-in low (Havas-Holt-Rees, "Recognizing badly
+    presented Z-modules", 1993).  The dense Smith form then runs on the
+    block that has no unit entry left; columns no row touches are free.
     """
-    if not isinstance(relations, IntMatrix):
-        rows = [tuple(int(x) for x in r) for r in relations]
-        if not rows:
-            return num_generators, ()
-        relations = IntMatrix(tuple(rows))
-    if relations.nrows == 0:
-        return num_generators, ()
-    if relations.ncols != num_generators:
-        raise ValueError("relation width %d != generator count %d"
-                         % (relations.ncols, num_generators))
-    factors = smith_normal_form(relations).invariant_factors()
-    rank = num_generators - sum(1 for d in factors if d != 0)
+    dense = relations.rows if isinstance(relations, IntMatrix) else relations
+    rows: dict[int, dict[int, int]] = {}
+    for i, r in enumerate(dense):
+        if len(r) != num_generators:
+            raise ValueError("relation width %d != generator count %d"
+                             % (len(r), num_generators))
+        row = {j: int(x) for j, x in enumerate(r) if x}
+        if row:
+            rows[i] = row
+    pivots = _eliminate_unit_pivots(rows)
+    factors: tuple[int, ...] = ()
+    if rows:
+        cols = sorted({j for row in rows.values() for j in row})
+        block = IntMatrix(tuple(tuple(row.get(j, 0) for j in cols)
+                                for _, row in sorted(rows.items())))
+        factors = smith_normal_form(block).invariant_factors()
+    rank = num_generators - pivots - sum(1 for d in factors if d != 0)
     torsion = tuple(d for d in factors if d > 1)
     return rank, torsion
+
+
+def _eliminate_unit_pivots(rows: dict[int, dict[int, int]]) -> int:
+    """Eliminate +/-1 pivots from sparse `rows` in place; return their number.
+
+    `rows` maps row ids to {column: nonzero entry}; rows that become zero are
+    removed.  A heap holds candidate pivots by Markowitz cost; a popped entry
+    whose cost has grown is pushed back, one that no longer exists is skipped.
+    """
+    cols: dict[int, set[int]] = defaultdict(set)
+    for i, row in rows.items():
+        for j in row:
+            cols[j].add(i)
+
+    def cost(i: int, j: int) -> int:
+        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
+
+    heap = [(cost(i, j), i, j) for i, row in rows.items()
+            for j, x in row.items() if x in (1, -1)]
+    heapify(heap)
+    pivots = 0
+    while heap:
+        c, i, j = heappop(heap)
+        pivot_row = rows.get(i)
+        if pivot_row is None or pivot_row.get(j) not in (1, -1):
+            continue
+        actual = cost(i, j)
+        if actual > c:
+            heappush(heap, (actual, i, j))
+            continue
+        u = pivot_row.pop(j)
+        del rows[i]
+        for k in pivot_row:
+            cols[k].discard(i)
+        # row s -= (a_sj / u) * row i; u = +/-1 is its own inverse
+        for s in cols.pop(j):
+            if s == i:
+                continue
+            row = rows[s]
+            f = row.pop(j) * u
+            for k, x in pivot_row.items():
+                y = row.get(k, 0) - f * x
+                if y:
+                    if k not in row:
+                        cols[k].add(s)
+                    row[k] = y
+                else:
+                    del row[k]
+                    cols[k].discard(s)
+            if not row:
+                del rows[s]
+                continue
+            for k, x in row.items():
+                if x in (1, -1):
+                    heappush(heap, (cost(s, k), s, k))
+        pivots += 1
+    return pivots
 
 
 def lattice_restrict(m: IntMatrix, basis: Sequence[Sequence[int]]) -> IntMatrix:

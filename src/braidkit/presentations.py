@@ -431,9 +431,11 @@ class IndexedPresentation:
     """A presentation with Z-indexed generator families.
 
     Family generators are Gen(family_name, (k,)) for k in Z.  Each relator
-    family maps a parameter k to a word (or None); instantiating over a
-    window [-K, K] keeps exactly the instances whose family indices all lie
-    in the window.
+    family maps a parameter k to a word (or None) and must commute with
+    shifts: the instance at k is the instance at 0 with every family index
+    raised by k.  Instantiating over a window [-K, K] keeps exactly the
+    instances whose family indices all lie in the window; a family whose
+    instances use no family generator gives one fixed relator.
     """
 
     name: str
@@ -442,9 +444,6 @@ class IndexedPresentation:
     fixed_relators: tuple[Word, ...]
     relator_families: tuple[RelatorFamily, ...]
     window: int = 2
-    # how far beyond the window to scan family parameters; offsets in our
-    # relator families never exceed this
-    scan_margin: int = 8
 
     def family_gen(self, fam: str, k: int) -> Gen:
         return Gen(fam, (k,))
@@ -453,20 +452,40 @@ class IndexedPresentation:
         k_max = self.window if window is None else window
         if k_max < 1:
             raise ValueError("window must be >= 1")
-        fam_set = set(self.families)
         gens = tuple(self.fixed_generators) + tuple(
             Gen(f, (k,)) for f in self.families for k in range(-k_max, k_max + 1))
         rels = list(self.fixed_relators)
-        for fam_rel in self.relator_families:
-            for k in range(-k_max - self.scan_margin, k_max + self.scan_margin + 1):
-                w = fam_rel(k)
-                if not w:
-                    continue
-                if all(g.name not in fam_set or
-                       (len(g.indices) == 1 and -k_max <= g.indices[0] <= k_max)
-                       for g in w.generators()):
+        for n, fam_rel in enumerate(self.relator_families):
+            first = fam_rel(0) or None
+            base = self._offsets(n, first, 0)
+            # with offsets o, all indices k + o lie in [-K, K] exactly for these k
+            scan = (range(-k_max - base[0], k_max - base[-1] + 1) if base
+                    else range(-k_max, k_max + 1))
+            for k in scan:
+                w = fam_rel(k) or None
+                if self._offsets(n, w, k) != base or (not base and w != first):
+                    raise ValueError(
+                        "relator family %d of %s does not commute with index "
+                        "shifts: its instance at %d is not its instance at 0 "
+                        "shifted by %d" % (n, self.name, k, k))
+                if base:
                     rels.append(w)
+            if first and not base:
+                rels.append(first)
         return Presentation("%s[K=%d]" % (self.name, k_max), gens, tuple(rels))
+
+    def _offsets(self, n: int, w: Optional[Word], k: int) -> tuple[int, ...]:
+        """Sorted distinct family indices of w, the instance of relator
+        family n at k, each minus k."""
+        offsets = set()
+        for g in (w.generators() if w else ()):
+            if g.name in self.families:
+                if len(g.indices) != 1:
+                    raise ValueError("relator family %d of %s uses %s, which "
+                                     "is not a singly indexed family generator"
+                                     % (n, self.name, g))
+                offsets.add(g.indices[0] - k)
+        return tuple(sorted(offsets))
 
 
 def _fam(name: str, off: int, exp: int = 1):

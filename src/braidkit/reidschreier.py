@@ -122,13 +122,18 @@ def rs_finite_cyclic(p: Presentation, modulus: int, t: Gen,
     return RsOutput(sub, dictionary, transversal, rewrite)
 
 
+# how far beyond the window the dictionary of rs_z_window spells out x@k
+_DICTIONARY_MARGIN = 8
+
+
 def rs_z_window(p: Presentation, t: Gen, weights: Optional[dict] = None,
                 window: int = 2) -> RsOutput:
     """Present the kernel of the weight map onto Z, windowed.
 
     Generator families x@k = t^k x t^-(k+omega(x)); relator families are the
     rewrites of each ambient relator conjugated by t^k.  Family names encode
-    the ambient generator (e.g. s[2] -> family "s2").
+    the ambient generator (e.g. s[2] -> family "s2").  The dictionary
+    covers the indices within _DICTIONARY_MARGIN of the window.
     """
     weights = _check_weights(p, weights, t, 0)
     fam_name = {}
@@ -165,7 +170,7 @@ def rs_z_window(p: Presentation, t: Gen, weights: Optional[dict] = None,
     for x in p.generators:
         if x == t:
             continue
-        for k in range(-window - ip.scan_margin, window + ip.scan_margin + 1):
+        for k in range(-window - _DICTIONARY_MARGIN, window + _DICTIONARY_MARGIN + 1):
             dictionary[Gen(fam_name[x], (k,))] = free_reduce(
                 [(t, k), (x, 1), (t, -(k + weights[x]))])
     transversal = (letter(t),)
@@ -341,8 +346,7 @@ def _tietze_indexed(ip: IndexedPresentation) -> IndexedPresentation:
             fixed_rels.append(r2)
     families = tuple(f for f in ip.families if f in live_fams)
     return IndexedPresentation(ip.name, tuple(fixed_gens), families,
-                               tuple(fixed_rels), tuple(kept), ip.window,
-                               ip.scan_margin)
+                               tuple(fixed_rels), tuple(kept), ip.window)
 
 
 def tietze_eliminate(p):

@@ -5,6 +5,7 @@ import json
 from click.testing import CliRunner
 
 from braidkit.cli import main
+from braidkit.words import Gen
 
 runner = CliRunner()
 
@@ -119,3 +120,31 @@ def test_hom_check_z2z6(tmp_path):
     assert res.exit_code == 0
     rows = [json.loads(line) for line in res.output.splitlines() if line]
     assert rows and all(r["trivial"] for r in rows)
+
+
+def test_hom_check_replay_hint_runs(tmp_path):
+    from braidkit.hom import check_hom
+    from braidkit.models import z2z6_model
+    from braidkit.presentations import parse_presentation
+
+    pres = run("present", "--family", "sphere", "--n", "4").output
+    pf = tmp_path / "p.txt"
+    pf.write_text(pres)
+    af = tmp_path / "assign.txt"
+    af.write_text("s[1] = (0,0);1\ns[2] = (0,1);0\ns[3] = (0,0);1\n")
+    rest = ["--in", str(pf), "--target", "z2-z6", "--assign", str(af)]
+    full = run("hom-check", *rest)
+    assert full.exit_code == 1
+    lines = full.output.splitlines()
+    p = parse_presentation(pres)
+    assignment = {Gen("s", (1,)): ((0, 0), 1), Gen("s", (2,)): ((0, 1), 0),
+                  Gen("s", (3,)): ((0, 0), 1)}
+    checks = check_hom(p, z2z6_model(), assignment).checks
+    assert any(not c.trivial for c in checks)
+    for c in checks:
+        program, *args, ellipsis = c.replay.split()
+        assert (program, ellipsis) == ("braidkit", "...")
+        one = run(*args, *rest)
+        assert one.exit_code == (0 if c.trivial else 1)
+        assert one.output.splitlines() == [lines[c.index]]
+    assert run("hom-check", "--relator", str(len(checks)), *rest).exit_code == 1

@@ -95,6 +95,30 @@ def test_indexed_presentations_instantiate():
     assert isinstance(ip2, IndexedPresentation)
 
 
+def test_instantiate_keeps_every_instance_of_a_far_offset_family():
+    # p[k+9] p[k+10]^-1 lies in the window [-2, 2] for k = -11, ..., -8
+    far = lambda k: parse_word("p[%d] p[%d]^-1" % (k + 9, k + 10))
+    ip = IndexedPresentation("far", (), ("p",), (), (far,), 2)
+    assert ip.instantiate(2).relators == tuple(far(k) for k in range(-11, -7))
+    assert ip.instantiate(12).relators == tuple(far(k) for k in range(-21, 3))
+
+
+def test_instantiate_rejects_families_that_do_not_shift():
+    doubled = lambda k: parse_word("p[%d]" % (2 * k))
+    ip = IndexedPresentation("doubled", (), ("p",), (), (doubled,), 2)
+    with pytest.raises(ValueError, match="shift"):
+        ip.instantiate(2)
+    parity = lambda k: parse_word("p[%d]" % k) if k % 2 == 0 else None
+    with pytest.raises(ValueError, match="shift"):
+        IndexedPresentation("parity", (), ("p",), (), (parity,), 2).instantiate(3)
+
+
+def test_instantiate_gives_a_family_without_family_letters_once():
+    fixed = lambda k: parse_word("q^2")
+    ip = IndexedPresentation("fixed", (Gen("q"),), ("p",), (), (fixed,), 2)
+    assert ip.instantiate(3).relators == (parse_word("q^2"),)
+
+
 def test_gamma2_annulus_rejects_small_m():
     with pytest.raises(ValueError):
         gamma2_annulus(2)
