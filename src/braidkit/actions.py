@@ -10,7 +10,7 @@ a free group.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from .freesub import SubgroupGraph, express, fold
 from .intlin import IntMatrix, matrix

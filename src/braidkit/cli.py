@@ -17,7 +17,7 @@ import click
 
 from . import hom, models, series, verify as verify_mod
 from .freesub import express, fold, membership
-from .garside import braid_equal, normal_form
+from .garside import normal_form
 from .intlin import parse_matrix, serialize_matrix, smith_normal_form
 from .presentations import (IndexedPresentation, ParseError, Presentation,
                             affine_A, affine_C, artin_braid,

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .words import (IDENTITY, Gen, Word, exponent_vector, free_reduce, invert,
-                    letter, multiply, power)
+from .words import (IDENTITY, Gen, Word, free_reduce, invert, letter, multiply,
+                    power)
 
 
 class _UnionFind:

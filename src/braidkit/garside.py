@@ -9,7 +9,6 @@ of braid words reduces to equality of normal forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .words import Gen, Word, free_reduce
 

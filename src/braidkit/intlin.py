@@ -67,10 +67,6 @@ def identity(n: int) -> IntMatrix:
     return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
-def zeros(nr: int, nc: int) -> IntMatrix:
-    return IntMatrix(tuple(tuple(0 for _ in range(nc)) for _ in range(nr)))
-
-
 def mat_mul(a: IntMatrix, b: IntMatrix, *rest: IntMatrix) -> IntMatrix:
     if a.ncols != b.nrows:
         raise ValueError("shape mismatch: %dx%d * %dx%d" % (a.nrows, a.ncols, b.nrows, b.ncols))

@@ -62,72 +62,6 @@ class CyclicZ(GroupModel):
 
 
 @dataclass(frozen=True)
-class FreeAbelian(GroupModel):
-    rank: int
-
-    def identity(self):
-        return (0,) * self.rank
-
-    def mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def inv(self, a):
-        return tuple(-x for x in a)
-
-
-@dataclass(frozen=True)
-class FreeGroup(GroupModel):
-    generators: tuple[Gen, ...]
-
-    def identity(self):
-        return IDENTITY
-
-    def mul(self, a, b):
-        return multiply(a, b)
-
-    def inv(self, a):
-        return invert(a)
-
-
-@dataclass(frozen=True)
-class FreeProductCyclic(GroupModel):
-    """Free product of cyclic groups; order 0 means an infinite cyclic factor.
-
-    Elements are tuples of syllables (factor_index, exponent) with nonzero
-    exponents mod the factor order and no adjacent syllables in one factor.
-    """
-
-    orders: tuple[int, ...]
-
-    def identity(self):
-        return ()
-
-    def _norm_exp(self, i, e):
-        return e % self.orders[i] if self.orders[i] else e
-
-    def mul(self, a, b):
-        out = list(a)
-        for i, e in b:
-            if out and out[-1][0] == i:
-                e2 = self._norm_exp(i, out[-1][1] + e)
-                out.pop()
-                if e2:
-                    out.append((i, e2))
-            else:
-                e2 = self._norm_exp(i, e)
-                if e2:
-                    out.append((i, e2))
-        return tuple(out)
-
-    def inv(self, a):
-        return tuple((i, self._norm_exp(i, -e)) for i, e in reversed(a))
-
-    def letter(self, i, e=1):
-        e = self._norm_exp(i, e)
-        return ((i, e),) if e else ()
-
-
-@dataclass(frozen=True)
 class FiniteTable(GroupModel):
     """A finite group given by its full multiplication table."""
 
@@ -271,29 +205,16 @@ def action_of_word(actions: dict[Gen, FreeAutomorphism], w: Word) -> FreeAutomor
     return out
 
 
-@dataclass(frozen=True)
-class SemidirectFreeByFree(GroupModel):
-    """F_h semidirect F_g with the acting group's generators mapped to
-    automorphisms of the normal free factor.  Elements (h_word, g_word)."""
-
-    h_gens: tuple[Gen, ...]
-    g_gens: tuple[Gen, ...]
-    actions: dict[Gen, FreeAutomorphism] = field(hash=False)
-
-    def identity(self):
-        return (IDENTITY, IDENTITY)
-
-    def _act(self, g_word: Word, h: Word) -> Word:
-        return action_of_word(self.actions, g_word).apply(h)
-
-    def mul(self, a, b):
-        (h1, g1), (h2, g2) = a, b
-        return (multiply(h1, self._act(g1, h2)), multiply(g1, g2))
-
-    def inv(self, a):
-        h, g = a
-        gi = invert(g)
-        return (invert(self._act(gi, h)), gi)
+def act_on_finite(actions: dict[Gen, dict[str, str]], w: Word, h: str) -> str:
+    """Apply the action of a free-group word to a finite-group element, each
+    free generator acting by a permutation (dict) of element names; the word
+    acts covariantly, so its last letter is applied first."""
+    for g, sign in reversed(list(w.letters())):
+        perm = actions[g]
+        if sign < 0:
+            perm = {v: k for k, v in perm.items()}
+        h = perm[h]
+    return h
 
 
 @dataclass(frozen=True)
@@ -308,23 +229,15 @@ class SemidirectFiniteByFree(GroupModel):
     def identity(self):
         return (self.finite.identity(), IDENTITY)
 
-    def _act(self, g_word: Word, h: str) -> str:
-        perms = []
-        for g, sign in g_word.letters():
-            p = self.actions[g]
-            perms.append(p if sign > 0 else {v: k for k, v in p.items()})
-        for p in reversed(perms):
-            h = p[h]
-        return h
-
     def mul(self, a, b):
         (h1, g1), (h2, g2) = a, b
-        return (self.finite.mul(h1, self._act(g1, h2)), multiply(g1, g2))
+        return (self.finite.mul(h1, act_on_finite(self.actions, g1, h2)),
+                multiply(g1, g2))
 
     def inv(self, a):
         h, g = a
         gi = invert(g)
-        return (self.finite.inv(self._act(gi, h)), gi)
+        return (self.finite.inv(act_on_finite(self.actions, gi, h)), gi)
 
 
 @dataclass(frozen=True)

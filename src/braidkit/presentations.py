@@ -9,11 +9,11 @@ are instantiated over a finite index window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
-from .words import (IDENTITY, Gen, Word, commutator, free_reduce, invert,
-                    letter, multiply, parse_word, power, word_to_text)
+from .words import (Gen, Word, commutator, free_reduce, invert, letter,
+                    multiply, parse_word, power, word_to_text)
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,6 @@ def s(i: int) -> Gen:
 def _braid_relator(a: Gen, b: Gen) -> Word:
     # a b a = b a b
     return free_reduce([(a, 1), (b, 1), (a, 1), (b, -1), (a, -1), (b, -1)])
-
-
-def _comm_relator(a: Word, b: Word) -> Word:
-    return commutator(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +440,6 @@ class IndexedPresentation:
     fixed_relators: tuple[Word, ...]
     relator_families: tuple[RelatorFamily, ...]
     window: int = 2
-
-    def family_gen(self, fam: str, k: int) -> Gen:
-        return Gen(fam, (k,))
 
     def instantiate(self, window: Optional[int] = None) -> Presentation:
         k_max = self.window if window is None else window

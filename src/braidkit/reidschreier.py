@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 from .presentations import IndexedPresentation, Presentation, RelatorFamily
-from .words import (IDENTITY, Gen, Word, cyclic_reduce, free_reduce, invert,
-                    letter, multiply, power, substitute)
+from .words import (IDENTITY, Gen, Word, cyclic_reduce, free_reduce, letter,
+                    power, substitute)
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,11 @@ class RsOutput:
     rewriter: Optional[Callable[[Word, int], Word]] = None
 
     def expand(self, w: Word) -> Word:
-        """Rewrite a subgroup word as an ambient word via the dictionary."""
+        """Rewrite a subgroup word as an ambient word via the dictionary.
+        Raises ValueError for a generator the dictionary has no entry for."""
+        for g, _ in w.runs:
+            if g not in self.dictionary:
+                raise ValueError("no dictionary entry for generator %s" % g)
         return substitute(w, self.dictionary)
 
 
@@ -243,10 +247,6 @@ def _tietze_presentation(p: Presentation) -> Presentation:
     return Presentation(p.name, tuple(gens), tuple(relators))
 
 
-def _fam_index(g: Gen) -> int:
-    return g.indices[-1]
-
-
 def _tietze_indexed(ip: IndexedPresentation) -> IndexedPresentation:
     # mapping: family name -> ("fam", target name, offset) | ("fixed", Gen)
     fam_map: dict = {}
@@ -360,8 +360,3 @@ def tietze_eliminate(p):
         inner = tietze_eliminate(p.presentation)
         return RsOutput(inner, p.dictionary, p.transversal, p.rewriter)
     return _tietze_presentation(p)
-
-
-def relator_multisets_equal(a: Sequence[Word], b: Sequence[Word]) -> bool:
-    """Compare relator lists as multisets of canonical forms."""
-    return sorted(map(canonical_relator, a)) == sorted(map(canonical_relator, b))

@@ -13,13 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from sympy import mobius
-
 from .intlin import IntMatrix, abelian_invariants, mat_pow, matrix, smith_normal_form
-from .models import FiniteTable
+from .models import FiniteTable, act_on_finite
 from .presentations import IndexedPresentation, Presentation
 from .reidschreier import rs_finite_cyclic
-from .words import Gen, Word, exponent_vector, free_reduce, invert, letter, multiply
+from .words import Gen, Word, exponent_rows, free_reduce, invert, letter, multiply
 
 
 @dataclass(frozen=True)
@@ -51,8 +49,7 @@ def _invariants(relation_rows: Sequence[Sequence[int]], num_gens: int) -> Abelia
 
 def abelianization(p: Presentation) -> AbelianInvariants:
     """Smith form of the relator exponent matrix."""
-    rows = [exponent_vector(r, p.generators) for r in p.relators]
-    return _invariants(rows, len(p.generators))
+    return _invariants(exponent_rows(p.relators, p.generators), len(p.generators))
 
 
 def gamma2_mod_gamma3(p: Presentation, t: Gen) -> AbelianInvariants:
@@ -65,7 +62,7 @@ def gamma2_mod_gamma3(p: Presentation, t: Gen) -> AbelianInvariants:
         raise ValueError("abelianization %s is not finite cyclic" % ab)
     m = ab.torsion[0]
     # generator weights: image coordinates in the cyclic invariant factor
-    rel_rows = [exponent_vector(r, p.generators) for r in p.relators]
+    rel_rows = exponent_rows(p.relators, p.generators)
     snf = smith_normal_form(matrix(rel_rows) if rel_rows
                             else IntMatrix(((0,) * len(p.generators),)))
     target = None
@@ -84,8 +81,7 @@ def gamma2_mod_gamma3(p: Presentation, t: Gen) -> AbelianInvariants:
         ambient = rs.dictionary[s]
         conj = multiply(letter(t), ambient, invert(letter(t)))
         relators.append(multiply(rs.rewriter(conj, 0), invert(letter(s))))
-    rows = [exponent_vector(r, sub.generators) for r in relators]
-    return _invariants(rows, len(sub.generators))
+    return _invariants(exponent_rows(relators, sub.generators), len(sub.generators))
 
 
 @dataclass(frozen=True)
@@ -120,8 +116,8 @@ def windowed_coinvariants(ip: IndexedPresentation, window: Optional[int] = None,
             for i in range(-kk, kk):
                 relators.append(free_reduce([(Gen(f, (i,)), 1),
                                              (Gen(f, (i + 1,)), -1)]))
-        rows = [exponent_vector(r, pres.generators) for r in relators]
-        return _invariants(rows, len(pres.generators))
+        return _invariants(exponent_rows(relators, pres.generators),
+                           len(pres.generators))
 
     here, nxt = at(k), at(k + 1)
     return WindowedInvariants(here, here == nxt, k)
@@ -207,11 +203,26 @@ def alpha_k(k: int) -> Fraction:
     return Fraction(_trace(mat_pow(_M, k)) - 1, k)
 
 
+def _mobius(n: int) -> int:
+    """The Moebius function, by trial division."""
+    if n < 1:
+        raise ValueError("mobius needs n >= 1")
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
 def _divisor_sum(n: int, k_alpha) -> Fraction:
     total = Fraction(0)
     for k in range(2, n + 1):
         if n % k == 0:
-            total += int(mobius(n // k)) * k_alpha(k)
+            total += _mobius(n // k) * k_alpha(k)
     return total / n
 
 
@@ -257,15 +268,6 @@ def lcs_rank_torus(i: int) -> RankReport:
 # ---------------------------------------------------------------------------
 # twisted-commutator closures in finite groups
 
-def _apply_action(table: FiniteTable, actions: dict, w: Word, h: str) -> str:
-    for g, s in reversed(list(w.letters())):
-        perm = actions[g]
-        if s < 0:
-            perm = {v: k for k, v in perm.items()}
-        h = perm[h]
-    return h
-
-
 def hat_subgroup(table: FiniteTable, actions: dict, acting_words: Sequence[Word],
                  budget: int = 20000) -> tuple[str, ...]:
     """Normal closure of { phi(w)(h) h^-1 : w acting word, h in the group }.
@@ -274,8 +276,7 @@ def hat_subgroup(table: FiniteTable, actions: dict, acting_words: Sequence[Word]
     seeds = set()
     for w in acting_words:
         for h in table.elements:
-            seeds.add(table.mul(_apply_action(table, actions, w, h),
-                                table.inv(h)))
+            seeds.add(table.mul(act_on_finite(actions, w, h), table.inv(h)))
     closed = set(seeds)
     closed.add(table.identity())
     frontier = list(closed)

@@ -9,16 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fnmatch import fnmatch
-from typing import Callable, Optional, Sequence
 
 from . import actions, garside, hom, models, series
-from .freesub import express, fold, schreier_basis, z_kernel_basis
-from .intlin import (IntMatrix, identity, inv_unimodular, mat_mul, mat_pow,
-                     matrix, smith_normal_form, _solve_in_lattice)
-from .presentations import (Presentation, affine_C, b22_two_generator,
-                            b3_punctured_gamma2_ab, fullpres, gamma2_annulus,
-                            gamma2_b4, gamma2_b5, punctured_sphere,
-                            sphere_braid)
+from .freesub import express, schreier_basis, z_kernel_basis
+from .intlin import (identity, inv_unimodular, mat_mul, mat_pow, matrix,
+                     smith_normal_form, _solve_in_lattice)
+from .presentations import (affine_C, b3_punctured_gamma2_ab, fullpres,
+                            gamma2_annulus, gamma2_b4, gamma2_b5,
+                            punctured_sphere, sphere_braid)
 from .reidschreier import (canonical_relator, rs_finite_cyclic,
                            tietze_eliminate)
 from .words import Gen, Word, exponent_sum, multiply, invert, letter, parse_word, power

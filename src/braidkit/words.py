@@ -135,18 +135,24 @@ def exponent_sum(w: Word, g: Gen) -> int:
     return sum(e for h, e in w.runs if h == g)
 
 
-def exponent_vector(w: Word, gens: Sequence[Gen]) -> tuple[int, ...]:
+def exponent_rows(ws: Iterable[Word], gens: Sequence[Gen]) -> list[tuple[int, ...]]:
+    """Exponent-sum vectors of the words over one generator basis (the
+    relation matrix of a presentation), indexing the basis once."""
     idx = {g: i for i, g in enumerate(gens)}
-    out = [0] * len(gens)
-    for g, e in w.runs:
-        if g not in idx:
-            raise ValueError("word uses generator %s outside the given basis" % g)
-        out[idx[g]] += e
-    return tuple(out)
+    rows = []
+    for w in ws:
+        out = [0] * len(gens)
+        for g, e in w.runs:
+            i = idx.get(g)
+            if i is None:
+                raise ValueError("word uses generator %s outside the given basis" % g)
+            out[i] += e
+        rows.append(tuple(out))
+    return rows
 
 
-def total_weight(w: Word, weights: dict[Gen, int]) -> int:
-    return sum(weights[g] * e for g, e in w.runs)
+def exponent_vector(w: Word, gens: Sequence[Gen]) -> tuple[int, ...]:
+    return exponent_rows((w,), gens)[0]
 
 
 def substitute(w: Word, images: dict[Gen, Word]) -> Word:

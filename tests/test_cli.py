@@ -1,9 +1,13 @@
 """Command line interface, driven through the click test runner."""
 
 import json
+import os
+import subprocess
+import sys
 
 from click.testing import CliRunner
 
+import braidkit
 from braidkit.cli import main
 from braidkit.words import Gen
 
@@ -87,6 +91,20 @@ def test_lcs_ranks_json():
     assert res.exit_code == 0
     rows = [json.loads(line) for line in res.output.splitlines() if line]
     assert [row["rank"] for row in rows] == [1, 2, 3, 5, 7]
+
+
+def test_cli_runs_without_sympy():
+    # stands in for a clean install, where click is the only dependency
+    code = ("import sys; sys.modules['sympy'] = None; "
+            "from braidkit.cli import main; "
+            "main(['lcs-ranks', '--family', 'z2-free', '--max-i', '8'])")
+    src = os.path.dirname(os.path.dirname(braidkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    expected = run("lcs-ranks", "--family", "z2-free", "--max-i", "8")
+    assert proc.stdout == expected.output
 
 
 def test_verify_filter_and_json():

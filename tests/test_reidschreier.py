@@ -18,7 +18,7 @@ from braidkit.reidschreier import (
     tietze_eliminate,
 )
 from braidkit.series import abelianization
-from braidkit.words import Gen, free_reduce, invert, multiply, parse_word
+from braidkit.words import Gen, free_reduce, invert, letter, multiply, parse_word
 
 S1 = Gen("s", (1,))
 
@@ -94,6 +94,18 @@ def test_rs_z_window_families():
     assert ip.families
     inst = ip.instantiate(2)
     assert inst.relators
+
+
+def test_expand_raises_for_generator_without_dictionary_entry():
+    # the dictionary reaches 8 past the window; instantiating at K=12 goes
+    # beyond it for s1, s2 at indices +-11, +-12
+    out = rs_z_window(affine_A(3), Gen("s", (0,)), window=2)
+    gens = out.presentation.instantiate(12).generators
+    assert len([g for g in gens if g not in out.dictionary]) == 8
+    s1_10, s1_12 = Gen("s1", (10,)), Gen("s1", (12,))
+    assert out.expand(letter(s1_10)) == out.dictionary[s1_10]
+    with pytest.raises(ValueError, match=r"s1\[12\]"):
+        out.expand(multiply(letter(s1_10), letter(s1_12)))
 
 
 def test_family_tietze_collapses_duplicates():

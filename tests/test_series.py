@@ -4,6 +4,8 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import pytest
+
 from braidkit.models import automorphism_from_images, q8
 from braidkit.presentations import (
     b3_punctured_gamma2_ab,
@@ -14,6 +16,7 @@ from braidkit.presentations import (
 )
 from braidkit.series import (
     AbelianInvariants,
+    _mobius,
     abelianization,
     alpha_k,
     gamma2_mod_gamma3,
@@ -89,6 +92,15 @@ def test_alpha_values():
     assert alpha_k(3) == 1
     assert alpha_k(4) == Fraction(3, 2)
     assert alpha_k(5) == 2
+
+
+def test_mobius_matches_sympy():
+    from sympy import mobius
+
+    assert ([_mobius(n) for n in range(1, 2001)]
+            == [int(mobius(n)) for n in range(1, 2001)])
+    with pytest.raises(ValueError):
+        _mobius(0)
 
 
 def test_mobius_increments_are_integral():
