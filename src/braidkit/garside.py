@@ -123,9 +123,7 @@ def normal_form(word: Word, n: int) -> BraidNF:
         idx = next((j for j, f in enumerate(factors) if f == delta), None)
         if idx is None:
             factors = [f for f in factors if f != ident]
-            if not any(f == ident or f == delta for f in factors):
-                break
-            continue
+            break
         power += 1
         factors = [_tau(f) for f in factors[:idx]] + factors[idx + 1:]
     return BraidNF(n, power, tuple(factors))

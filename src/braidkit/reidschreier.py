@@ -294,8 +294,12 @@ def _tietze_indexed(ip: IndexedPresentation) -> IndexedPresentation:
                         or g1.name not in live_fams or g2.name not in live_fams):
                     shapes = None
                     break
-                shapes.append((g1.name, g1.indices[0] - k, e1,
-                               g2.name, g2.indices[0] - k, e2))
+                a, b = g1.indices[0] - k, g2.indices[0] - k
+                if g1.name == g2.name and abs(a - b) > 1:
+                    # f@(k+a) = f@(k+b) makes f periodic, not constant
+                    shapes = None
+                    break
+                shapes.append((g1.name, a, e1, g2.name, b, e2))
             if shapes and all(s == shapes[0] for s in shapes):
                 found = (idx, shapes[0])
                 break
@@ -306,7 +310,8 @@ def _tietze_indexed(ip: IndexedPresentation) -> IndexedPresentation:
         if n1 == n2:
             if a == b:
                 continue  # trivial family, already dropped
-            # f@(k+a) = f@(k+b) for all k: one generator in the whole family
+            # f@(k+a) = f@(k+b) with |a - b| = 1 for all k: one generator in
+            # the whole family
             fixed = Gen(n1, ())
             fam_map[n1] = ("fixed", fixed)
             live_fams.discard(n1)
@@ -358,5 +363,11 @@ def tietze_eliminate(p):
         return _tietze_indexed(p)
     if isinstance(p, RsOutput):
         inner = tietze_eliminate(p.presentation)
-        return RsOutput(inner, p.dictionary, p.transversal, p.rewriter)
+        dictionary = dict(p.dictionary)
+        if isinstance(inner, IndexedPresentation):
+            # a family f collapsed to one generator f, equal to every f@k
+            for g in inner.fixed_generators:
+                if g not in dictionary:
+                    dictionary[g] = dictionary[Gen(g.name, (0,))]
+        return RsOutput(inner, dictionary, p.transversal, p.rewriter)
     return _tietze_presentation(p)

@@ -7,7 +7,9 @@ from braidkit.garside import braid_equal
 from braidkit.presentations import (
     IndexedPresentation,
     affine_A,
+    affine_C,
     artin_braid,
+    kent_peifer,
     parse_presentation,
     sphere_braid,
 )
@@ -18,7 +20,8 @@ from braidkit.reidschreier import (
     tietze_eliminate,
 )
 from braidkit.series import abelianization
-from braidkit.words import Gen, free_reduce, invert, letter, multiply, parse_word
+from braidkit.words import (IDENTITY, Gen, free_reduce, invert, letter, multiply,
+                            parse_word)
 
 S1 = Gen("s", (1,))
 
@@ -112,3 +115,38 @@ def test_family_tietze_collapses_duplicates():
     raw = rs_z_window(affine_A(3), Gen("s", (0,)))
     out = tietze_eliminate(raw)
     assert len(out.presentation.families) <= len(raw.presentation.families)
+
+
+def test_family_tietze_keeps_periodic_family():
+    # z@k = z@(k+2) makes z periodic with two generators z@0, z@1, not constant
+    def z_shift(k):
+        return free_reduce([(Gen("z", (k,)), 1), (Gen("z", (k + 2,)), -1)])
+    ip = IndexedPresentation("p2", (), ("z",), (), (z_shift,), 3)
+    assert str(abelianization(ip.instantiate())) == "Z^2"
+    assert abelianization(tietze_eliminate(ip).instantiate()) == \
+        abelianization(ip.instantiate())
+
+
+def test_family_tietze_preserves_windowed_invariants():
+    cases = [(p, t) for p in map(kent_peifer, range(3, 7)) for t in p.generators]
+    cases += [(artin_braid(4), S1), (artin_braid(5), S1), (affine_C(3), S1),
+              (affine_A(3), Gen("s", (0,)))]
+    for p, t in cases:
+        raw = rs_z_window(p, t)
+        out = tietze_eliminate(raw)
+        for k in (4, 6):
+            assert abelianization(out.presentation.instantiate(k)) == \
+                abelianization(raw.presentation.instantiate(k)), (p.name, t, k)
+
+
+def test_family_tietze_collapsed_generators_have_dictionary_entries():
+    for p, collapsed in ((artin_braid(5), ("s3", "s4")), (affine_C(3), ("r3",))):
+        out = tietze_eliminate(rs_z_window(p, S1))
+        assert out.presentation.fixed_generators == tuple(Gen(f) for f in collapsed)
+        inst = out.presentation.instantiate()
+        for g in inst.generators:
+            assert out.expand(letter(g)) == out.dictionary[g]
+    # the entries make every B_5 kernel relator expand to a trivial braid
+    out = tietze_eliminate(rs_z_window(artin_braid(5), S1))
+    for r in out.presentation.instantiate().relators:
+        assert braid_equal(out.expand(r), IDENTITY, 5)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from braidkit.verify import all_checks, run_verify
+from braidkit import verify
+from braidkit.verify import run_verify
 
 # Checks whose reference values disagree with what this code base derives;
 # each one is reported with a full expected/got diff rather than patched.
@@ -59,3 +60,20 @@ def test_deterministic(checks):
     again = run_verify()
     assert [(c.id, c.status, c.got) for c in again] == \
         [(c.id, c.status, c.got) for c in checks]
+
+
+def test_filtered_run_computes_only_matched_checks(monkeypatch):
+    def unexpected(*_args, **_kwargs):
+        raise AssertionError("a check outside the filter was computed")
+    monkeypatch.setattr(verify.series, "abelianization", unexpected)
+    monkeypatch.setattr(verify.hom, "check_hom", unexpected)
+    sub = run_verify("mat-*")
+    assert [c.id for c in sub] == ["mat-u-inverse", "mat-v-inverse",
+                                   "mat-commutator", "mat-c-inverse",
+                                   "mat-nested-commutator"]
+    assert all(c.status == "PASS" for c in sub)
+
+
+def test_each_check_runs_alone(checks):
+    for c in checks:
+        assert run_verify(c.id) == [c]
