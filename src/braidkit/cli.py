@@ -44,6 +44,9 @@ def _load_presentation(path: str) -> Presentation:
 
 
 def _parse_weights(p: Presentation, spec: str) -> dict:
+    """Weights from PATTERN=INT entries, later entries winning.  An entry
+    naming an indexed generator (s[1]) sets that generator only; any other
+    pattern is a glob against each generator and its name."""
     weights = {}
     for part in spec.split(","):
         part = part.strip()
@@ -52,9 +55,20 @@ def _parse_weights(p: Presentation, spec: str) -> dict:
         if "=" not in part:
             raise click.UsageError("weight entry %r is not PATTERN=INT" % part)
         pattern, value = part.rsplit("=", 1)
-        for g in p.generators:
-            if fnmatch(str(g), pattern.strip()) or fnmatch(g.name, pattern.strip()):
-                weights[g] = int(value)
+        pattern = pattern.strip()
+        try:
+            named = _parse_gen(pattern)
+        except (ValueError, click.UsageError):
+            named = None
+        if named is not None and named.indices:
+            matched = [g for g in p.generators if g == named]
+        else:
+            matched = [g for g in p.generators
+                       if fnmatch(str(g), pattern) or fnmatch(g.name, pattern)]
+        if not matched:
+            raise click.UsageError("weight entry %r matches no generator" % part)
+        for g in matched:
+            weights[g] = int(value)
     return weights
 
 

@@ -10,7 +10,7 @@ are instantiated over a finite index window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .words import (Gen, Word, commutator, free_reduce, invert, letter,
                     multiply, parse_word, power, word_to_text)
@@ -419,27 +419,43 @@ def gamma2_b6plus(n: int) -> Presentation:
 # ---------------------------------------------------------------------------
 # Z-indexed presentations and windowed instantiation
 
-RelatorFamily = Callable[[int], Optional[Word]]
+def shift_families(w: Word, families, k: int) -> Word:
+    """w with the index of every letter from the named families raised by k."""
+    return Word(tuple((Gen(g.name, (g.indices[0] + k,)), e) if g.name in families
+                      else (g, e) for g, e in w.runs))
 
 
 @dataclass(frozen=True)
 class IndexedPresentation:
     """A presentation with Z-indexed generator families.
 
-    Family generators are Gen(family_name, (k,)) for k in Z.  Each relator
-    family maps a parameter k to a word (or None) and must commute with
-    shifts: the instance at k is the instance at 0 with every family index
-    raised by k.  Instantiating over a window [-K, K] keeps exactly the
-    instances whose family indices all lie in the window; a family whose
-    instances use no family generator gives one fixed relator.
+    Family generators are Gen(family_name, (k,)) for k in Z.  A relator
+    family is a Word, its instance at 0; its instance at k is that word with
+    every family index raised by k (`shift_families`), so a family written
+    as ``parse_word("p[1] p[2]^-1 p[0]^-1")`` stands for the relators
+    p[k+1] p[k+2]^-1 p[k]^-1.  Instantiating over a window [-K, K] keeps
+    exactly the instances whose family indices all lie in the window; a
+    family word with no family letter gives one fixed relator, and the empty
+    word gives none.
     """
 
     name: str
     fixed_generators: tuple[Gen, ...]
     families: tuple[str, ...]
     fixed_relators: tuple[Word, ...]
-    relator_families: tuple[RelatorFamily, ...]
+    relator_families: tuple[Word, ...]
     window: int = 2
+
+    def __post_init__(self):
+        for n, w in enumerate(self.relator_families):
+            if not isinstance(w, Word):
+                raise TypeError("relator family %d of %s is a %s, not a Word"
+                                % (n, self.name, type(w).__name__))
+            for g in w.generators():
+                if g.name in self.families and len(g.indices) != 1:
+                    raise ValueError("relator family %d of %s uses %s, which "
+                                     "is not a singly indexed family generator"
+                                     % (n, self.name, g))
 
     def instantiate(self, window: Optional[int] = None) -> Presentation:
         k_max = self.window if window is None else window
@@ -448,54 +464,16 @@ class IndexedPresentation:
         gens = tuple(self.fixed_generators) + tuple(
             Gen(f, (k,)) for f in self.families for k in range(-k_max, k_max + 1))
         rels = list(self.fixed_relators)
-        for n, fam_rel in enumerate(self.relator_families):
-            first = fam_rel(0) or None
-            base = self._offsets(n, first, 0)
-            # with offsets o, all indices k + o lie in [-K, K] exactly for these k
-            scan = (range(-k_max - base[0], k_max - base[-1] + 1) if base
-                    else range(-k_max, k_max + 1))
-            for k in scan:
-                w = fam_rel(k) or None
-                if self._offsets(n, w, k) != base or (not base and w != first):
-                    raise ValueError(
-                        "relator family %d of %s does not commute with index "
-                        "shifts: its instance at %d is not its instance at 0 "
-                        "shifted by %d" % (n, self.name, k, k))
-                if base:
+        for w in self.relator_families:
+            offsets = [g.indices[0] for g in w.generators() if g.name in self.families]
+            if not offsets:
+                if w:
                     rels.append(w)
-            if first and not base:
-                rels.append(first)
+                continue
+            # with offsets o, all indices k + o lie in [-K, K] exactly for these k
+            for k in range(-k_max - min(offsets), k_max - max(offsets) + 1):
+                rels.append(shift_families(w, self.families, k))
         return Presentation("%s[K=%d]" % (self.name, k_max), gens, tuple(rels))
-
-    def _offsets(self, n: int, w: Optional[Word], k: int) -> tuple[int, ...]:
-        """Sorted distinct family indices of w, the instance of relator
-        family n at k, each minus k."""
-        offsets = set()
-        for g in (w.generators() if w else ()):
-            if g.name in self.families:
-                if len(g.indices) != 1:
-                    raise ValueError("relator family %d of %s uses %s, which "
-                                     "is not a singly indexed family generator"
-                                     % (n, self.name, g))
-                offsets.add(g.indices[0] - k)
-        return tuple(sorted(offsets))
-
-
-def _fam(name: str, off: int, exp: int = 1):
-    return lambda k: ((Gen(name, (k + off,)), exp),)
-
-
-def _template(*parts) -> RelatorFamily:
-    """Build a relator family from fixed-letter and family-letter parts."""
-    def fam(k: int) -> Word:
-        runs = []
-        for p in parts:
-            if callable(p):
-                runs.extend(p(k))
-            else:
-                runs.append(p)
-        return free_reduce(runs)
-    return fam
 
 
 def gamma2_annulus(m: int, window: int = 2) -> IndexedPresentation:
@@ -506,29 +484,25 @@ def gamma2_annulus(m: int, window: int = 2) -> IndexedPresentation:
     if window < 2:
         raise ValueError("need window >= 2")
     q = {i: Gen("q", (i,)) for i in range(3, m)}
-    pp = _template(_fam("p", 1), _fam("p", 2, -1), _fam("p", 0, -1))
-    rr = _template(_fam("r", 1), _fam("r", 2, -1), _fam("r", 0, -1))
+    fams = [parse_word("p[1] p[2]^-1 p[0]^-1"), parse_word("r[1] r[2]^-1 r[0]^-1")]
     if m == 3:
-        rp = _template(_fam("r", 0), _fam("p", 1), _fam("r", 2),
-                       _fam("p", 2, -1), _fam("r", 1, -1), _fam("p", 0, -1))
+        fams.append(parse_word("r[0] p[1] r[2] p[2]^-1 r[1]^-1 p[0]^-1"))
         return IndexedPresentation("G2annulus3", (), ("p", "r"), (),
-                                   (pp, rr, rp), window)
-    fams: list[RelatorFamily] = [pp, rr]
-    fams.append(_template(_fam("p", 0), (q[3], 1), _fam("p", 2), (q[3], -1),
-                          _fam("p", 1, -1), (q[3], -1)))
+                                   tuple(fams), window)
+    fams.append(parse_word("p[0] q[3] p[2] q[3]^-1 p[1]^-1 q[3]^-1"))
     for i in range(4, m):
-        fams.append(_template(_fam("p", 0), (q[i], 1), _fam("p", 1, -1), (q[i], -1)))
+        fams.append(parse_word("p[0] q[%d] p[1]^-1 q[%d]^-1" % (i, i)))
     fixed_rels = []
     for i in range(3, m - 1):
         for j in range(i + 2, m):
             fixed_rels.append(commutator(letter(q[i]), letter(q[j])))
     for i in range(3, m - 1):
         fixed_rels.append(_braid_relator(q[i], q[i + 1]))
-    fams.append(_template(_fam("r", 0), _fam("p", 1), _fam("r", 1, -1), _fam("p", 0, -1)))
+    fams.append(parse_word("r[0] p[1] r[1]^-1 p[0]^-1"))
     for i in range(3, m - 1):
-        fams.append(_template(_fam("r", 0), (q[i], 1), _fam("r", 1, -1), (q[i], -1)))
-    fams.append(_template(_fam("r", 0), (q[m - 1], 1), _fam("r", 2), (q[m - 1], -1),
-                          _fam("r", 1, -1), (q[m - 1], -1)))
+        fams.append(parse_word("r[0] q[%d] r[1]^-1 q[%d]^-1" % (i, i)))
+    fams.append(parse_word("r[0] q[%d] r[2] q[%d]^-1 r[1]^-1 q[%d]^-1"
+                           % (m - 1, m - 1, m - 1)))
     return IndexedPresentation("G2annulus%d" % m, tuple(q.values()), ("p", "r"),
                                tuple(fixed_rels), tuple(fams), window)
 
@@ -538,11 +512,11 @@ def b3_punctured_gamma2_ab(window: int = 4) -> IndexedPresentation:
     3-strand braid group of the twice-punctured disc: families alpha_i,
     beta_i plus two free generators u, v.  The relator families are the
     abelianized conjugation relations of the u,v action."""
-    la = _template(_fam("alpha", 0), _fam("beta", 1))
-    lb = _template(_fam("beta", -1), _fam("alpha", -1, -1), _fam("beta", 1))
-    lc = _template(_fam("beta", 2), _fam("alpha", 0, -1), _fam("alpha", 2, -1))
-    ld = _template(_fam("beta", -1), _fam("alpha", -2), _fam("alpha", -1, -1),
-                   _fam("alpha", 1, -1), _fam("beta", 2, -1), _fam("alpha", 2),
-                   _fam("beta", 1), _fam("alpha", 0))
+    fams = tuple(parse_word(text) for text in (
+        "alpha[0] beta[1]",
+        "beta[-1] alpha[-1]^-1 beta[1]",
+        "beta[2] alpha[0]^-1 alpha[2]^-1",
+        "beta[-1] alpha[-2] alpha[-1]^-1 alpha[1]^-1 beta[2]^-1 alpha[2] "
+        "beta[1] alpha[0]"))
     return IndexedPresentation("G2B3(D2-1pt)ab", (Gen("u"), Gen("v")),
-                               ("alpha", "beta"), (), (la, lb, lc, ld), window)
+                               ("alpha", "beta"), (), fams, window)

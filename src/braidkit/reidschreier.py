@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .presentations import IndexedPresentation, Presentation, RelatorFamily
+from .presentations import IndexedPresentation, Presentation, shift_families
 from .words import (IDENTITY, Gen, Word, cyclic_reduce, free_reduce, letter,
                     power, substitute)
 
@@ -134,8 +134,9 @@ def rs_z_window(p: Presentation, t: Gen, weights: Optional[dict] = None,
                 window: int = 2) -> RsOutput:
     """Present the kernel of the weight map onto Z, windowed.
 
-    Generator families x@k = t^k x t^-(k+omega(x)); relator families are the
-    rewrites of each ambient relator conjugated by t^k.  Family names encode
+    Generator families x@k = t^k x t^-(k+omega(x)); the relator family of
+    each ambient relator r is its rewrite from coset 0, whose instance at k
+    is the rewrite of r conjugated by t^k.  Family names encode
     the ambient generator (e.g. s[2] -> family "s2").  The dictionary
     covers the indices within _DICTIONARY_MARGIN of the window.
     """
@@ -163,11 +164,8 @@ def rs_z_window(p: Presentation, t: Gen, weights: Optional[dict] = None,
                 runs.append((Gen(fam_name[x], (c,)), -1))
         return free_reduce(runs)
 
-    def make_family(r: Word) -> RelatorFamily:
-        return lambda k: rewrite(r, k)
-
     families = tuple(fam_name[x] for x in p.generators if x != t)
-    rel_fams = tuple(make_family(r) for r in p.relators)
+    rel_fams = tuple(rewrite(r, 0) for r in p.relators)
     ip = IndexedPresentation("%s/kerZ" % p.name, (), families, (), rel_fams,
                              window)
     dictionary = {}
@@ -247,111 +245,74 @@ def _tietze_presentation(p: Presentation) -> Presentation:
     return Presentation(p.name, tuple(gens), tuple(relators))
 
 
+def _family_link(w: Word, live: list) -> Optional[tuple]:
+    """(f, a, g, b) when w is f@a^e g@b^-e with e = +-1 and f, g live
+    families, so that f@(k+a) = g@(k+b) for every k."""
+    if len(w.runs) != 2:
+        return None
+    (g1, e1), (g2, e2) = w.runs
+    if abs(e1) != 1 or e1 != -e2 or g1.name not in live or g2.name not in live:
+        return None
+    a, b = g1.indices[0], g2.indices[0]
+    if g1.name == g2.name and abs(a - b) > 1:
+        return None  # f@(k+a) = f@(k+b) makes f periodic, not constant
+    return g1.name, a, g2.name, b
+
+
+def _rename(w: Word, family: str, image: Callable[[int], Gen]) -> Word:
+    return free_reduce((image(g.indices[0]), e) if g.name == family else (g, e)
+                       for g, e in w.runs)
+
+
+def _distinct(words: list, key: Callable[[Word], tuple]) -> tuple:
+    """The words in order, without freely trivial ones and those whose key
+    an earlier word has."""
+    kept, seen = [], set()
+    for w in words:
+        k = key(w)
+        if k and k not in seen:
+            seen.add(k)
+            kept.append(w)
+    return tuple(kept)
+
+
 def _tietze_indexed(ip: IndexedPresentation) -> IndexedPresentation:
-    # mapping: family name -> ("fam", target name, offset) | ("fixed", Gen)
-    fam_map: dict = {}
-
-    def resolve(name: str, k: int):
-        off = k
-        while name in fam_map:
-            entry = fam_map[name]
-            if entry[0] == "fixed":
-                return entry[1], None
-            name = entry[1]
-            off += entry[2]
-        return name, off
-
-    live_fams = set(ip.families)
-
-    def rewrite(w: Optional[Word]) -> Word:
-        if not w:
-            return IDENTITY
-        runs = []
-        for g, e in w.runs:
-            if g.name in ip.families:
-                tgt, off = resolve(g.name, g.indices[0])
-                if off is None:
-                    runs.append((tgt, e))
-                else:
-                    runs.append((Gen(tgt, (off,)), e))
-            else:
-                runs.append((g, e))
-        return free_reduce(runs)
-
+    live = list(ip.families)
+    fixed_gens = list(ip.fixed_generators)
+    fixed_rels = list(ip.fixed_relators)
     rel_fams = list(ip.relator_families)
-    probes = (0, 1, -1, 2)
     while True:
         found = None
-        for idx, rf in enumerate(rel_fams):
-            inst = [rewrite(rf(k)) for k in probes]
-            shapes = []
-            for k, w in zip(probes, inst):
-                if len(w.runs) != 2:
-                    shapes = None
-                    break
-                (g1, e1), (g2, e2) = w.runs
-                if (abs(e1) != 1 or abs(e2) != 1 or e1 != -e2
-                        or g1.name not in live_fams or g2.name not in live_fams):
-                    shapes = None
-                    break
-                a, b = g1.indices[0] - k, g2.indices[0] - k
-                if g1.name == g2.name and abs(a - b) > 1:
-                    # f@(k+a) = f@(k+b) makes f periodic, not constant
-                    shapes = None
-                    break
-                shapes.append((g1.name, a, e1, g2.name, b, e2))
-            if shapes and all(s == shapes[0] for s in shapes):
-                found = (idx, shapes[0])
+        for idx, w in enumerate(rel_fams):
+            found = _family_link(w, live)
+            if found:
                 break
         if not found:
             break
-        idx, (n1, a, e1, n2, b, _e2) = found
         del rel_fams[idx]
-        if n1 == n2:
-            if a == b:
-                continue  # trivial family, already dropped
+        f, a, g, b = found
+        if f == g:
             # f@(k+a) = f@(k+b) with |a - b| = 1 for all k: one generator in
             # the whole family
-            fixed = Gen(n1, ())
-            fam_map[n1] = ("fixed", fixed)
-            live_fams.discard(n1)
+            fixed_gens.append(Gen(f, ()))
+            gone, image = f, lambda i: Gen(f, ())
+        elif live.index(g) > live.index(f):
+            # f@(k+a) = g@(k+b) for all k; eliminate the later family
+            gone, image = g, lambda i: Gen(f, (i + a - b,))
         else:
-            # relator f@(k+a)^e g@(k+b)^-e = 1; eliminate the later family
-            if list(ip.families).index(n2) > list(ip.families).index(n1):
-                fam_map[n2] = ("fam", n1, a - b)
-                live_fams.discard(n2)
-            else:
-                fam_map[n1] = ("fam", n2, b - a)
-                live_fams.discard(n1)
+            gone, image = f, lambda i: Gen(g, (i + b - a,))
+        live.remove(gone)
+        rel_fams = [_rename(w, gone, image) for w in rel_fams]
+        fixed_rels = [_rename(w, gone, image) for w in fixed_rels]
 
-    def wrap(rf: RelatorFamily) -> RelatorFamily:
-        return lambda k: rewrite(rf(k))
+    def up_to_shift(w: Word) -> tuple:
+        offsets = [x.indices[0] for x in w.generators() if x.name in live]
+        return canonical_relator(shift_families(w, live, -min(offsets))
+                                 if offsets else w)
 
-    wrapped = [wrap(rf) for rf in rel_fams]
-    # drop relator families that are instance-equal to an earlier one
-    kept: list[RelatorFamily] = []
-    sigs = set()
-    for rf in wrapped:
-        sig = tuple(canonical_relator(rf(k)) for k in range(-3, 4))
-        if sig in sigs or all(s == () for s in sig):
-            continue
-        sigs.add(sig)
-        kept.append(rf)
-    fixed_gens = list(ip.fixed_generators)
-    for entry in fam_map.values():
-        if entry[0] == "fixed":
-            fixed_gens.append(entry[1])
-    fixed_rels = []
-    seen = set()
-    for r in ip.fixed_relators:
-        r2 = rewrite(r)
-        key = canonical_relator(r2)
-        if key and key not in seen:
-            seen.add(key)
-            fixed_rels.append(r2)
-    families = tuple(f for f in ip.families if f in live_fams)
-    return IndexedPresentation(ip.name, tuple(fixed_gens), families,
-                               tuple(fixed_rels), tuple(kept), ip.window)
+    return IndexedPresentation(ip.name, tuple(fixed_gens), tuple(live),
+                               _distinct(fixed_rels, canonical_relator),
+                               _distinct(rel_fams, up_to_shift), ip.window)
 
 
 def tietze_eliminate(p):

@@ -9,15 +9,16 @@ normal closures of twisted commutators in finite groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .intlin import IntMatrix, abelian_invariants, mat_pow, matrix, smith_normal_form
-from .models import FiniteTable, act_on_finite
+from .models import FiniteTable, act_on_finite, finite_closure
 from .presentations import IndexedPresentation, Presentation
 from .reidschreier import rs_finite_cyclic
-from .words import Gen, Word, exponent_rows, free_reduce, invert, letter, multiply
+from .words import (Gen, Word, exponent_rows, free_reduce, invert, letter,
+                    multiply, parse_word)
 
 
 @dataclass(frozen=True)
@@ -97,10 +98,11 @@ class WindowedInvariants:
 
 def windowed_coinvariants(ip: IndexedPresentation, window: Optional[int] = None,
                           identify: Union[bool, Iterable[str]] = ()) -> WindowedInvariants:
-    """Abelian invariants of a windowed presentation, optionally identifying
-    each listed family with its index shift (the abelianized conjugation
-    action of the transversal generator).  Stable when windows K and K+1
-    agree."""
+    """Abelian invariants of a windowed presentation.  Each family f listed
+    in `identify` (all of them for True) gains the relator family
+    f[0] f[1]^-1, identifying f with its index shift (the abelianized
+    conjugation action of the transversal generator).  Stable when windows
+    K and K+1 agree."""
     k = ip.window if window is None else window
     if k < 2:
         raise ValueError("window must be >= 2")
@@ -108,15 +110,12 @@ def windowed_coinvariants(ip: IndexedPresentation, window: Optional[int] = None,
     unknown = [f for f in fams if f not in ip.families]
     if unknown:
         raise ValueError("unknown family %r" % unknown[0])
+    ip = replace(ip, relator_families=ip.relator_families + tuple(
+        free_reduce([(Gen(f, (0,)), 1), (Gen(f, (1,)), -1)]) for f in fams))
 
     def at(kk: int) -> AbelianInvariants:
         pres = ip.instantiate(kk)
-        relators = list(pres.relators)
-        for f in fams:
-            for i in range(-kk, kk):
-                relators.append(free_reduce([(Gen(f, (i,)), 1),
-                                             (Gen(f, (i + 1,)), -1)]))
-        return _invariants(exponent_rows(relators, pres.generators),
+        return _invariants(exponent_rows(pres.relators, pres.generators),
                            len(pres.generators))
 
     here, nxt = at(k), at(k + 1)
@@ -127,9 +126,9 @@ def shifted_z_family_system() -> IndexedPresentation:
     """Abelianized conjugation data for the rank-2 free kernel with basis
     z_i = t^i x t^-(i+1): both ambient generators shift z_i to z_{i+1}, and
     the half-twist sends z_i to the inverse of z_{i-1} (abelianized)."""
-    shift = lambda k: free_reduce([(Gen("z", (k,)), 1), (Gen("z", (k + 1,)), -1)])
-    flip = lambda k: free_reduce([(Gen("z", (k,)), 1), (Gen("z", (k - 1,)), 1)])
-    return IndexedPresentation("zshift", (), ("z",), (), (shift, flip), 3)
+    return IndexedPresentation("zshift", (), ("z",), (),
+                               (parse_word("z[0] z[1]^-1"),
+                                parse_word("z[0] z[-1]")), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -270,28 +269,12 @@ def lcs_rank_torus(i: int) -> RankReport:
 
 def hat_subgroup(table: FiniteTable, actions: dict, acting_words: Sequence[Word],
                  budget: int = 20000) -> tuple[str, ...]:
-    """Normal closure of { phi(w)(h) h^-1 : w acting word, h in the group }.
+    """Normal closure of { phi(w)(h) h^-1 : w acting word, h in the group },
+    raising ValueError when it exceeds `budget` elements.
 
     `actions` maps each acting generator to a permutation of element names."""
-    seeds = set()
-    for w in acting_words:
-        for h in table.elements:
-            seeds.add(table.mul(act_on_finite(actions, w, h), table.inv(h)))
-    closed = set(seeds)
-    closed.add(table.identity())
-    frontier = list(closed)
-    steps = 0
-    while frontier:
-        x = frontier.pop()
-        new = [table.inv(x)]
-        new.extend(table.mul(x, y) for y in closed)
-        new.extend(table.mul(table.mul(g, x), table.inv(g))
-                   for g in table.elements)
-        for y in new:
-            steps += 1
-            if steps > budget:
-                raise ValueError("closure budget exceeded")
-            if y not in closed:
-                closed.add(y)
-                frontier.append(y)
-    return tuple(sorted(closed))
+    seeds = {table.mul(act_on_finite(actions, w, h), table.inv(h))
+             for w in acting_words for h in table.elements}
+    conjugates = {table.mul(table.mul(g, x), table.inv(g))
+                  for g in table.elements for x in seeds}
+    return tuple(sorted(finite_closure(table, conjugates, budget)))

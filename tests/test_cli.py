@@ -86,6 +86,20 @@ def test_rs_prints_dictionary():
     assert res2.exit_code == 0
 
 
+def test_rs_weights_name_indexed_generators():
+    z2 = "group Z2\ngens: a[1] a[2]\nrel: a[1] a[2] a[1]^-1 a[2]^-1\n"
+    for spec in ("*=1,a[2]=0", "*=0,a[1]=1"):
+        res = run("rs", "--in", "-", "--mod", "0", "--transversal", "a[1]",
+                  "--weights", spec, input=z2)
+        assert res.exit_code == 0, res.output
+        # a[2] has weight 0, so a2@0 = t^0 a[2] t^-0
+        assert "#   a2[0] = a[2]\n" in res.output
+    res = run("rs", "--in", "-", "--mod", "0", "--transversal", "a[1]",
+              "--weights", "*=1,a[3]=0", input=z2)
+    assert res.exit_code == 2
+    assert "'a[3]=0' matches no generator" in res.output
+
+
 def test_lcs_ranks_json():
     res = run("lcs-ranks", "--family", "z2-free", "--max-i", "6", "--json")
     assert res.exit_code == 0

@@ -97,25 +97,29 @@ def test_indexed_presentations_instantiate():
 
 def test_instantiate_keeps_every_instance_of_a_far_offset_family():
     # p[k+9] p[k+10]^-1 lies in the window [-2, 2] for k = -11, ..., -8
-    far = lambda k: parse_word("p[%d] p[%d]^-1" % (k + 9, k + 10))
+    far = parse_word("p[9] p[10]^-1")
     ip = IndexedPresentation("far", (), ("p",), (), (far,), 2)
-    assert ip.instantiate(2).relators == tuple(far(k) for k in range(-11, -7))
-    assert ip.instantiate(12).relators == tuple(far(k) for k in range(-21, 3))
+
+    def at(k):
+        return parse_word("p[%d] p[%d]^-1" % (k + 9, k + 10))
+    assert ip.instantiate(2).relators == tuple(at(k) for k in range(-11, -7))
+    assert ip.instantiate(12).relators == tuple(at(k) for k in range(-21, 3))
 
 
-def test_instantiate_rejects_families_that_do_not_shift():
-    doubled = lambda k: parse_word("p[%d]" % (2 * k))
-    ip = IndexedPresentation("doubled", (), ("p",), (), (doubled,), 2)
-    with pytest.raises(ValueError, match="shift"):
-        ip.instantiate(2)
-    parity = lambda k: parse_word("p[%d]" % k) if k % 2 == 0 else None
-    with pytest.raises(ValueError, match="shift"):
-        IndexedPresentation("parity", (), ("p",), (), (parity,), 2).instantiate(3)
+def test_relator_families_must_be_words():
+    with pytest.raises(TypeError, match="not a Word"):
+        IndexedPresentation("closure", (), ("p",), (),
+                            (lambda k: parse_word("p[%d]" % k),), 2)
+
+
+def test_family_letters_must_be_singly_indexed():
+    for bad in ("p[1,2] p[0]^-1", "p q"):
+        with pytest.raises(ValueError, match="not a singly indexed family generator"):
+            IndexedPresentation("bad", (Gen("q"),), ("p",), (), (parse_word(bad),), 2)
 
 
 def test_instantiate_gives_a_family_without_family_letters_once():
-    fixed = lambda k: parse_word("q^2")
-    ip = IndexedPresentation("fixed", (Gen("q"),), ("p",), (), (fixed,), 2)
+    ip = IndexedPresentation("fixed", (Gen("q"),), ("p",), (), (parse_word("q^2"),), 2)
     assert ip.instantiate(3).relators == (parse_word("q^2"),)
 
 

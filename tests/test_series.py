@@ -154,3 +154,11 @@ def test_hat_subgroup_of_q8():
     assert len(full) == 8
     centre = hat_subgroup(t, acts, [parse_word("a b a^-1 b^-1")])
     assert sorted(centre) == ["-1", "1"]
+
+
+def test_hat_subgroup_budget_bounds_the_closure_size():
+    t = q8()
+    acts = {Gen("a"): automorphism_from_images(t, {"x": "y", "y": "xy"})}
+    assert len(hat_subgroup(t, acts, [parse_word("a")], budget=8)) == 8
+    with pytest.raises(ValueError, match="budget"):
+        hat_subgroup(t, acts, [parse_word("a")], budget=4)
