@@ -67,8 +67,12 @@ def _parse_weights(p: Presentation, spec: str) -> dict:
                        if fnmatch(str(g), pattern) or fnmatch(g.name, pattern)]
         if not matched:
             raise click.UsageError("weight entry %r matches no generator" % part)
+        try:
+            weight = int(value)
+        except ValueError:
+            raise click.UsageError("weight entry %r is not PATTERN=INT" % part)
         for g in matched:
-            weights[g] = int(value)
+            weights[g] = weight
     return weights
 
 
@@ -203,11 +207,11 @@ def snf_cmd(path, transforms):
 def braid_eq_cmd(n, word1, word2):
     """Decide equality of two braid words via greedy normal forms."""
     try:
-        w1, w2 = parse_word(word1), parse_word(word2)
+        nf1 = normal_form(parse_word(word1), n)
+        nf2 = normal_form(parse_word(word2), n)
     except ValueError as exc:
         click.echo("parse error: %s" % exc, err=True)
         sys.exit(3)
-    nf1, nf2 = normal_form(w1, n), normal_form(w2, n)
     if nf1 == nf2:
         click.echo("equal: %s" % nf1)
     else:
@@ -277,11 +281,16 @@ def _make_target(spec: str):
         return models.q8_semidirect_f2()
     if spec.startswith("braid:"):
         rest = spec[len("braid:"):]
-        if rest.endswith("-x-z"):
-            n = int(rest[:-len("-x-z")])
-            return models.DirectProduct((models.GarsideBraidGroup(n),
-                                         models.CyclicZ(0)))
-        return models.GarsideBraidGroup(int(rest))
+        times_z = rest.endswith("-x-z")
+        if times_z:
+            rest = rest[:-len("-x-z")]
+        try:
+            braids = models.GarsideBraidGroup(int(rest))
+        except ValueError:
+            raise click.UsageError("target %r needs a strand count N >= 2" % spec)
+        if times_z:
+            return models.DirectProduct((braids, models.CyclicZ(0)))
+        return braids
     raise click.UsageError("unknown target %r; known: %s" % (spec, ", ".join(_TARGETS)))
 
 
@@ -298,9 +307,8 @@ def _parse_image(model, text: str):
         finite, free = text.split(";")
         return (finite.strip(), parse_word(free))
     if isinstance(model, models.DirectProduct):
-        parts = text.split(";")
-        braid, k = parts[0], int(parts[1])
-        return (model.factors[0].from_word(parse_word(braid)), k)
+        braid, k = text.split(";")
+        return (model.factors[0].from_word(parse_word(braid)), int(k))
     raise click.UsageError("no element syntax for this target")
 
 

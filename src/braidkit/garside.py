@@ -1,9 +1,35 @@
 """Left greedy normal form for Artin braid groups.
 
 A braid on n strands is represented as Delta^p * A_1 * ... * A_k where Delta
-is the positive half twist and the A_i are permutation braids forming a
-left-weighted sequence (no factor equal to Delta or the identity).  Equality
-of braid words reduces to equality of normal forms.
+is the positive half twist and the A_i are permutation braids (simple
+elements) forming a left-weighted sequence: no factor is Delta or the
+identity, and every adjacent pair (A, B) has S(B) ⊆ F(A), where the starting
+set S and the finishing set F hold the generators that divide a simple
+element on the left and on the right.  The form is unique, so equality of
+braid words reduces to equality of normal forms.
+
+The form is built incrementally, by left-greedy multiplication (Epstein et
+al., *Word Processing in Groups*, ch. 9; El-Rifai and Morton, "Algorithms
+for positive braids", 1994).  Multiplying on the right by a simple element X
+appends X and repairs adjacent pairs from right to left.  A pair (A, B) is
+repaired by moving the meet of the right complement A^-1 Delta and B out of
+B into A, a whole parabolic half twist at a time.  The pass stops at the
+first pair that does not change, since every pair left of it is unchanged
+and still left-weighted; by the domino rule the pairs it did repair are
+left-weighted too.  A Delta factor can only arise at the front, where it
+joins the power, and an identity factor only at the end, where it is
+dropped.
+
+A negative letter is s_i^-1 = Delta^-1 (Delta s_i^-1), whose second part is
+simple.  Moving Delta^-1 to the front conjugates every factor before it by
+Delta, the automorphism tau of the simple elements (tau(s_i) = s_(n-i)).
+Rather than rewriting the stored factors, the construction keeps a parity
+bit: the stored factors are tau^parity of the true ones, each new letter is
+twisted as it is appended, and tau is applied once at the end.  The repair
+is the same in the twisted frame because tau preserves left-weightedness.
+
+Descent sets are bitmasks (bit i for s_i) read straight off the
+permutations.
 """
 
 from __future__ import annotations
@@ -32,7 +58,7 @@ def _perm_s(i: int, n: int) -> tuple[int, ...]:
 
 def _perm_mul(a, b):
     """Permutation of the braid (A then B)."""
-    return tuple(b[a[i]] for i in range(len(a)))
+    return tuple(map(b.__getitem__, a))
 
 
 def _perm_inv(p):
@@ -44,17 +70,81 @@ def _perm_inv(p):
 
 def _tau(p):
     """Conjugation by Delta: tau(P) = Delta P Delta^-1 as a permutation braid."""
-    d = _perm_delta(len(p))
-    return _perm_mul(_perm_mul(d, p), d)
+    top = len(p) - 1
+    return tuple(top - p[top - i] for i in range(len(p)))
 
 
-def _starting_set(p) -> set[int]:
-    """Generators s_i that are left divisors of the permutation braid P."""
-    return {i for i in range(1, len(p)) if p[i - 1] > p[i]}
+def _complement(p):
+    """Right complement A^-1 Delta of a permutation braid A."""
+    top = len(p) - 1
+    return tuple(top - i for i in _perm_inv(p))
 
 
-def _finishing_set(p) -> set[int]:
-    return _starting_set(_perm_inv(p))
+def _descents(p) -> int:
+    """Bitmask of the i with p[i-1] > p[i]: the starting set S(P).  The
+    finishing set is F(P) = S(P^-1)."""
+    mask = 0
+    for i in range(1, len(p)):
+        if p[i - 1] > p[i]:
+            mask |= 1 << i
+    return mask
+
+
+def _half_twists(mask: int, n: int) -> tuple[int, ...]:
+    """The lcm of the generators s_i with bit i in mask: a half twist on the
+    positions i-1..j of each run s_i..s_j of consecutive generators."""
+    p = list(range(n))
+    i = 1
+    while i < n:
+        if mask >> i & 1:
+            j = i
+            while mask >> (j + 1) & 1:
+                j += 1
+            p[i - 1:j + 1] = range(j, i - 2, -1)
+            i = j + 1
+        else:
+            i += 1
+    return tuple(p)
+
+
+def _weight_pair(a, b):
+    """A B as a left-weighted pair A' B' (the same objects if it is one).
+
+    Each generator of S(B) outside F(A) left-divides both B and the right
+    complement of A, so their lcm does too and moves from B to A."""
+    while True:
+        move = _descents(b) & ~_descents(_perm_inv(a))
+        if not move:
+            return a, b
+        d = _half_twists(move, len(a))
+        a, b = _perm_mul(a, d), _perm_mul(d, b)
+
+
+def _append(factors: list, x, ident) -> None:
+    """Right-multiply a left-weighted sequence by the simple element x, in
+    place: append x and repair pairs from right to left."""
+    factors.append(x)
+    j = len(factors) - 2
+    while j >= 0:
+        a, b = _weight_pair(factors[j], factors[j + 1])
+        if a is factors[j]:
+            break
+        factors[j], factors[j + 1] = a, b
+        j -= 1
+    while factors and factors[-1] == ident:
+        factors.pop()
+
+
+def _finish(n: int, power: int, factors: list, twisted: bool) -> "BraidNF":
+    """Absorb the leading Delta factors into the power and undo the twist."""
+    delta = _perm_delta(n)
+    k = 0
+    while k < len(factors) and factors[k] == delta:
+        k += 1
+    rest = factors[k:]
+    if twisted:
+        rest = [_tau(f) for f in rest]
+    return BraidNF(n, power + k, tuple(rest))
 
 
 @dataclass(frozen=True)
@@ -77,56 +167,51 @@ class BraidNF:
         return " ".join(parts) if parts else "1"
 
 
-def _left_weight(factors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Slide letters left until every adjacent pair (A, B) has S(B) ⊆ F(A)."""
-    n = len(factors[0]) if factors else 0
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(factors) - 1):
-            a, b = factors[j], factors[j + 1]
-            move = _starting_set(b) - _finishing_set(a)
-            while move:
-                i = min(move)
-                si = _perm_s(i, n)
-                a = _perm_mul(a, si)
-                b = _perm_mul(si, b)
-                changed = True
-                move = _starting_set(b) - _finishing_set(a)
-            factors[j], factors[j + 1] = a, b
-    return factors
-
-
 def normal_form(word: Word, n: int) -> BraidNF:
     """Normal form of a braid word in generators s[1]..s[n-1]."""
     if n < 2:
         raise ValueError("need n >= 2")
     ident = _perm_id(n)
     delta = _perm_delta(n)
+    positive = [None] + [_perm_s(i, n) for i in range(1, n)]
+    negative = [None] + [_perm_mul(delta, s) for s in positive[1:]]
     power = 0
+    twisted = False
     factors: list[tuple[int, ...]] = []
-    for g, sign in word.letters():
+    for g, e in word.runs:
         i = _gen_index(g, n)
-        if sign > 0:
-            factors.append(_perm_s(i, n))
-        else:
-            # s_i^-1 = Delta^-1 * (Delta s_i^-1); push Delta^-1 to the front
-            power -= 1
-            factors = [_tau(f) for f in factors]
-            factors.append(_perm_mul(delta, _perm_s(i, n)))
-    # normalize
-    while True:
-        factors = [f for f in factors if f != ident]
-        if factors:
-            factors = _left_weight(factors)
-        # absorb interior Delta factors into the power
-        idx = next((j for j, f in enumerate(factors) if f == delta), None)
-        if idx is None:
-            factors = [f for f in factors if f != ident]
-            break
-        power += 1
-        factors = [_tau(f) for f in factors[:idx]] + factors[idx + 1:]
-    return BraidNF(n, power, tuple(factors))
+        gens = positive if e > 0 else negative
+        for _ in range(abs(e)):
+            if e < 0:
+                # s_i^-1 = Delta^-1 (Delta s_i^-1); Delta^-1 moves to the front
+                power -= 1
+                twisted = not twisted
+            _append(factors, gens[n - i if twisted else i], ident)
+    return _finish(n, power, factors, twisted)
+
+
+def nf_mul(a: BraidNF, b: BraidNF) -> BraidNF:
+    """Product of two normal forms: Delta^(p+q) tau^q(A_1..A_k), then each
+    B_j appended."""
+    if a.n != b.n:
+        raise ValueError("braids on %d and %d strands" % (a.n, b.n))
+    factors = [_tau(f) for f in a.factors] if b.power % 2 else list(a.factors)
+    ident = _perm_id(a.n)
+    for f in b.factors:
+        _append(factors, f, ident)
+    return _finish(a.n, a.power + b.power, factors, False)
+
+
+def nf_inv(a: BraidNF) -> BraidNF:
+    """Inverse of a normal form: Delta^(-p-k) times the complements
+    tau^(p+i)(A_i^-1 Delta) for i = k..1."""
+    k = len(a.factors)
+    factors: list[tuple[int, ...]] = []
+    ident = _perm_id(a.n)
+    for i in range(k, 0, -1):
+        c = _complement(a.factors[i - 1])
+        _append(factors, _tau(c) if (a.power + i) % 2 else c, ident)
+    return _finish(a.n, -a.power - k, factors, False)
 
 
 def _gen_index(g: Gen, n: int) -> int:

@@ -242,19 +242,23 @@ class SemidirectFiniteByFree(GroupModel):
 
 @dataclass(frozen=True)
 class GarsideBraidGroup(GroupModel):
-    """Braid group B_n with elements in Garside normal form."""
+    """Braid group B_n with elements in Garside normal form; products and
+    inverses are computed on normal forms, never through words."""
 
     n: int
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValueError("need n >= 2")
 
     def identity(self):
         return garside.BraidNF(self.n, 0, ())
 
     def mul(self, a, b):
-        w = multiply(garside.nf_to_word(a), garside.nf_to_word(b))
-        return garside.normal_form(w, self.n)
+        return garside.nf_mul(a, b)
 
     def inv(self, a):
-        return garside.normal_form(invert(garside.nf_to_word(a)), self.n)
+        return garside.nf_inv(a)
 
     def from_word(self, w: Word):
         return garside.normal_form(w, self.n)

@@ -60,6 +60,17 @@ def test_braid_eq_exit_codes():
     assert run("braid-eq", "--n", "3", "s[1]", "s[2]").exit_code == 1
 
 
+def test_braid_eq_bad_generator_or_strand_count_is_an_input_error():
+    for args, message in ((("--n", "3", "s[1]", "s[5]"),
+                           "generator s[5] out of range for 3 strands"),
+                          (("--n", "1", "s[1]", "s[1]"), "need n >= 2")):
+        res = run("braid-eq", *args)
+        assert res.exit_code == 3
+        assert isinstance(res.exception, SystemExit)
+        assert res.stdout == ""
+        assert res.stderr == "parse error: %s\n" % message
+
+
 def test_subgroup_member(tmp_path):
     f = tmp_path / "basis.txt"
     f.write_text("a^2\nb\n")
@@ -98,6 +109,15 @@ def test_rs_weights_name_indexed_generators():
               "--weights", "*=1,a[3]=0", input=z2)
     assert res.exit_code == 2
     assert "'a[3]=0' matches no generator" in res.output
+
+
+def test_rs_weight_that_is_not_an_integer_is_a_usage_error():
+    pres = run("present", "--family", "artin", "--n", "4").output
+    res = run("rs", "--in", "-", "--mod", "2", "--transversal", "s[1]",
+              "--weights", "*=x", input=pres)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "weight entry '*=x' is not PATTERN=INT" in res.output
 
 
 def test_lcs_ranks_json():
@@ -180,3 +200,37 @@ def test_hom_check_replay_hint_runs(tmp_path):
         assert one.exit_code == (0 if c.trivial else 1)
         assert one.output.splitlines() == [lines[c.index]]
     assert run("hom-check", "--relator", str(len(checks)), *rest).exit_code == 1
+
+
+def test_hom_check_bad_braid_target_is_a_usage_error(tmp_path):
+    pf = tmp_path / "p.txt"
+    pf.write_text(run("present", "--family", "artin", "--n", "3").output)
+    af = tmp_path / "assign.txt"
+    af.write_text("s[1] = s[1]\ns[2] = s[2]\n")
+    for target in ("braid:x", "braid:1", "braid:0-x-z", "braid:-x-z"):
+        res = run("hom-check", "--in", str(pf), "--target", target,
+                  "--assign", str(af))
+        assert res.exit_code == 2, target
+        assert isinstance(res.exception, SystemExit)
+        assert "target %r needs a strand count N >= 2" % target in res.output
+    ok = run("hom-check", "--in", str(pf), "--target", "braid:3",
+             "--assign", str(af))
+    assert ok.exit_code == 0
+
+
+def test_hom_check_braid_times_z_image_without_its_z_part_is_a_parse_error(tmp_path):
+    pf = tmp_path / "p.txt"
+    pf.write_text(run("present", "--family", "artin", "--n", "3").output)
+    af = tmp_path / "assign.txt"
+    for images in ("s[1] = s[1]\ns[2] = s[2]\n", "s[1] = s[1];0;1\ns[2] = s[2];0\n",
+                   "s[1] = s[1];x\ns[2] = s[2];0\n"):
+        af.write_text(images)
+        res = run("hom-check", "--in", str(pf), "--target", "braid:3-x-z",
+                  "--assign", str(af))
+        assert res.exit_code == 3, images
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("parse error: ")
+    af.write_text("s[1] = s[1];0\ns[2] = s[2];0\n")
+    ok = run("hom-check", "--in", str(pf), "--target", "braid:3-x-z",
+             "--assign", str(af))
+    assert ok.exit_code == 0

@@ -1,9 +1,20 @@
-"""Garside left-greedy normal form and the braid word problem."""
+"""Garside left-greedy normal form and the braid word problem.
 
+The incremental normal form is checked against two slow oracles: the Artin
+action of B_n on the free group F_n, which is faithful, and the former
+implementation (one factor per letter, eager tau, a global sweep), kept
+here as `sweep_normal_form`."""
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidkit import garside
+from braidkit.actions import artin_action
 from braidkit.garside import braid_equal, nf_to_word, normal_form, permutation
-from braidkit.words import Gen, free_reduce, invert, multiply, parse_word
+from braidkit.hom import check_hom
+from braidkit.models import GarsideBraidGroup, action_of_word
+from braidkit.presentations import artin_braid
+from braidkit.words import Gen, free_reduce, invert, letter, multiply, parse_word
 
 IDENT = parse_word("1")
 
@@ -12,6 +23,129 @@ def braid_words(n, max_runs=8):
     run = st.tuples(st.integers(1, n - 1), st.integers(-2, 2).filter(bool))
     return st.lists(run, max_size=max_runs).map(
         lambda rs: free_reduce([(Gen("s", (i,)), e) for i, e in rs]))
+
+
+def with_strands(lo, hi, words=1, max_runs=8):
+    """(n, w_1, ..., w_words) with n drawn from lo..hi."""
+    return st.integers(lo, hi).flatmap(lambda n: st.tuples(
+        st.just(n), *[braid_words(n, max_runs) for _ in range(words)]))
+
+
+# -- permutation braids, written out independently of braidkit.garside ----
+
+def _pmul(a, b):
+    return tuple(b[a[i]] for i in range(len(a)))
+
+
+def _pinv(p):
+    q = [0] * len(p)
+    for i, v in enumerate(p):
+        q[v] = i
+    return tuple(q)
+
+
+def _ps(i, n):
+    p = list(range(n))
+    p[i - 1], p[i] = p[i], p[i - 1]
+    return tuple(p)
+
+
+def _pdelta(n):
+    return tuple(reversed(range(n)))
+
+
+def _ptau(p):
+    d = _pdelta(len(p))
+    return _pmul(_pmul(d, p), d)
+
+
+def starting_set(p):
+    return {i for i in range(1, len(p)) if p[i - 1] > p[i]}
+
+
+def finishing_set(p):
+    return starting_set(_pinv(p))
+
+
+def sweep_normal_form(word, n):
+    """The former `normal_form`: one factor per letter, tau applied to every
+    stored factor on each negative letter, then single generators slid left
+    until no pair changes, with interior Delta factors pulled to the front."""
+    ident, delta = tuple(range(n)), _pdelta(n)
+    power, factors = 0, []
+    for g, sign in word.letters():
+        i = g.indices[0]
+        if sign > 0:
+            factors.append(_ps(i, n))
+        else:
+            power -= 1
+            factors = [_ptau(f) for f in factors]
+            factors.append(_pmul(delta, _ps(i, n)))
+    while True:
+        factors = [f for f in factors if f != ident]
+        changed = True
+        while changed:
+            changed = False
+            for j in range(len(factors) - 1):
+                a, b = factors[j], factors[j + 1]
+                move = starting_set(b) - finishing_set(a)
+                while move:
+                    si = _ps(min(move), n)
+                    a, b = _pmul(a, si), _pmul(si, b)
+                    changed = True
+                    move = starting_set(b) - finishing_set(a)
+                factors[j], factors[j + 1] = a, b
+        idx = next((j for j, f in enumerate(factors) if f == delta), None)
+        if idx is None:
+            factors = [f for f in factors if f != ident]
+            break
+        power += 1
+        factors = [_ptau(f) for f in factors[:idx]] + factors[idx + 1:]
+    return garside.BraidNF(n, power, tuple(factors))
+
+
+def assert_left_weighted(nf):
+    """No Delta or identity factor, every factor a permutation, and
+    S(B) ⊆ F(A) for each adjacent pair (A, B)."""
+    n = nf.n
+    for f in nf.factors:
+        assert sorted(f) == list(range(n))
+        assert f not in (tuple(range(n)), _pdelta(n))
+    for a, b in zip(nf.factors, nf.factors[1:]):
+        assert starting_set(b) <= finishing_set(a)
+
+
+def _relators(n):
+    s = [None] + [Gen("s", (i,)) for i in range(1, n)]
+    rels = [[(s[i], 1), (s[i + 1], 1), (s[i], 1), (s[i + 1], -1), (s[i], -1),
+             (s[i + 1], -1)] for i in range(1, n - 1)]
+    rels += [[(s[i], 1), (s[j], 1), (s[i], -1), (s[j], -1)]
+             for i in range(1, n) for j in range(i + 2, n)]
+    return rels
+
+
+@st.composite
+def artin_pairs(draw):
+    """(n, u, v, built_equal): v is u with a conjugated relator inserted,
+    or an independent random word."""
+    n = draw(st.integers(3, 6))
+    letters = st.lists(st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1))),
+                       max_size=8)
+    u = [(Gen("s", (i,)), e) for i, e in draw(letters)]
+    equal = draw(st.booleans())
+    if equal:
+        r = draw(st.sampled_from(_relators(n)))
+        k = draw(st.integers(0, len(r) - 1))
+        r = r[k:] + r[:k]
+        if draw(st.booleans()):
+            r = [(g, -e) for g, e in reversed(r)]
+        c = [(Gen("s", (i,)), e) for i, e in draw(letters.map(lambda x: x[:2]))]
+        c_inv = [(g, -e) for g, e in reversed(c)]
+        pos = draw(st.integers(0, len(u)))
+        v = u[:pos] + c + r + c_inv + u[pos:]
+    else:
+        v = [(Gen("s", (i,)), e) for i, e in draw(letters)]
+    return n, free_reduce(u), free_reduce(v), equal
 
 
 def test_braid_relation():
@@ -72,3 +206,80 @@ def test_normal_form_left_weighted_factors_are_permutation_braids():
     n = nf.n
     for f in nf.factors:
         assert sorted(f) == list(range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(artin_pairs())
+def test_braid_equal_iff_equal_artin_automorphisms(case):
+    n, u, v, built_equal = case
+    acts = {Gen("s", (i,)): artin_action(i, n) for i in range(1, n)}
+    same = action_of_word(acts, u).images == action_of_word(acts, v).images
+    assert braid_equal(u, v, n) == same
+    if built_equal:
+        assert same
+
+
+@settings(max_examples=120, deadline=None)
+@given(with_strands(2, 8, max_runs=16))
+def test_normal_form_matches_the_sweep_oracle(case):
+    n, w = case
+    assert normal_form(w, n) == sweep_normal_form(w, n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(with_strands(2, 6, words=2, max_runs=10))
+def test_model_mul_and_inv_match_the_word_path(case):
+    n, u, v = case
+    model = GarsideBraidGroup(n)
+    a, b = model.from_word(u), model.from_word(v)
+    product = model.mul(a, b)
+    assert product == normal_form(multiply(nf_to_word(a), nf_to_word(b)), n)
+    assert product == normal_form(multiply(u, v), n)
+    assert model.inv(a) == normal_form(invert(nf_to_word(a)), n)
+    assert model.mul(a, model.inv(a)) == model.identity()
+
+
+@settings(max_examples=100, deadline=None)
+@given(with_strands(2, 7, words=2, max_runs=12))
+def test_every_output_is_left_weighted(case):
+    n, u, v = case
+    model = GarsideBraidGroup(n)
+    a, b = normal_form(u, n), normal_form(v, n)
+    for nf in (a, b, model.mul(a, b), model.mul(b, a), model.inv(a)):
+        assert_left_weighted(nf)
+
+
+def test_model_mul_refuses_braids_on_different_strand_counts():
+    a = normal_form(parse_word("s[1]"), 3)
+    b = normal_form(parse_word("s[1]"), 4)
+    with pytest.raises(ValueError, match="braids on 3 and 4 strands"):
+        GarsideBraidGroup(3).mul(a, b)
+
+
+def test_two_strands_are_powers_of_delta():
+    assert str(normal_form(parse_word("s[1]^3"), 2)) == "D^3"
+    assert str(normal_form(parse_word("s[1]^-2"), 2)) == "D^-2"
+    model = GarsideBraidGroup(2)
+    a = model.from_word(parse_word("s[1]^-3"))
+    assert model.mul(a, model.inv(a)).is_trivial()
+
+
+def test_model_mul_and_inv_never_pass_through_words(monkeypatch):
+    model = GarsideBraidGroup(4)
+    p = artin_braid(4)
+    g = parse_word("s[2] s[1]^-1 s[3]")
+    images = {s: model.from_word(multiply(g, letter(s), invert(g)))
+              for s in p.generators}
+    s1 = Gen("s", (1,))
+    squared = dict(images)
+    squared[s1] = model.mul(images[s1], images[s1])
+
+    def refuse(*_args):
+        raise AssertionError("a braid model product went through a word")
+
+    monkeypatch.setattr(garside, "nf_to_word", refuse)
+    monkeypatch.setattr(garside, "normal_form", refuse)
+    assert check_hom(p, model, images).all_trivial
+    report = check_hom(p, model, squared)
+    # s[1]^2 still commutes with s[3]; only the braid relation on s[1] fails
+    assert [c.index for c in report.failures()] == [1]

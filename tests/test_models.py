@@ -1,5 +1,6 @@
 """Group models: word-problem backends used by the homomorphism checker."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidkit.models import (
@@ -62,6 +63,12 @@ def test_garside_model_eval():
     lhs = b3.eval_word(assign, parse_word("x y x"))
     rhs = b3.eval_word(assign, parse_word("y x y"))
     assert lhs == rhs
+
+
+def test_garside_model_needs_two_strands():
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            GarsideBraidGroup(n)
 
 
 def test_automorphism_compose_and_inverse():
