@@ -155,12 +155,12 @@ def rs_cmd(path, modulus, weights_spec, transversal, window, tietze):
             out = rs_finite_cyclic(p, modulus, t, weights)
         if tietze:
             out = tietze_eliminate(out)
+        pres = out.presentation
+        if isinstance(pres, IndexedPresentation):
+            pres = pres.instantiate(window)
     except ValueError as exc:
         click.echo("error: %s" % exc, err=True)
         sys.exit(1)
-    pres = out.presentation
-    if isinstance(pres, IndexedPresentation):
-        pres = pres.instantiate(window)
     click.echo(serialize_presentation(pres), nl=False)
     click.echo("# dict:")
     for g in pres.generators:
@@ -358,6 +358,8 @@ def hom_check_cmd(path, target, assign_path, relator, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def lcs_ranks_cmd(family, max_i, as_json):
     """Closed-form lower central series ranks."""
+    if max_i < 2:
+        raise click.UsageError("--max-i must be >= 2")
     fn = series.lcs_rank_z2_free if family == "z2-free" else series.lcs_rank_torus
     reports = [fn(i) for i in range(2, max_i + 1)]
     if as_json:

@@ -5,6 +5,14 @@ kernel is presented on Schreier generators over the transversal {t^j} of a
 designated weight-1 generator t.  The Z case produces an indexed presentation
 with one generator family per ambient generator.  A deliberately limited
 Tietze eliminator removes duplicate-generator relators only.
+
+On a finite presentation the eliminator follows the occurrence-indexed
+design of Havas, Kenne, Richardson and Robertson, "A Tietze transformation
+program" (1984).  Generators are interned as small ints in (name, indices)
+order, so that integer letter tuples sort like canonical_relator's keys;
+each relator carries its canonical key, computed once per rewrite; and an
+index from each generator to the relators holding it means an elimination
+rewrites and re-keys only those relators.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .presentations import IndexedPresentation, Presentation, shift_families
-from .words import (IDENTITY, Gen, Word, cyclic_reduce, free_reduce, letter,
+from .words import (Gen, Word, cyclic_reduce, free_reduce, letter,
                     power, substitute)
 
 
@@ -44,6 +52,8 @@ def _check_weights(p: Presentation, weights: Optional[dict], t: Gen,
     missing = [g for g in p.generators if g not in weights]
     if missing:
         raise ValueError("no weight for generator %s" % missing[0])
+    if t not in p.generators:
+        raise ValueError("transversal %s is not a generator of %s" % (t, p.name))
     if weights[t] != 1:
         raise ValueError("transversal generator %s must have weight 1" % t)
     if modulus:
@@ -197,52 +207,148 @@ def canonical_relator(w: Word) -> tuple:
     return best
 
 
-def _relator_sort_key(w: Word):
-    return (len(w), canonical_relator(w))
+# The finite eliminator works on interned runs: generator i of the sorted
+# generator list is the int i, and letter i^s is the int 2i + (s > 0), so
+# that tuples of letters compare like canonical_relator's
+# (name, indices, sign) tuples.
+
+def _cyclic_key(runs: tuple) -> tuple:
+    """canonical_relator of an interned word: the least rotation of its
+    cyclic reduction or of that reduction's inverse, as letter ints."""
+    runs = list(runs)
+    while len(runs) > 1 and runs[0][0] == runs[-1][0]:
+        g, e = runs.pop()
+        e += runs[0][1]
+        if e:
+            runs[0] = (g, e)
+            break
+        del runs[0]
+    seq = []
+    for g, e in runs:
+        seq += [2 * g + 1] * e if e > 0 else [2 * g] * -e
+    if not seq:
+        return ()
+    n = len(seq)
+    inv = [c ^ 1 for c in reversed(seq)]
+    first = min(seq + inv)
+    best = None
+    for s in (seq, inv):
+        s2 = s + s
+        for i in range(n):
+            if s[i] == first:
+                rot = tuple(s2[i:i + n])
+                if best is None or rot < best:
+                    best = rot
+    return best
 
 
-def _find_elimination(r: Word):
-    """If r says one generator equals a word in another (two-run relator with
-    a +/-1 exponent), return (gen, replacement word)."""
-    if len(r.runs) != 2:
-        if len(r.runs) == 1 and abs(r.runs[0][1]) == 1:
-            return r.runs[0][0], IDENTITY
+def _substitute(runs: tuple, g: int, image: tuple) -> tuple:
+    """Freely reduced interned runs with g replaced by the image runs."""
+    out = []
+    for h, e in runs:
+        if h != g:
+            parts = ((h, e),)
+        elif e > 0:
+            parts = image * e
+        else:
+            parts = tuple((x, -k) for x, k in reversed(image)) * -e
+        for x, k in parts:
+            if out and out[-1][0] == x:
+                k += out.pop()[1]
+                if not k:
+                    continue
+            out.append((x, k))
+    return tuple(out)
+
+
+def _find_elimination(runs: tuple):
+    """If the relator says one generator equals a word in another (at most
+    two runs, one with a +-1 exponent), return (gen, image runs)."""
+    if len(runs) == 1:
+        (g, e), = runs
+        return (g, ()) if abs(e) == 1 else None
+    if len(runs) != 2:
         return None
-    (g1, e1), (g2, e2) = r.runs
+    (g1, e1), (g2, e2) = runs
     if abs(e1) == 1:
         # g1^e1 g2^e2 = 1
-        return g1, free_reduce([(g2, -e2 * e1)])
+        return g1, ((g2, -e2 * e1),)
     if abs(e2) == 1:
-        return g2, free_reduce([(g1, -e1 * e2)])
+        return g2, ((g1, -e1 * e2),)
     return None
 
 
+class _Relator:
+    """An interned relator with its sort key (letter length, canonical key),
+    computed once per rewrite."""
+
+    __slots__ = ("runs", "key", "sort_key")
+
+    def __init__(self, runs: tuple):
+        self.rewrite(runs)
+
+    def rewrite(self, runs: tuple) -> None:
+        self.runs = runs
+        self.key = _cyclic_key(runs)
+        self.sort_key = (sum(abs(e) for _, e in runs), self.key)
+
+
 def _tietze_presentation(p: Presentation) -> Presentation:
+    """Each round sorts the relators stably by (length, canonical key),
+    drops trivial ones and all but the first of each key, and eliminates
+    the generator of the first relator _find_elimination accepts.  Kept
+    relators have distinct keys, so the live set is a dict by key, the
+    sorted order is the order of sort keys, and a round only re-keys the
+    relators holding the eliminated generator (found by an occurrence
+    index).  Of the relators a round leaves with one key, the sort keeps
+    the one least in (new length, sort key before the round)."""
+    interned = sorted(p.generators)
+    code = {g: i for i, g in enumerate(interned)}
+    live = {}
+    for r in sorted((_Relator(tuple((code[g], e) for g, e in w.runs))
+                     for w in p.relators), key=lambda r: r.sort_key):
+        live.setdefault(r.key, r)
+    index = {i: set() for i in range(len(interned))}
+    for r in live.values():
+        for g, _ in r.runs:
+            index[g].add(r)
+    candidates = {r for r in live.values() if _find_elimination(r.runs)}
+
+    def forget(r: _Relator) -> None:
+        candidates.discard(r)
+        for h, _ in r.runs:
+            index[h].discard(r)
+
     gens = list(p.generators)
-    relators = list(p.relators)
-    while True:
-        # drop trivial, dedup by canonical form
-        seen = set()
-        cleaned = []
-        for r in sorted(relators, key=_relator_sort_key):
-            key = canonical_relator(r)
-            if not key or key in seen:
+    while candidates:
+        g, image = _find_elimination(
+            min(candidates, key=lambda r: r.sort_key).runs)
+        gens.remove(interned[g])
+        touched = list(index[g])
+        for r in touched:
+            del live[r.key]
+            forget(r)
+        rank = {}
+        for r in touched:
+            before = r.sort_key
+            r.rewrite(_substitute(r.runs, g, image))
+            if not r.key:
                 continue
-            seen.add(key)
-            cleaned.append(r)
-        relators = cleaned
-        found = None
-        for r in relators:
-            found = _find_elimination(r)
-            if found:
-                break
-        if not found:
-            break
-        g, image = found
-        images = {g: image}
-        relators = [substitute(r, images) for r in relators]
-        gens.remove(g)
-    return Presentation(p.name, tuple(gens), tuple(relators))
+            mine = (r.sort_key[0], before)
+            other = live.get(r.key)
+            if other is not None:
+                if rank.get(r.key, (other.sort_key[0], other.sort_key)) <= mine:
+                    continue
+                forget(other)
+            live[r.key] = r
+            rank[r.key] = mine
+            for h, _ in r.runs:
+                index[h].add(r)
+            if _find_elimination(r.runs):
+                candidates.add(r)
+    relators = tuple(Word(tuple((interned[g], e) for g, e in r.runs))
+                     for r in sorted(live.values(), key=lambda r: r.sort_key))
+    return Presentation(p.name, tuple(gens), relators)
 
 
 def _family_link(w: Word, live: list) -> Optional[tuple]:
@@ -319,7 +425,14 @@ def tietze_eliminate(p):
     """Eliminate duplicate-generator relators (g = word in one other
     generator) until none remain.  Deliberately limited: no relator-driven
     rewriting beyond this rule, plus dropping freely trivial relators and
-    duplicate relators up to inversion and cyclic rotation."""
+    duplicate relators up to inversion and cyclic rotation.
+
+    A finite presentation comes back with its relators sorted by (length,
+    canonical_relator), the first of each key kept, and each elimination
+    taken from the first relator in that order that allows one.  The work
+    is on interned letters with cached keys and a generator-to-relator
+    occurrence index (Havas, Kenne, Richardson and Robertson, 1984), so an
+    elimination costs only the relators holding the eliminated generator."""
     if isinstance(p, IndexedPresentation):
         return _tietze_indexed(p)
     if isinstance(p, RsOutput):

@@ -73,6 +73,8 @@ def gamma2_mod_gamma3(p: Presentation, t: Gen) -> AbelianInvariants:
     if target is None:
         raise ValueError("no invariant factor of order %d" % m)
     raw = {g: snf.q[i, target] % m for i, g in enumerate(p.generators)}
+    if t not in raw:
+        raise ValueError("transversal %s is not a generator of %s" % (t, p.name))
     unit = pow(raw[t], -1, m)   # raises if t does not generate the quotient
     weights = {g: (raw[g] * unit) % m for g in p.generators}
     rs = rs_finite_cyclic(p, m, t, weights)

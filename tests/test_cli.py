@@ -120,6 +120,32 @@ def test_rs_weight_that_is_not_an_integer_is_a_usage_error():
     assert "weight entry '*=x' is not PATTERN=INT" in res.output
 
 
+def test_rs_transversal_that_is_not_a_generator_is_an_error():
+    pres = run("present", "--family", "sphere", "--n", "4").output
+    for modulus in ("6", "0"):
+        res = run("rs", "--in", "-", "--mod", modulus, "--transversal", "x",
+                  input=pres)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "error: transversal x is not a generator of B4(S2)" in res.output
+
+
+def test_rs_window_below_one_is_an_error():
+    pres = run("present", "--family", "artin", "--n", "3").output
+    res = run("rs", "--in", "-", "--mod", "0", "--transversal", "s[1]",
+              "--window", "0", input=pres)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "error: window must be >= 1" in res.output
+
+
+def test_lcs_ranks_max_i_below_two_is_a_usage_error():
+    for value in ("1", "-3"):
+        res = run("lcs-ranks", "--family", "torus", "--max-i", value)
+        assert res.exit_code == 2
+        assert "--max-i must be >= 2" in res.output
+
+
 def test_lcs_ranks_json():
     res = run("lcs-ranks", "--family", "z2-free", "--max-i", "6", "--json")
     assert res.exit_code == 0
@@ -159,6 +185,14 @@ def test_g2g3():
     pres = run("present", "--family", "sphere", "--n", "4").output
     res = run("g2g3", "--in", "-", "--transversal", "s[1]", input=pres)
     assert res.exit_code == 0
+
+
+def test_g2g3_transversal_that_is_not_a_generator_is_an_error():
+    pres = run("present", "--family", "sphere", "--n", "4").output
+    res = run("g2g3", "--in", "-", "--transversal", "x", input=pres)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "error: transversal x is not a generator of B4(S2)" in res.output
 
 
 def test_hom_check_z2z6(tmp_path):

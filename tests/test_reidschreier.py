@@ -1,16 +1,26 @@
 """Reidemeister-Schreier rewriting and the limited Tietze eliminator."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidkit.garside import braid_equal
+from braidkit import reidschreier
 from braidkit.presentations import (
     IndexedPresentation,
+    Presentation,
     affine_A,
     affine_C,
     artin_braid,
+    b22_two_generator,
+    fullpres,
+    gamma2_b4,
+    gamma2_b5,
+    gamma2_b6plus,
     kent_peifer,
     parse_presentation,
+    punctured_sphere,
     sphere_braid,
 )
 from braidkit.reidschreier import (
@@ -21,9 +31,71 @@ from braidkit.reidschreier import (
 )
 from braidkit.series import abelianization
 from braidkit.words import (IDENTITY, Gen, free_reduce, invert, letter, multiply,
-                            parse_word)
+                            parse_word, substitute)
 
 S1 = Gen("s", (1,))
+
+
+def _sweep_elimination(r):
+    if len(r.runs) != 2:
+        if len(r.runs) == 1 and abs(r.runs[0][1]) == 1:
+            return r.runs[0][0], IDENTITY
+        return None
+    (g1, e1), (g2, e2) = r.runs
+    if abs(e1) == 1:
+        return g1, free_reduce([(g2, -e2 * e1)])
+    if abs(e2) == 1:
+        return g2, free_reduce([(g1, -e1 * e2)])
+    return None
+
+
+def sweep_tietze(p):
+    """The former finite eliminator, kept as the slow oracle: every round
+    re-sorts and re-canonicalizes every relator and rewrites all of them."""
+    gens = list(p.generators)
+    relators = list(p.relators)
+    while True:
+        seen = set()
+        cleaned = []
+        for r in sorted(relators, key=lambda w: (len(w), canonical_relator(w))):
+            key = canonical_relator(r)
+            if not key or key in seen:
+                continue
+            seen.add(key)
+            cleaned.append(r)
+        relators = cleaned
+        found = None
+        for r in relators:
+            found = _sweep_elimination(r)
+            if found:
+                break
+        if not found:
+            break
+        g, image = found
+        relators = [substitute(r, {g: image}) for r in relators]
+        gens.remove(g)
+    return Presentation(p.name, tuple(gens), tuple(relators))
+
+
+def _oracle_inputs():
+    """Finite-cyclic kernels of the sphere, Artin and punctured braid groups
+    at several moduli and transversals, and the built-in finite
+    presentations."""
+    for n in range(3, 10):
+        yield rs_finite_cyclic(sphere_braid(n), 2 * (n - 1), S1).presentation
+    for n, moduli in ((3, (2, 3, 6)), (4, (2, 3, 5)), (5, (2, 4))):
+        p = artin_braid(n)
+        for m in moduli:
+            for t in (S1, Gen("s", (n - 1,))):
+                yield rs_finite_cyclic(p, m, t).presentation
+    for (m, n), moduli in (((2, 2), (2, 4)), ((3, 2), (3, 6)), ((2, 3), (5,))):
+        p = punctured_sphere(m, n)
+        for modulus in moduli:
+            for t in (S1, p.generators[0]):
+                yield rs_finite_cyclic(p, modulus, t).presentation
+    yield from (sphere_braid(5), artin_braid(5), punctured_sphere(3, 2),
+                b22_two_generator(), gamma2_b4(), gamma2_b5(),
+                gamma2_b6plus(6), fullpres(4))
 
 
 def test_canonical_relator_rotation_and_inversion_invariant():
@@ -158,3 +230,70 @@ def test_family_tietze_collapsed_generators_have_dictionary_entries():
     out = tietze_eliminate(rs_z_window(artin_braid(5), S1))
     for r in out.presentation.instantiate().relators:
         assert braid_equal(out.expand(r), IDENTITY, 5)
+
+
+def test_tietze_matches_the_sweep_oracle():
+    # same generators, same relators, same relator order
+    for p in _oracle_inputs():
+        assert tietze_eliminate(p) == sweep_tietze(p), p.name
+
+
+def test_tietze_matches_the_sweep_oracle_on_small_random_presentations():
+    # short relators over four generators often become duplicates of one
+    # another, which exercises which duplicate each round keeps
+    rng = random.Random(0)
+    gens = tuple(Gen(c) for c in "abxy")
+    for _ in range(2000):
+        rels = [free_reduce([(rng.choice(gens), rng.choice((-2, -1, 1, 2)))
+                             for _ in range(rng.randint(1, 4))])
+                for _ in range(rng.randint(1, 7))]
+        p = Presentation("random", gens, tuple(w for w in rels if w))
+        assert tietze_eliminate(p) == sweep_tietze(p), p.relators
+
+
+def _scramble(p, data):
+    """p with its relators reordered, each rotated by some letters, possibly
+    inverted and possibly conjugated by a generator (not cyclically
+    reduced)."""
+    order = data.draw(st.permutations(range(len(p.relators))))
+    rels = []
+    for i in order:
+        letters = list(p.relators[i].letters())
+        k = data.draw(st.integers(0, len(letters) - 1))
+        w = free_reduce(letters[k:] + letters[:k])
+        if data.draw(st.booleans()):
+            w = invert(w)
+        by = data.draw(st.sampled_from((None,) + p.generators))
+        if by is not None:
+            w = multiply(letter(by), w, invert(letter(by)))
+        rels.append(w)
+    return Presentation(p.name, p.generators, tuple(rels))
+
+
+_SCRAMBLED = (rs_finite_cyclic(sphere_braid(4), 6, S1).presentation,
+              rs_finite_cyclic(sphere_braid(5), 8, S1).presentation,
+              rs_finite_cyclic(artin_braid(4), 3, S1).presentation,
+              rs_finite_cyclic(punctured_sphere(2, 2), 4, S1).presentation,
+              sphere_braid(5), b22_two_generator())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_SCRAMBLED), st.data())
+def test_tietze_matches_the_sweep_oracle_on_scrambled_relators(p, data):
+    q = _scramble(p, data)
+    assert tietze_eliminate(q) == sweep_tietze(q)
+
+
+def test_elimination_rekeys_only_relators_holding_the_generator(monkeypatch):
+    # x = y is eliminated; [a, b] holds neither and is keyed once, on entry
+    p = parse_presentation("group t\ngens: a b x y\n"
+                           "rel: x y^-1\nrel: a b a^-1 b^-1\nrel: x a x^-1 a^-1\n")
+    keyed = []
+    key = reidschreier._cyclic_key
+    monkeypatch.setattr(reidschreier, "_cyclic_key",
+                        lambda runs: keyed.append(runs) or key(runs))
+    q = tietze_eliminate(p)
+    assert q == sweep_tietze(p)
+    assert q.generators == (Gen("a"), Gen("b"), Gen("y"))
+    # three keys on entry, then one for each of the two relators holding x
+    assert len(keyed) == 5
