@@ -1,10 +1,12 @@
 """Finitely generated subgroups of free groups.
 
-Subgroups are represented by their folded core graph (Stallings folding).
-Membership is edge tracing; `express` rewrites a member word in a chosen
-basis of the subgroup, via the graph's own spanning-tree generators and a
-Nielsen change of basis.  Also provides Schreier generators for finite-index
-and Z-index kernels.
+Subgroups are represented by their folded core graph, built by the worklist
+folding of Touikan, "A fast algorithm for Stallings' folding process" (IJAC
+2006).  Graphs and coset tables keep one two-way map vertex -> {(gen, +-1):
+neighbour}, and one walk over it serves membership, rewriting and coset
+tracing.  `express` rewrites a member word in a chosen basis of the subgroup,
+via the graph's own spanning-tree generators and a Nielsen change of basis.
+Also provides Schreier generators for finite-index and Z-index kernels.
 """
 
 from __future__ import annotations
@@ -12,27 +14,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .words import (IDENTITY, Gen, Word, free_reduce, invert, letter, multiply,
-                    power)
+from .words import Gen, Word, free_reduce, invert, letter, multiply, power
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[int, int] = {}
+def _two_way(edges: dict, vertices=()) -> dict:
+    """vertex -> {(gen, +-1): neighbour} from positive edges (u, gen) -> v."""
+    links = {v: {} for v in vertices}
+    for (u, g), v in edges.items():
+        links.setdefault(u, {})[(g, 1)] = v
+        links.setdefault(v, {})[(g, -1)] = u
+    return links
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent.get(root, root) != root:
-            root = self.parent[root]
-        while self.parent.get(x, x) != x:
-            self.parent[x], x = root, self.parent[x]
-        return root
 
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-        return min(ra, rb)
+def _walk(links: dict, v, w: Word, crossed: Optional[list] = None):
+    """The end of w read from v in a two-way map, None if w leaves it; each
+    letter read appends (positive edge (u, gen), sign) to `crossed`."""
+    for g, e in w.runs:
+        sign = 1 if e > 0 else -1
+        for _ in range(abs(e)):
+            u, v = v, links[v].get((g, sign))
+            if v is None:
+                return None
+            if crossed is not None:
+                crossed.append(((u, g) if sign > 0 else (v, g), sign))
+    return v
 
 
 @dataclass
@@ -44,102 +49,100 @@ class SubgroupGraph:
     generator_words: tuple[Word, ...]
     _tree: Optional[dict] = field(default=None, repr=False)
     _basis_cache: dict = field(default_factory=dict, repr=False)
+    _links: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._links = _two_way(self.edges, (self.basepoint,))
 
     def step(self, v: int, g: Gen, sign: int) -> Optional[int]:
-        if sign > 0:
-            return self.edges.get((v, g))
-        for (u, h), w in self.edges.items():
-            if h == g and w == v:
-                return u
-        return None
+        """Neighbour of v along g^sign, or None: one two-way map lookup."""
+        return self._links.get(v, {}).get((g, sign))
 
 
 def fold(generator_words: Sequence[Word]) -> SubgroupGraph:
-    """Stallings folding of the bouquet of the given words."""
-    uf = _UnionFind()
+    """Stallings folding of the bouquet of the given words.
+
+    Bouquet edges enter a two-way map one at a time.  An edge whose label is
+    taken at either end is dropped and the vertices it would identify merge
+    at once: the lower id keeps the edges of both, and each new clash joins
+    a worklist.  So every vertex is the least bouquet vertex folding onto
+    it, whatever order the merges take."""
+    links: dict[int, dict[tuple[Gen, int], int]] = {0: {}}
+    merged: dict[int, int] = {}   # merged-away vertex -> vertex it went into
+    clashes: list[tuple[int, int]] = []   # vertices still to merge
+
+    def live(v: int) -> int:
+        while v in merged:
+            v = merged[v]
+        return v
+
+    def attach(u: int, key: tuple[Gen, int], v: int):
+        there, back = links[u].get(key), links[v].get((key[0], -key[1]))
+        if there is not None:
+            if there != v:
+                clashes.append((there, v))
+        elif back is not None:
+            clashes.append((back, u))
+        else:
+            links[u][key] = v
+            links[v][(key[0], -key[1])] = u
+
     next_vertex = 1
-    edges: list[tuple[int, Gen, int]] = []   # (u, g, v) meaning u --g--> v
     for w in generator_words:
         prev = 0
         letters = list(w.letters())
-        for idx, (g, sign) in enumerate(letters):
+        for idx, key in enumerate(letters):
             tgt = 0 if idx == len(letters) - 1 else next_vertex
             if tgt != 0:
+                links[tgt] = {}
                 next_vertex += 1
-            if sign > 0:
-                edges.append((prev, g, tgt))
-            else:
-                edges.append((tgt, g, prev))
+            attach(live(prev), key, tgt)
+            while clashes:
+                a, b = clashes.pop()
+                keep, gone = sorted((live(a), live(b)))
+                if keep == gone:
+                    continue
+                merged[gone] = keep
+                for (g, sign), v in links.pop(gone).items():
+                    if v == gone:
+                        v = keep
+                    else:
+                        del links[v][(g, -sign)]
+                    attach(keep, (g, sign), v)
             prev = tgt
-    # fold until no vertex has two same-labelled edges in the same direction
-    while True:
-        out_seen: dict[tuple[int, Gen], int] = {}
-        in_seen: dict[tuple[int, Gen], int] = {}
-        merge = None
-        canon = [(uf.find(u), g, uf.find(v)) for u, g, v in edges]
-        for u, g, v in canon:
-            if (u, g) in out_seen and out_seen[(u, g)] != v:
-                merge = (v, out_seen[(u, g)])
-                break
-            out_seen[(u, g)] = v
-            if (v, g) in in_seen and in_seen[(v, g)] != u:
-                merge = (u, in_seen[(v, g)])
-                break
-            in_seen[(v, g)] = u
-        if merge is None:
-            edges = sorted(set(canon))
-            break
-        uf.union(*merge)
-    edge_map = {(u, g): v for u, g, v in edges}
-    return SubgroupGraph(uf.find(0), edge_map, tuple(generator_words))
+    edges = sorted(((u, g), v) for u, out in links.items()
+                   for (g, sign), v in out.items() if sign > 0)
+    return SubgroupGraph(0, dict(edges), tuple(generator_words))
 
 
-def _spanning_tree(graph: SubgroupGraph):
-    """BFS tree from the basepoint; returns (path words to each vertex,
-    ordered non-tree edges)."""
-    adjacency: dict[int, list[tuple[Gen, int, int]]] = {}
-    for (u, g), v in graph.edges.items():
-        adjacency.setdefault(u, []).append((g, 1, v))
-        adjacency.setdefault(v, []).append((g, -1, u))
-    paths = {graph.basepoint: IDENTITY}
-    frontier = [graph.basepoint]
-    tree_edges = set()
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for g, sign, v in sorted(adjacency.get(u, []), key=lambda t: (t[0], t[1])):
-                if v not in paths:
-                    paths[v] = multiply(paths[u], letter(g, sign))
-                    tree_edges.add((u, g) if sign > 0 else (v, g))
-                    nxt.append(v)
-        frontier = nxt
-    nontree = sorted(e for e in graph.edges if e not in tree_edges)
-    return paths, nontree
-
-
-def _native_basis(graph: SubgroupGraph):
-    """One free generator per non-tree edge: path(u) g path(v)^-1."""
+def _native_index(graph: SubgroupGraph) -> dict:
+    """Number i of each native generator n[i] = path(u) g path(v)^-1, one
+    per edge (u, g) -> v off the BFS spanning tree from the basepoint,
+    numbered in sorted edge order."""
     if graph._tree is None:
-        paths, nontree = _spanning_tree(graph)
-        basis = []
-        for (u, g) in nontree:
-            v = graph.edges[(u, g)]
-            basis.append(multiply(paths[u], letter(g), invert(paths[v])))
-        graph._tree = {"paths": paths, "nontree": nontree, "basis": basis}
+        seen = {graph.basepoint}
+        frontier = [graph.basepoint]
+        tree_edges = set()
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for (g, sign), v in sorted(graph._links[u].items()):
+                    if v not in seen:
+                        seen.add(v)
+                        tree_edges.add((u, g) if sign > 0 else (v, g))
+                        nxt.append(v)
+            frontier = nxt
+        nontree = sorted(e for e in graph.edges if e not in tree_edges)
+        graph._tree = {e: i + 1 for i, e in enumerate(nontree)}
     return graph._tree
 
 
 def rank(graph: SubgroupGraph) -> int:
-    return len(_native_basis(graph)["basis"])
+    return len(_native_index(graph))
 
 
 def contains(graph: SubgroupGraph, w: Word) -> bool:
-    v = graph.basepoint
-    for g, sign in w.letters():
-        v = graph.step(v, g, sign)
-        if v is None:
-            return False
-    return v == graph.basepoint
+    return _walk(graph._links, graph.basepoint, w) == graph.basepoint
 
 
 membership = contains
@@ -148,29 +151,16 @@ membership = contains
 def _trace_native(graph: SubgroupGraph, w: Word) -> Word:
     """Rewrite a member word over the graph's own non-tree-edge generators
     n[1], n[2], ...."""
-    tree = _native_basis(graph)
-    nontree = tree["nontree"]
-    index = {e: i + 1 for i, e in enumerate(nontree)}
-    v = graph.basepoint
-    runs = []
-    for g, sign in w.letters():
-        if sign > 0:
-            u = v
-            v = graph.step(v, g, 1)
-            if v is None:
-                raise ValueError("word leaves the subgroup graph at %s" % g)
-            e = (u, g)
-        else:
-            v2 = graph.step(v, g, -1)
-            if v2 is None:
-                raise ValueError("word leaves the subgroup graph at %s" % g)
-            e = (v2, g)
-            v = v2
-        if e in index:
-            runs.append((Gen("n", (index[e],)), sign))
-    if v != graph.basepoint:
+    index = _native_index(graph)
+    crossed: list = []
+    end = _walk(graph._links, graph.basepoint, w, crossed)
+    if end is None:
+        g, _ = list(w.letters())[len(crossed)]
+        raise ValueError("word leaves the subgroup graph at %s" % g)
+    if end != graph.basepoint:
         raise ValueError("word is not in the subgroup (open path)")
-    return free_reduce(runs)
+    return free_reduce((Gen("n", (index[e],)), sign)
+                       for e, sign in crossed if e in index)
 
 
 def express(graph: SubgroupGraph, basis: Sequence[Word], w: Word,
@@ -201,35 +191,16 @@ def _basis_change(graph: SubgroupGraph, basis: Sequence[Word], symbol: str):
         raise ValueError("basis size %d != subgroup rank %d" % (len(basis), n_rank))
     pairs = []   # (word over native gens, word over basis symbols)
     for i, bw in enumerate(basis):
-        pairs.append([_trace_native(graph, bw), letter(Gen(symbol, (i + 1,)))])
+        pairs.append((_trace_native(graph, bw), letter(Gen(symbol, (i + 1,)))))
     # Nielsen reduction: repeatedly shorten some u_i by a (signed) u_j
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(pairs)):
-            for j in range(len(pairs)):
-                if i == j:
-                    continue
-                ui, ei = pairs[i]
-                uj, ej = pairs[j]
-                for su in (1, -1):
-                    for sj in (1, -1):
-                        cand = multiply(power(ui, su), power(uj, sj))
-                        if len(cand) < len(ui):
-                            if su == 1:
-                                pairs[i] = [cand, multiply(ei, power(ej, sj))]
-                            else:
-                                # u_i^-1 u_j^s short => replace u_i by its inverse
-                                pairs[i] = [invert(cand),
-                                            multiply(power(ej, -sj), ei)]
-                            changed = True
-                            break
-                    if changed:
-                        break
-                if changed:
-                    break
-            if changed:
-                break
+    while (found := _shortening(pairs)) is not None:
+        i, j, su, sj, cand = found
+        ei, ej = pairs[i][1], pairs[j][1]
+        if su == 1:
+            pairs[i] = (cand, multiply(ei, power(ej, sj)))
+        else:
+            # u_i^-1 u_j^s short => replace u_i by its inverse
+            pairs[i] = (invert(cand), multiply(power(ej, -sj), ei))
     table = {}
     for u, e in pairs:
         if len(u) != 1:
@@ -242,6 +213,21 @@ def _basis_change(graph: SubgroupGraph, basis: Sequence[Word], symbol: str):
     return table
 
 
+def _shortening(pairs):
+    """The first (i, j, su, sj, u_i^su u_j^sj), in that loop order, whose
+    product is shorter than u_i; None when the u's are Nielsen reduced."""
+    for i, (ui, _) in enumerate(pairs):
+        for j, (uj, _) in enumerate(pairs):
+            if i == j:
+                continue
+            for su in (1, -1):
+                for sj in (1, -1):
+                    cand = multiply(power(ui, su), power(uj, sj))
+                    if len(cand) < len(ui):
+                        return i, j, su, sj, cand
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Schreier generators
 
@@ -251,15 +237,16 @@ class CosetTable:
 
     cosets: tuple
     transitions: dict        # (coset, Gen) -> coset
+    _links: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_links", _two_way(self.transitions, self.cosets))
 
     def trace(self, start, w: Word):
-        inverse = {}
-        for (c, g), d in self.transitions.items():
-            inverse[(d, g)] = c
-        v = start
-        for g, sign in w.letters():
-            v = self.transitions[(v, g)] if sign > 0 else inverse[(v, g)]
-        return v
+        end = _walk(self._links, start, w)
+        if end is None:
+            raise KeyError("%s leaves the coset table" % w)
+        return end
 
 
 def coset_table(gens: Sequence[Gen], model, images: dict[Gen, object]) -> CosetTable:

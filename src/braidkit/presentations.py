@@ -71,6 +71,8 @@ def parse_presentation(text: str) -> Presentation:
             for g, e in w.runs:
                 if e != 1:
                     raise ParseError("exponent not allowed in generator list", lineno)
+                if g in gens:
+                    raise ParseError("duplicate generator %s" % g, lineno)
                 gens.append(g)
             seen_gens = True
         elif line.startswith("rel:"):
@@ -84,6 +86,9 @@ def parse_presentation(text: str) -> Presentation:
             for g in w.generators():
                 if g not in gens:
                     raise ParseError("undeclared generator %s" % g, lineno)
+            if not w:
+                raise ParseError("relator is freely trivial", lineno,
+                                 len("rel:") + 1)
             relators.append(w)
         else:
             raise ParseError("unrecognized line %r" % line, lineno)

@@ -75,7 +75,11 @@ def gamma2_mod_gamma3(p: Presentation, t: Gen) -> AbelianInvariants:
     raw = {g: snf.q[i, target] % m for i, g in enumerate(p.generators)}
     if t not in raw:
         raise ValueError("transversal %s is not a generator of %s" % (t, p.name))
-    unit = pow(raw[t], -1, m)   # raises if t does not generate the quotient
+    try:
+        unit = pow(raw[t], -1, m)
+    except ValueError:
+        raise ValueError("transversal %s maps to %d in Z/%d and does not "
+                         "generate it" % (t, raw[t], m)) from None
     weights = {g: (raw[g] * unit) % m for g in p.generators}
     rs = rs_finite_cyclic(p, m, t, weights)
     sub = rs.presentation

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 from click.testing import CliRunner
 
 import braidkit
@@ -193,6 +194,29 @@ def test_g2g3_transversal_that_is_not_a_generator_is_an_error():
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert "error: transversal x is not a generator of B4(S2)" in res.output
+
+
+def test_g2g3_transversal_that_does_not_generate_is_an_error():
+    z6 = "group z6\ngens: a b\nrel: a^6\nrel: b a^-2\nrel: a b a^-1 b^-1\n"
+    res = run("g2g3", "--in", "-", "--transversal", "b", input=z6)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert ("error: transversal b maps to 2 in Z/6 and does not generate it"
+            in res.output)
+
+
+def test_repeated_generator_is_a_parse_error():
+    res = run("ab", "--in", "-", input="group g\ngens: a b a\nrel: a\n")
+    assert res.exit_code == 3
+    assert "parse error: line 2, column 1: duplicate generator a" in res.output
+
+
+@pytest.mark.parametrize("rel", ["1", "a a^-1"])
+def test_freely_trivial_relator_is_a_parse_error(rel):
+    res = run("ab", "--in", "-",
+              input="group g\ngens: a b\nrel: a b\nrel: %s\n" % rel)
+    assert res.exit_code == 3
+    assert "parse error: line 4, column 5: relator is freely trivial" in res.output
 
 
 def test_hom_check_z2z6(tmp_path):

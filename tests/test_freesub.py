@@ -1,5 +1,8 @@
 """Stallings foldings, coset tables, Schreier generators."""
 
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidkit.freesub import (
@@ -12,10 +15,138 @@ from braidkit.freesub import (
     schreier_basis,
     z_kernel_basis,
 )
-from braidkit.models import FiniteTable
-from braidkit.words import Gen, free_reduce, multiply, parse_word, substitute
+from braidkit.models import FiniteTable, q8
+from braidkit.words import (Gen, free_reduce, invert, multiply, parse_word,
+                            substitute)
 
-A, B = Gen("a"), Gen("b")
+A, B, C = Gen("a"), Gen("b"), Gen("c")
+
+
+# ---------------------------------------------------------------------------
+# slow oracles: folding by union-find with a full rescan after every merge,
+# stepping backwards by scanning every edge, tracing cosets through an inverse
+# table rebuilt on each call
+
+class _UnionFind:
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        root = x
+        while self.parent.get(root, root) != root:
+            root = self.parent[root]
+        while self.parent.get(x, x) != x:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+
+def sweep_fold(generator_words):
+    """(basepoint, edges) of the folded bouquet, edges (u, gen) -> v."""
+    uf = _UnionFind()
+    next_vertex = 1
+    edges = []
+    for w in generator_words:
+        prev = 0
+        letters = list(w.letters())
+        for idx, (g, sign) in enumerate(letters):
+            tgt = 0 if idx == len(letters) - 1 else next_vertex
+            if tgt != 0:
+                next_vertex += 1
+            edges.append((prev, g, tgt) if sign > 0 else (tgt, g, prev))
+            prev = tgt
+    while True:
+        out_seen, in_seen = {}, {}
+        merge = None
+        canon = [(uf.find(u), g, uf.find(v)) for u, g, v in edges]
+        for u, g, v in canon:
+            if (u, g) in out_seen and out_seen[(u, g)] != v:
+                merge = (v, out_seen[(u, g)])
+                break
+            out_seen[(u, g)] = v
+            if (v, g) in in_seen and in_seen[(v, g)] != u:
+                merge = (u, in_seen[(v, g)])
+                break
+            in_seen[(v, g)] = u
+        if merge is None:
+            break
+        uf.union(*merge)
+    return uf.find(0), {(u, g): v for u, g, v in sorted(set(canon))}
+
+
+def sweep_step(edges, v, g, sign):
+    if sign > 0:
+        return edges.get((v, g))
+    for (u, h), w in edges.items():
+        if h == g and w == v:
+            return u
+    return None
+
+
+def sweep_contains(basepoint, edges, w):
+    v = basepoint
+    for g, sign in w.letters():
+        v = sweep_step(edges, v, g, sign)
+        if v is None:
+            return False
+    return v == basepoint
+
+
+def sweep_rank(basepoint, edges):
+    # a folded bouquet is connected: rank = edges - vertices + 1
+    vertices = {basepoint} | {u for u, _ in edges} | set(edges.values())
+    return len(edges) - len(vertices) + 1
+
+
+def sweep_trace(table, start, w):
+    inverse = {(d, g): c for (c, g), d in table.transitions.items()}
+    v = start
+    for g, sign in w.letters():
+        v = table.transitions[(v, g)] if sign > 0 else inverse[(v, g)]
+    return v
+
+
+def perturbed(rng, w, gens):
+    """w with one letter inserted at a random place."""
+    letters = list(w.letters())
+    pos = rng.randrange(len(letters) + 1)
+    letters[pos:pos] = [(rng.choice(gens), rng.choice((1, -1)))]
+    return free_reduce(letters)
+
+
+def random_word(rng, gens, length):
+    letters = []
+    while len(letters) < length:
+        step = (rng.choice(gens), rng.choice((1, -1)))
+        if letters and letters[-1] == (step[0], -step[1]):
+            continue
+        letters.append(step)
+    return free_reduce(letters)
+
+
+def nielsen_reduced(basis):
+    """Fewer than half of x and of y cancel in every product x y of basis
+    words or inverses (y != x^-1): then the basis is free."""
+    elems = basis + [invert(x) for x in basis]
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            if j == (i + len(basis)) % len(elems):
+                continue
+            cancelled = (len(x) + len(y) - len(multiply(x, y))) // 2
+            if 2 * cancelled >= min(len(x), len(y)):
+                return False
+    return True
+
+
+def even_basis(rng, k, length):
+    while True:
+        basis = [random_word(rng, [A, B, C], length) for _ in range(k)]
+        if nielsen_reduced(basis):
+            return basis
 
 
 def klein_four():
@@ -103,3 +234,86 @@ def test_z_kernel_basis_weights_zero():
     for _coset, _gen, w in rows:
         total = sum(sign * {A: 1, B: -1}[g] for g, sign in w.letters())
         assert total == 0
+
+
+def bouquets(letters):
+    """Up to five words of up to 12 letters over the first `letters` of a, b, c."""
+    alphabet = (A, B, C)[:letters]
+    step = st.tuples(st.sampled_from(alphabet), st.sampled_from((1, -1)))
+    words_ = st.lists(st.lists(step, max_size=12).map(free_reduce), max_size=5)
+    return words_.map(lambda gens: (alphabet, gens))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(bouquets), st.randoms(use_true_random=False))
+def test_fold_matches_the_sweep_oracle(drawn, rng):
+    alphabet, gens = drawn
+    g = fold(gens)
+    basepoint, edges = sweep_fold(gens)
+    assert g.basepoint == basepoint
+    assert list(g.edges.items()) == list(edges.items())
+    assert rank(g) == sweep_rank(basepoint, edges)
+    probes = [multiply(w, v) for w in gens for v in gens]
+    probes += [perturbed(rng, w, alphabet) for w in probes]
+    for w in probes:
+        assert contains(g, w) == sweep_contains(basepoint, edges, w)
+    for v in range(len(edges) + 2):
+        for gen in alphabet:
+            for sign in (1, -1):
+                assert g.step(v, gen, sign) == sweep_step(edges, v, gen, sign)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fold_matches_the_sweep_oracle_on_benchmark_sized_bases(seed):
+    # twelve Nielsen-reduced words of length 80 in F(a, b, c), as in the
+    # benchmark's subgroup query
+    rng = random.Random(seed)
+    basis = even_basis(rng, 12, 80)
+    g = fold(basis)
+    basepoint, edges = sweep_fold(basis)
+    assert g.basepoint == basepoint
+    assert list(g.edges.items()) == list(edges.items())
+    assert rank(g) == sweep_rank(basepoint, edges) == 12
+    images = {Gen("z", (i + 1,)): w for i, w in enumerate(basis)}
+    for _ in range(3):
+        expr = random_word(rng, list(images), 6)
+        member = substitute(expr, images)
+        other = perturbed(rng, member, [A, B, C])
+        assert contains(g, member) and sweep_contains(basepoint, edges, member)
+        assert not contains(g, other)
+        assert not sweep_contains(basepoint, edges, other)
+        assert express(g, basis, member) == expr
+
+
+class _NoScan(dict):
+    def items(self):
+        raise AssertionError("scanned every edge")
+
+
+def test_backward_step_never_scans_the_edges():
+    g = fold([parse_word(t) for t in ("a^2", "b^2", "a b a b")])
+    basepoint, edges = sweep_fold(g.generator_words)
+    g.edges = _NoScan(g.edges)
+    for v in range(len(edges) + 1):
+        for gen in (A, B):
+            assert g.step(v, gen, -1) == sweep_step(edges, v, gen, -1)
+    assert contains(g, parse_word("b^-2 a^-2 b^-1 a^-1 b^-1 a^-1"))
+
+
+@pytest.mark.parametrize("model, images", [
+    (klein_four(), {A: "p", B: "q"}),
+    (q8(), {A: "x", B: "y"}),
+])
+def test_coset_trace_matches_the_inverse_table_oracle(model, images):
+    table = coset_table([A, B], model, images)
+    rng = random.Random(1)
+    for _ in range(200):
+        w = random_word(rng, [A, B], rng.randrange(12))
+        for start in table.cosets:
+            end = table.trace(start, w)
+            assert end == sweep_trace(table, start, w)
+            image = start
+            for gen, sign in w.letters():
+                image = model.mul(image, images[gen] if sign > 0
+                                  else model.inv(images[gen]))
+            assert end == image
