@@ -88,40 +88,37 @@ def main():
     """Braid and surface braid group presentation workbench."""
 
 
+# family -> (builder, the options it reads, in argument order)
+_FAMILIES = {
+    "artin": (artin_braid, ("n",)),
+    "sphere": (sphere_braid, ("n",)),
+    "punctured": (punctured_sphere, ("m", "n")),
+    "kent-peifer": (kent_peifer, ("m",)),
+    "affine-a": (affine_A, ("m",)),
+    "affine-c": (affine_C, ("m",)),
+    "b22": (b22_two_generator, ()),
+    "g2b4": (gamma2_b4, ()),
+    "g2b5": (gamma2_b5, ()),
+    "g2b6": (gamma2_b6plus, ("n",)),
+    "full": (fullpres, ("n",)),
+}
+
+
 @main.command("present")
-@click.option("--family", required=True,
-              type=click.Choice(["artin", "sphere", "punctured", "kent-peifer",
-                                 "affine-a", "affine-c", "b22", "g2b4", "g2b5",
-                                 "g2b6", "full"]))
+@click.option("--family", required=True, type=click.Choice(list(_FAMILIES)))
 @click.option("--n", type=int, default=None, help="strand count / index")
 @click.option("--m", type=int, default=None, help="strand count for punctured/affine families")
 @click.option("--window", type=int, default=2, help="window for indexed families")
 def present_cmd(family, n, m, window):
     """Print a built-in presentation in the presentation file format."""
+    builder, names = _FAMILIES[family]
+    values = {"n": n, "m": m}
+    for name in names:
+        if values[name] is None:
+            raise click.UsageError("--family %s needs --%s" % (family, name))
     try:
-        if family == "artin":
-            p = artin_braid(n)
-        elif family == "sphere":
-            p = sphere_braid(n)
-        elif family == "punctured":
-            p = punctured_sphere(m, n)
-        elif family == "kent-peifer":
-            p = kent_peifer(m)
-        elif family == "affine-a":
-            p = affine_A(m)
-        elif family == "affine-c":
-            p = affine_C(m)
-        elif family == "b22":
-            p = b22_two_generator()
-        elif family == "g2b4":
-            p = gamma2_b4()
-        elif family == "g2b5":
-            p = gamma2_b5()
-        elif family == "g2b6":
-            p = gamma2_b6plus(n)
-        else:
-            p = fullpres(n)
-    except (TypeError, ValueError) as exc:
+        p = builder(*(values[name] for name in names))
+    except ValueError as exc:
         raise click.UsageError(str(exc))
     click.echo(serialize_presentation(p), nl=False)
 
@@ -294,20 +291,36 @@ def _make_target(spec: str):
     raise click.UsageError("unknown target %r; known: %s" % (spec, ", ".join(_TARGETS)))
 
 
+def _split_pair(text: str) -> list[str]:
+    parts = text.split(";")
+    if len(parts) != 2:
+        raise ValueError("image %r needs exactly one ';'" % text)
+    return parts
+
+
 def _parse_image(model, text: str):
     """Parse an element: a braid word, or finite;word / vector;k / braid;k
-    pairs for the composite targets."""
+    pairs for the composite targets.  Raises ValueError for a malformed
+    image."""
     text = text.strip()
     if isinstance(model, models.GarsideBraidGroup):
         return model.from_word(parse_word(text))
     if isinstance(model, models.SemidirectAbelianByCyclic):
-        vec, k = text.split(";")
-        return (tuple(int(x) for x in vec.strip("() ").split(",")), int(k))
+        vec, k = _split_pair(text)
+        entries = tuple(int(x) for x in vec.strip("() ").split(","))
+        if len(entries) != model.dim:
+            raise ValueError("vector %r needs %d entries, has %d"
+                             % (vec.strip(), model.dim, len(entries)))
+        return (entries, int(k))
     if isinstance(model, models.SemidirectFiniteByFree):
-        finite, free = text.split(";")
-        return (finite.strip(), parse_word(free))
+        finite, free = _split_pair(text)
+        finite = finite.strip()
+        if finite not in model.finite.elements:
+            raise ValueError("unknown element %r; known: %s"
+                             % (finite, " ".join(model.finite.elements)))
+        return (finite, parse_word(free))
     if isinstance(model, models.DirectProduct):
-        braid, k = text.split(";")
+        braid, k = _split_pair(text)
         return (model.factors[0].from_word(parse_word(braid)), int(k))
     raise click.UsageError("no element syntax for this target")
 

@@ -6,7 +6,7 @@ folding of Touikan, "A fast algorithm for Stallings' folding process" (IJAC
 neighbour}, and one walk over it serves membership, rewriting and coset
 tracing.  `express` rewrites a member word in a chosen basis of the subgroup,
 via the graph's own spanning-tree generators and a Nielsen change of basis.
-Also provides Schreier generators for finite-index and Z-index kernels.
+Also provides Schreier generators for finite-index kernels.
 """
 
 from __future__ import annotations
@@ -285,19 +285,3 @@ def schreier_basis(gens: Sequence[Gen], model, images: dict[Gen, object],
                 out.append(w)
     return out
 
-
-def z_kernel_basis(gens: Sequence[Gen], weights: dict[Gen, int], t: Gen,
-                   window: int) -> list[tuple[int, Gen, Word]]:
-    """Basis of the kernel of the weight map F -> Z with transversal {t^i}:
-    for each generator x != t and coset i in [-window, window], the element
-    t^i x t^-(i+weight(x)).  Returns (coset, generator, word) triples."""
-    if weights.get(t) != 1:
-        raise ValueError("transversal generator must have weight 1")
-    out = []
-    for i in range(-window, window + 1):
-        for g in gens:
-            if g == t:
-                continue
-            w = free_reduce([(t, i), (g, 1), (t, -(i + weights[g]))])
-            out.append((i, g, w))
-    return out

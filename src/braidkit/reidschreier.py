@@ -1,10 +1,17 @@
 """Reidemeister-Schreier presentations of weight-map kernels.
 
 Given a finite presentation and a weight homomorphism onto Z/m (or Z), the
-kernel is presented on Schreier generators over the transversal {t^j} of a
-designated weight-1 generator t.  The Z case produces an indexed presentation
-with one generator family per ambient generator.  A deliberately limited
-Tietze eliminator removes duplicate-generator relators only.
+kernel is presented on the Schreier generators t^c x t^-(c+omega(x)) over
+the transversal {t^c} of a designated weight-1 generator t (Magnus, Karrass
+and Solitar, "Combinatorial Group Theory", section 2.3).  One rewrite walks a
+word through the integer cosets c and emits a Schreier generator for each
+letter.  Modulo m > 0 it brings c back into [0, m) after each letter and
+emits w = t^m for each wrap; for Z (m = 0) it never wraps.  The finite and
+the Z case differ only in how they name the generator of x at coset c
+(x[..., c], or c in the family of x) and in what they return: a finite
+presentation, or an indexed one with one generator family per ambient
+generator.  A deliberately limited Tietze eliminator removes
+duplicate-generator relators only.
 
 On a finite presentation the eliminator follows the occurrence-indexed
 design of Havas, Kenne, Richardson and Robertson, "A Tietze transformation
@@ -33,8 +40,6 @@ class RsOutput:
     presentation: Union[Presentation, IndexedPresentation]
     dictionary: dict
     transversal: tuple
-    # rewrites an ambient weight-0 word to a subgroup word, starting at a coset
-    rewriter: Optional[Callable[[Word, int], Word]] = None
 
     def expand(self, w: Word) -> Word:
         """Rewrite a subgroup word as an ambient word via the dictionary.
@@ -66,8 +71,34 @@ def _check_weights(p: Presentation, weights: Optional[dict], t: Gen,
     return weights
 
 
-def _subgroup_gen(x: Gen, coset: int) -> Gen:
-    return Gen(x.name, x.indices + (coset,))
+def _schreier_word(t: Gen, x: Gen, coset: int, omega: int) -> Word:
+    """The ambient word t^coset x t^-(coset+omega) of a Schreier generator."""
+    return free_reduce([(t, coset), (x, 1), (t, -(coset + omega))])
+
+
+def _rewrite(word: Word, start: int, t: Gen, weights: dict, modulus: int,
+             name: Callable[[Gen, int], Gen], w_gen: Optional[Gen]) -> Word:
+    """Rewrite an ambient word, read from coset `start`, in the Schreier
+    generators name(x, c) = t^c x t^-(c+omega(x)); t itself emits none.  A
+    positive letter emits before the coset moves, a negative one after it
+    moves back.  Modulus 0 is Z; modulo m > 0, divmod brings the coset back
+    into [0, m) after each letter and its q wraps emit w_gen^q, w_gen = t^m."""
+    runs = []
+    c = start
+    for x, sign in word.letters():
+        if sign > 0:
+            if x != t:
+                runs.append((name(x, c), 1))
+            c += weights[x]
+        else:
+            c -= weights[x]
+        if modulus:
+            q, c = divmod(c, modulus)
+            if q:
+                runs.append((w_gen, q))
+        if sign < 0 and x != t:
+            runs.append((name(x, c), -1))
+    return free_reduce(runs)
 
 
 def rs_finite_cyclic(p: Presentation, modulus: int, t: Gen,
@@ -76,13 +107,17 @@ def rs_finite_cyclic(p: Presentation, modulus: int, t: Gen,
 
     Schreier generators over the transversal {t^j, 0 <= j < modulus}: the
     generator t contributes the single generator w = t^modulus; every other
-    generator x of weight omega contributes one generator per coset c, with
-    ambient word t^c x t^-(c+omega).  Relators are the modulus rewrites of
-    each ambient relator (freely trivial ones dropped).
+    generator x of weight omega contributes one generator x[..., c] per
+    coset c, with ambient word t^c x t^-(c+omega).  Relators are the modulus
+    rewrites of each ambient relator (freely trivial ones dropped).
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
     weights = _check_weights(p, weights, t, modulus)
+
+    def name(x: Gen, c: int) -> Gen:
+        return Gen(x.name, x.indices + (c,))
+
     w_gen = Gen("w")
     dictionary = {w_gen: power(letter(t), modulus)}
     gens = [w_gen]
@@ -90,50 +125,20 @@ def rs_finite_cyclic(p: Presentation, modulus: int, t: Gen,
         if x == t:
             continue
         for c in range(modulus):
-            g = _subgroup_gen(x, c)
+            g = name(x, c)
             gens.append(g)
-            dictionary[g] = free_reduce([(t, c), (x, 1), (t, -(c + weights[x]))])
-
-    def rewrite(word: Word, start: int) -> Word:
-        runs = []
-        c = start
-        for x, sign in word.letters():
-            if x == t:
-                if sign > 0:
-                    if c == modulus - 1:
-                        runs.append((w_gen, 1))
-                    c = (c + 1) % modulus
-                else:
-                    if c == 0:
-                        runs.append((w_gen, -1))
-                    c = (c - 1) % modulus
-                continue
-            omega = weights[x]
-            if sign > 0:
-                q = (c + omega) // modulus
-                runs.append((_subgroup_gen(x, c), 1))
-                if q:
-                    runs.append((w_gen, q))
-                c = (c + omega) % modulus
-            else:
-                c2 = (c - omega) % modulus
-                q = (c2 + omega - c) // modulus
-                if q:
-                    runs.append((w_gen, -q))
-                runs.append((_subgroup_gen(x, c2), -1))
-                c = c2
-        return free_reduce(runs)
+            dictionary[g] = _schreier_word(t, x, c, weights[x])
 
     relators = []
     for r in p.relators:
         for k in range(modulus):
-            rw = rewrite(r, k)
+            rw = _rewrite(r, k, t, weights, modulus, name, w_gen)
             if rw:
                 relators.append(rw)
     sub = Presentation("%s/ker%d" % (p.name, modulus), tuple(gens),
                        tuple(relators))
     transversal = tuple(power(letter(t), j) for j in range(modulus))
-    return RsOutput(sub, dictionary, transversal, rewrite)
+    return RsOutput(sub, dictionary, transversal)
 
 
 # how far beyond the window the dictionary of rs_z_window spells out x@k
@@ -159,23 +164,12 @@ def rs_z_window(p: Presentation, t: Gen, weights: Optional[dict] = None,
     if len(set(fam_name.values())) != len(fam_name):
         raise ValueError("ambient generator names collide as family names")
 
-    def rewrite(word: Word, start: int) -> Word:
-        runs = []
-        c = start
-        for x, sign in word.letters():
-            if x == t:
-                c += sign
-                continue
-            if sign > 0:
-                runs.append((Gen(fam_name[x], (c,)), 1))
-                c += weights[x]
-            else:
-                c -= weights[x]
-                runs.append((Gen(fam_name[x], (c,)), -1))
-        return free_reduce(runs)
+    def name(x: Gen, c: int) -> Gen:
+        return Gen(fam_name[x], (c,))
 
     families = tuple(fam_name[x] for x in p.generators if x != t)
-    rel_fams = tuple(rewrite(r, 0) for r in p.relators)
+    rel_fams = tuple(_rewrite(r, 0, t, weights, 0, name, None)
+                     for r in p.relators)
     ip = IndexedPresentation("%s/kerZ" % p.name, (), families, (), rel_fams,
                              window)
     dictionary = {}
@@ -183,10 +177,9 @@ def rs_z_window(p: Presentation, t: Gen, weights: Optional[dict] = None,
         if x == t:
             continue
         for k in range(-window - _DICTIONARY_MARGIN, window + _DICTIONARY_MARGIN + 1):
-            dictionary[Gen(fam_name[x], (k,))] = free_reduce(
-                [(t, k), (x, 1), (t, -(k + weights[x]))])
+            dictionary[name(x, k)] = _schreier_word(t, x, k, weights[x])
     transversal = (letter(t),)
-    return RsOutput(ip, dictionary, transversal, rewrite)
+    return RsOutput(ip, dictionary, transversal)
 
 
 # ---------------------------------------------------------------------------
@@ -443,5 +436,5 @@ def tietze_eliminate(p):
             for g in inner.fixed_generators:
                 if g not in dictionary:
                     dictionary[g] = dictionary[Gen(g.name, (0,))]
-        return RsOutput(inner, dictionary, p.transversal, p.rewriter)
+        return RsOutput(inner, dictionary, p.transversal)
     return _tietze_presentation(p)

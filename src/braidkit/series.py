@@ -17,8 +17,7 @@ from .intlin import IntMatrix, abelian_invariants, mat_pow, matrix, smith_normal
 from .models import FiniteTable, act_on_finite, finite_closure
 from .presentations import IndexedPresentation, Presentation
 from .reidschreier import rs_finite_cyclic
-from .words import (Gen, Word, exponent_rows, free_reduce, invert, letter,
-                    multiply, parse_word)
+from .words import Gen, Word, exponent_rows, free_reduce, parse_word
 
 
 @dataclass(frozen=True)
@@ -81,13 +80,17 @@ def gamma2_mod_gamma3(p: Presentation, t: Gen) -> AbelianInvariants:
         raise ValueError("transversal %s maps to %d in Z/%d and does not "
                          "generate it" % (t, raw[t], m)) from None
     weights = {g: (raw[g] * unit) % m for g in p.generators}
-    rs = rs_finite_cyclic(p, m, t, weights)
-    sub = rs.presentation
+    sub = rs_finite_cyclic(p, m, t, weights).presentation
     relators = list(sub.relators)
+    # t x_c t^-1 is x_(c+1), or w x_0 w^-1 when c + 1 = m, and t w t^-1 is w:
+    # abelianized, conjugation by t shifts the coset index c (the last index
+    # of every Schreier generator but w) mod m.  These are the finite form of
+    # the (1 - t) e_x rows of windowed_coinvariants.
     for s in sub.generators:
-        ambient = rs.dictionary[s]
-        conj = multiply(letter(t), ambient, invert(letter(t)))
-        relators.append(multiply(rs.rewriter(conj, 0), invert(letter(s))))
+        if s.indices:
+            *head, c = s.indices
+            shifted = Gen(s.name, (*head, (c + 1) % m))
+            relators.append(free_reduce([(shifted, 1), (s, -1)]))
     return _invariants(exponent_rows(relators, sub.generators), len(sub.generators))
 
 

@@ -30,6 +30,15 @@ def test_present_and_ab_pipeline(tmp_path):
     assert "Z/6" in res2.output
 
 
+@pytest.mark.parametrize("args, missing", [
+    (("sphere",), "--n"), (("punctured", "--n", "2"), "--m"),
+    (("punctured", "--m", "2"), "--n"), (("affine-c",), "--m")])
+def test_present_without_a_needed_option_is_a_usage_error(args, missing):
+    res = run("present", "--family", *args)
+    assert res.exit_code == 2
+    assert "--family %s needs %s" % (args[0], missing) in res.output
+
+
 def test_ab_reads_stdin():
     res = run("ab", "--in", "-", input="group C2\ngens: a\nrel: a^2\n")
     assert res.exit_code == 0
@@ -230,6 +239,26 @@ def test_hom_check_z2z6(tmp_path):
     assert res.exit_code == 0
     rows = [json.loads(line) for line in res.output.splitlines() if line]
     assert rows and all(r["trivial"] for r in rows)
+
+
+@pytest.mark.parametrize("target, images, message", [
+    ("z2-z6", "s[1] = (0,0,7);1", "vector '(0,0,7)' needs 2 entries, has 3"),
+    ("z2-z6", "s[1] = (0);1", "vector '(0)' needs 2 entries, has 1"),
+    ("z2-z6", "s[1] = (0,0)", "image '(0,0)' needs exactly one ';'"),
+    ("z2-z6", "s[1] = (0,0);1;1", "image '(0,0);1;1' needs exactly one ';'"),
+    ("q8-f2", "a = zz;a", "unknown element 'zz'; known: 1 -1 x -x y -y xy -xy"),
+    ("q8-f2", "a = x", "image 'x' needs exactly one ';'")])
+def test_hom_check_malformed_image_is_a_parse_error(tmp_path, target, images,
+                                                    message):
+    pf = tmp_path / "p.txt"
+    pf.write_text(run("present", "--family", "sphere", "--n", "4").output
+                  if target == "z2-z6" else "group F2\ngens: a b\nrel: a b a^-1 b^-1\n")
+    af = tmp_path / "assign.txt"
+    af.write_text(images + "\n")
+    res = run("hom-check", "--in", str(pf), "--target", target,
+              "--assign", str(af))
+    assert res.exit_code == 3
+    assert res.stderr == "parse error: %s\n" % message
 
 
 def test_hom_check_replay_hint_runs(tmp_path):

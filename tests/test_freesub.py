@@ -13,7 +13,6 @@ from braidkit.freesub import (
     membership,
     rank,
     schreier_basis,
-    z_kernel_basis,
 )
 from braidkit.models import FiniteTable, q8
 from braidkit.words import (Gen, free_reduce, invert, multiply, parse_word,
@@ -226,14 +225,6 @@ def test_schreier_basis_klein_four():
             v = {A: "p", B: "q"}[gen]
             img = t.mul(img, v if sign > 0 else t.inv(v))
         assert img == t.identity()
-
-
-def test_z_kernel_basis_weights_zero():
-    rows = z_kernel_basis([A, B], {A: 1, B: -1}, A, window=2)
-    assert rows
-    for _coset, _gen, w in rows:
-        total = sum(sign * {A: 1, B: -1}[g] for g, sign in w.letters())
-        assert total == 0
 
 
 def bouquets(letters):

@@ -77,6 +77,106 @@ def sweep_tietze(p):
     return Presentation(p.name, tuple(gens), tuple(relators))
 
 
+def former_finite_rewrite(word, start, t, weights, modulus):
+    """The former rewrite closure of rs_finite_cyclic, kept as the slow
+    oracle: t and the other generators take separate branches, and each
+    wrap is worked out from the coset before and after the letter."""
+    w_gen = Gen("w")
+    runs = []
+    c = start
+    for x, sign in word.letters():
+        if x == t:
+            if sign > 0:
+                if c == modulus - 1:
+                    runs.append((w_gen, 1))
+                c = (c + 1) % modulus
+            else:
+                if c == 0:
+                    runs.append((w_gen, -1))
+                c = (c - 1) % modulus
+            continue
+        omega = weights[x]
+        if sign > 0:
+            q = (c + omega) // modulus
+            runs.append((Gen(x.name, x.indices + (c,)), 1))
+            if q:
+                runs.append((w_gen, q))
+            c = (c + omega) % modulus
+        else:
+            c2 = (c - omega) % modulus
+            q = (c2 + omega - c) // modulus
+            if q:
+                runs.append((w_gen, -q))
+            runs.append((Gen(x.name, x.indices + (c2,)), -1))
+            c = c2
+    return free_reduce(runs)
+
+
+def former_z_rewrite(word, start, t, weights, fam_name):
+    """The former rewrite closure of rs_z_window, kept as the slow oracle."""
+    runs = []
+    c = start
+    for x, sign in word.letters():
+        if x == t:
+            c += sign
+            continue
+        if sign > 0:
+            runs.append((Gen(fam_name[x], (c,)), 1))
+            c += weights[x]
+        else:
+            c -= weights[x]
+            runs.append((Gen(fam_name[x], (c,)), -1))
+    return free_reduce(runs)
+
+
+def _finite_name(x, c):
+    return Gen(x.name, x.indices + (c,))
+
+
+_T, _X, _Y = Gen("t"), Gen("x"), Gen("y", (2,))
+_FAM = {_X: "x", _Y: "y2"}
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.sampled_from((_T, _X, _Y)),
+                          st.integers(-3, 3).filter(bool)), max_size=12)
+       .map(free_reduce),
+       st.integers(0, 8), st.integers(-4, 4), st.integers(-9, 9),
+       st.integers(-9, 9))
+def test_rewrite_matches_the_former_closures(word, modulus, start, wx, wy):
+    # any word, start coset and weights with weight(t) = 1, moduli 0..8
+    weights = {_T: 1, _X: wx, _Y: wy}
+    if modulus:
+        start %= modulus
+        got = reidschreier._rewrite(word, start, _T, weights, modulus,
+                                    _finite_name, Gen("w"))
+        assert got == former_finite_rewrite(word, start, _T, weights, modulus)
+    else:
+        got = reidschreier._rewrite(word, start, _T, weights, 0,
+                                    lambda x, c: Gen(_FAM[x], (c,)), None)
+        assert got == former_z_rewrite(word, start, _T, weights, _FAM)
+
+
+def test_rs_relators_are_the_former_rewrites():
+    for p, t, modulus, weights in (
+            (sphere_braid(5), S1, 8, None), (artin_braid(4), S1, 3, None),
+            (punctured_sphere(2, 2), S1, 4, None),
+            (parse_presentation("group q\ngens: a b\nrel: a^6\nrel: b a^-2\n"),
+             Gen("a"), 6, {Gen("a"): 1, Gen("b"): 2})):
+        weights = weights or {g: 1 for g in p.generators}
+        rewrites = (former_finite_rewrite(r, k, t, weights, modulus)
+                    for r in p.relators for k in range(modulus))
+        assert rs_finite_cyclic(p, modulus, t, weights).presentation.relators \
+            == tuple(w for w in rewrites if w), p.name
+    for p, t in ((affine_A(3), Gen("s", (0,))), (kent_peifer(4), Gen("t")),
+                 (artin_braid(5), S1)):
+        fam = {x: x.name + "_".join(str(i) for i in x.indices)
+               for x in p.generators if x != t}
+        weights = {g: 1 for g in p.generators}
+        assert rs_z_window(p, t).presentation.relator_families == tuple(
+            former_z_rewrite(r, 0, t, weights, fam) for r in p.relators), p.name
+
+
 def _oracle_inputs():
     """Finite-cyclic kernels of the sphere, Artin and punctured braid groups
     at several moduli and transversals, and the built-in finite
@@ -169,6 +269,15 @@ def test_rs_z_window_families():
     assert ip.families
     inst = ip.instantiate(2)
     assert inst.relators
+
+
+def test_rs_z_window_dictionary_words_have_weight_zero():
+    a, b = Gen("a"), Gen("b")
+    weights = {a: 1, b: -1}
+    out = rs_z_window(Presentation("F2", (a, b), ()), a, weights)
+    assert out.dictionary
+    for w in out.dictionary.values():
+        assert sum(sign * weights[g] for g, sign in w.letters()) == 0
 
 
 def test_expand_raises_for_generator_without_dictionary_entry():

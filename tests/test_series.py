@@ -27,8 +27,10 @@ from braidkit.series import (
     shifted_z_family_system,
     windowed_coinvariants,
 )
+from braidkit import reidschreier, series
 from braidkit.reidschreier import rs_finite_cyclic
-from braidkit.words import Gen, Word, parse_word
+from braidkit.words import (Gen, Word, exponent_rows, invert, letter, multiply,
+                            parse_word)
 
 
 def test_invariants_str():
@@ -85,6 +87,54 @@ def test_gamma2_mod_gamma3_of_sphere4():
     # braid group, computed through the finite-cyclic rewriting
     inv = gamma2_mod_gamma3(sphere_braid(4), Gen("s", (1,)))
     assert isinstance(inv, AbelianInvariants)
+
+
+def _rewriter_coinvariance_rows(p, modulus, t, weights):
+    """The former coinvariance construction, kept as the oracle: rewrite
+    t s t^-1 from coset 0 for every Schreier generator s and divide by s."""
+    rs = rs_finite_cyclic(p, modulus, t, weights)
+    relators = []
+    for s in rs.presentation.generators:
+        conj = multiply(letter(t), rs.dictionary[s], invert(letter(t)))
+        image = reidschreier._rewrite(
+            conj, 0, t, weights, modulus,
+            lambda x, c: Gen(x.name, x.indices + (c,)), Gen("w"))
+        relators.append(multiply(image, invert(letter(s))))
+    return exponent_rows(relators, rs.presentation.generators)
+
+
+_G2G3_INPUTS = [(sphere_braid(n), Gen("s", (1,)), None) for n in range(3, 10)]
+_G2G3_INPUTS.append(
+    (parse_presentation("group q\ngens: a b\nrel: a^6\nrel: b a^-2\n"),
+     Gen("a"), {Gen("a"): 1, Gen("b"): 2}))
+
+
+@pytest.mark.parametrize("p, t, weights", _G2G3_INPUTS,
+                         ids=[p.name for p, _, _ in _G2G3_INPUTS])
+def test_gamma2_mod_gamma3_index_shift_rows_match_the_rewriter(monkeypatch, p, t,
+                                                               weights):
+    # the coinvariance rows are index shifts; the rewriter gives the same
+    # rows (and a zero row for w), also where weights are not all 1
+    calls, matrices = [], []
+    real_rs = series.rs_finite_cyclic
+    monkeypatch.setattr(series, "rs_finite_cyclic",
+                        lambda *args: calls.append(args) or real_rs(*args))
+    real_invariants = series._invariants
+    monkeypatch.setattr(series, "_invariants", lambda relation_rows, n: (
+        matrices.append(relation_rows) or real_invariants(relation_rows, n)))
+    got = gamma2_mod_gamma3(p, t)
+    (args,) = calls
+    assert args[2:] == (t, weights or {g: 1 for g in p.generators})
+    rows = matrices[-1]
+    sub = real_rs(*args).presentation
+    shift_rows = rows[len(sub.relators):]
+    oracle = [r for r in _rewriter_coinvariance_rows(*args) if any(r)]
+    assert sorted(shift_rows) == sorted(oracle)
+    assert got == real_invariants(rows[:len(sub.relators)] + oracle,
+                                  len(sub.generators))
+    # Lambda^2 of a cyclic group is 0, so Gamma_2 = Gamma_3 both ways
+    assert str(got) == "1"
+    assert nilpotent_class2_gamma2(p) == got
 
 
 def test_alpha_values():
