@@ -12,7 +12,8 @@ from .presentations import (IndexedPresentation, Presentation,
 from .intlin import IntMatrix, matrix, smith_normal_form
 from .garside import BraidNF, braid_equal, normal_form
 from .freesub import SubgroupGraph, express, fold, membership
-from .reidschreier import RsOutput, rs_finite_cyclic, rs_z_window, tietze_eliminate
+from .reidschreier import (RsOutput, rs_coset_table, rs_finite_cyclic,
+                           rs_z_window, tietze_eliminate)
 from .series import (AbelianInvariants, abelianization, gamma2_mod_gamma3,
                      lcs_rank_torus, lcs_rank_z2_free, windowed_coinvariants)
 from .hom import HomReport, check_hom, image_order
@@ -23,8 +24,8 @@ __all__ = [
     "IntMatrix", "matrix", "smith_normal_form",
     "BraidNF", "braid_equal", "normal_form",
     "SubgroupGraph", "express", "fold", "membership",
-    "RsOutput", "rs_finite_cyclic", "rs_z_window", "tietze_eliminate",
-    "AbelianInvariants", "abelianization", "gamma2_mod_gamma3",
-    "lcs_rank_torus", "lcs_rank_z2_free", "windowed_coinvariants",
-    "HomReport", "check_hom", "image_order",
+    "RsOutput", "rs_coset_table", "rs_finite_cyclic", "rs_z_window",
+    "tietze_eliminate", "AbelianInvariants", "abelianization",
+    "gamma2_mod_gamma3", "lcs_rank_torus", "lcs_rank_z2_free",
+    "windowed_coinvariants", "HomReport", "check_hom", "image_order",
 ]

@@ -10,7 +10,9 @@ Exit codes: 0 success, 1 check failure, 2 usage error, 3 input parse error.
 from __future__ import annotations
 
 import json
+import re
 import sys
+from contextlib import contextmanager
 from fnmatch import fnmatch
 
 import click
@@ -28,6 +30,16 @@ from .reidschreier import rs_finite_cyclic, rs_z_window, tietze_eliminate
 from .words import Gen, parse_word, word_to_text
 
 
+@contextmanager
+def _exit_on(errors, prefix: str, code: int):
+    """On one of `errors`, print "PREFIX: message" to stderr and exit."""
+    try:
+        yield
+    except errors as exc:
+        click.echo("%s: %s" % (prefix, exc), err=True)
+        sys.exit(code)
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -36,19 +48,17 @@ def _read_text(path: str) -> str:
 
 
 def _load_presentation(path: str) -> Presentation:
-    try:
+    with _exit_on(ParseError, "parse error", 3):
         return parse_presentation(_read_text(path))
-    except ParseError as exc:
-        click.echo("parse error: %s" % exc, err=True)
-        sys.exit(3)
 
 
 def _parse_weights(p: Presentation, spec: str) -> dict:
-    """Weights from PATTERN=INT entries, later entries winning.  An entry
-    naming an indexed generator (s[1]) sets that generator only; any other
-    pattern is a glob against each generator and its name."""
+    """Weights from PATTERN=INT entries split at commas outside brackets,
+    later entries winning.  An entry naming an indexed generator (A[1,3])
+    sets that generator only; any other pattern is a glob against each
+    generator and its name."""
     weights = {}
-    for part in spec.split(","):
+    for part in re.split(r",(?![^\[]*\])", spec):
         part = part.strip()
         if not part:
             continue
@@ -108,8 +118,7 @@ _FAMILIES = {
 @click.option("--family", required=True, type=click.Choice(list(_FAMILIES)))
 @click.option("--n", type=int, default=None, help="strand count / index")
 @click.option("--m", type=int, default=None, help="strand count for punctured/affine families")
-@click.option("--window", type=int, default=2, help="window for indexed families")
-def present_cmd(family, n, m, window):
+def present_cmd(family, n, m):
     """Print a built-in presentation in the presentation file format."""
     builder, names = _FAMILIES[family]
     values = {"n": n, "m": m}
@@ -145,7 +154,7 @@ def rs_cmd(path, modulus, weights_spec, transversal, window, tietze):
     p = _load_presentation(path)
     t = _parse_gen(transversal)
     weights = _parse_weights(p, weights_spec)
-    try:
+    with _exit_on(ValueError, "error", 1):
         if modulus == 0:
             out = rs_z_window(p, t, weights, window)
         else:
@@ -155,9 +164,6 @@ def rs_cmd(path, modulus, weights_spec, transversal, window, tietze):
         pres = out.presentation
         if isinstance(pres, IndexedPresentation):
             pres = pres.instantiate(window)
-    except ValueError as exc:
-        click.echo("error: %s" % exc, err=True)
-        sys.exit(1)
     click.echo(serialize_presentation(pres), nl=False)
     click.echo("# dict:")
     for g in pres.generators:
@@ -171,11 +177,8 @@ def rs_cmd(path, modulus, weights_spec, transversal, window, tietze):
 def g2g3_cmd(path, transversal):
     """Second lower central quotient for finite cyclic abelianization."""
     p = _load_presentation(path)
-    try:
+    with _exit_on(ValueError, "error", 1):
         click.echo(str(series.gamma2_mod_gamma3(p, _parse_gen(transversal))))
-    except ValueError as exc:
-        click.echo("error: %s" % exc, err=True)
-        sys.exit(1)
 
 
 @main.command("snf")
@@ -183,11 +186,8 @@ def g2g3_cmd(path, transversal):
 @click.option("--transforms", is_flag=True, help="also print P and Q")
 def snf_cmd(path, transforms):
     """Smith normal form of an integer matrix."""
-    try:
+    with _exit_on(ValueError, "parse error", 3):
         m = parse_matrix(_read_text(path))
-    except ValueError as exc:
-        click.echo("parse error: %s" % exc, err=True)
-        sys.exit(3)
     res = smith_normal_form(m)
     click.echo(serialize_matrix(res.d))
     if transforms:
@@ -203,12 +203,9 @@ def snf_cmd(path, transforms):
 @click.argument("word2")
 def braid_eq_cmd(n, word1, word2):
     """Decide equality of two braid words via greedy normal forms."""
-    try:
+    with _exit_on(ValueError, "parse error", 3):
         nf1 = normal_form(parse_word(word1), n)
         nf2 = normal_form(parse_word(word2), n)
-    except ValueError as exc:
-        click.echo("parse error: %s" % exc, err=True)
-        sys.exit(3)
     if nf1 == nf2:
         click.echo("equal: %s" % nf1)
     else:
@@ -222,12 +219,9 @@ def subgroup_cmd():
 
 
 def _load_basis(path: str):
-    words = []
-    for line in _read_text(path).splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.append(parse_word(line))
-    return words
+    lines = (line.strip() for line in _read_text(path).splitlines())
+    return [parse_word(line) for line in lines
+            if line and not line.startswith("#")]
 
 
 @subgroup_cmd.command("express")
@@ -236,18 +230,12 @@ def _load_basis(path: str):
 @click.option("--word", "word_text", required=True)
 def subgroup_express_cmd(basis_path, word_text):
     """Rewrite a member word in the given subgroup basis."""
-    try:
+    with _exit_on(ValueError, "parse error", 3):
         basis = _load_basis(basis_path)
         w = parse_word(word_text)
-    except ValueError as exc:
-        click.echo("parse error: %s" % exc, err=True)
-        sys.exit(3)
     graph = fold(basis)
-    try:
+    with _exit_on(ValueError, "error", 1):
         click.echo(word_to_text(express(graph, basis, w)))
-    except ValueError as exc:
-        click.echo("error: %s" % exc, err=True)
-        sys.exit(1)
 
 
 @subgroup_cmd.command("member")
@@ -255,12 +243,9 @@ def subgroup_express_cmd(basis_path, word_text):
 @click.option("--word", "word_text", required=True)
 def subgroup_member_cmd(basis_path, word_text):
     """Membership of a word in the subgroup generated by the basis words."""
-    try:
+    with _exit_on(ValueError, "parse error", 3):
         basis = _load_basis(basis_path)
         w = parse_word(word_text)
-    except ValueError as exc:
-        click.echo("parse error: %s" % exc, err=True)
-        sys.exit(3)
     if membership(fold(basis), w):
         click.echo("member")
     else:
@@ -338,21 +323,15 @@ def hom_check_cmd(path, target, assign_path, relator, as_json):
     p = _load_presentation(path)
     model = _make_target(target)
     assignment = {}
-    try:
+    with _exit_on(ValueError, "parse error", 3):
         for line in _read_text(assign_path).splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             gen_text, image_text = line.split("=", 1)
             assignment[_parse_gen(gen_text.strip())] = _parse_image(model, image_text)
-    except ValueError as exc:
-        click.echo("parse error: %s" % exc, err=True)
-        sys.exit(3)
-    try:
+    with _exit_on(ValueError, "error", 1):
         report = hom.check_hom(p, model, assignment, relator)
-    except ValueError as exc:
-        click.echo("error: %s" % exc, err=True)
-        sys.exit(1)
     if as_json:
         for c in report.checks:
             click.echo(json.dumps({"relator": word_to_text(c.relator),

@@ -2,11 +2,11 @@
 
 Subgroups are represented by their folded core graph, built by the worklist
 folding of Touikan, "A fast algorithm for Stallings' folding process" (IJAC
-2006).  Graphs and coset tables keep one two-way map vertex -> {(gen, +-1):
-neighbour}, and one walk over it serves membership, rewriting and coset
-tracing.  `express` rewrites a member word in a chosen basis of the subgroup,
-via the graph's own spanning-tree generators and a Nielsen change of basis.
-Also provides Schreier generators for finite-index kernels.
+2006).  A graph keeps one two-way map vertex -> {(gen, +-1): neighbour}, and
+one walk over it serves membership and rewriting.  `express` rewrites a
+member word in a chosen basis of the subgroup, via the graph's own
+spanning-tree generators and a Nielsen change of basis.  Schreier generators
+of finite-index subgroups come from `reidschreier.rs_coset_table`.
 """
 
 from __future__ import annotations
@@ -15,15 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .words import Gen, Word, free_reduce, invert, letter, multiply, power
-
-
-def _two_way(edges: dict, vertices=()) -> dict:
-    """vertex -> {(gen, +-1): neighbour} from positive edges (u, gen) -> v."""
-    links = {v: {} for v in vertices}
-    for (u, g), v in edges.items():
-        links.setdefault(u, {})[(g, 1)] = v
-        links.setdefault(v, {})[(g, -1)] = u
-    return links
 
 
 def _walk(links: dict, v, w: Word, crossed: Optional[list] = None):
@@ -52,7 +43,11 @@ class SubgroupGraph:
     _links: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._links = _two_way(self.edges, (self.basepoint,))
+        # the two-way map vertex -> {(gen, +-1): neighbour}
+        self._links = {self.basepoint: {}}
+        for (u, g), v in self.edges.items():
+            self._links.setdefault(u, {})[(g, 1)] = v
+            self._links.setdefault(v, {})[(g, -1)] = u
 
     def step(self, v: int, g: Gen, sign: int) -> Optional[int]:
         """Neighbour of v along g^sign, or None: one two-way map lookup."""
@@ -120,18 +115,13 @@ def _native_index(graph: SubgroupGraph) -> dict:
     per edge (u, g) -> v off the BFS spanning tree from the basepoint,
     numbered in sorted edge order."""
     if graph._tree is None:
-        seen = {graph.basepoint}
-        frontier = [graph.basepoint]
-        tree_edges = set()
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for (g, sign), v in sorted(graph._links[u].items()):
-                    if v not in seen:
-                        seen.add(v)
-                        tree_edges.add((u, g) if sign > 0 else (v, g))
-                        nxt.append(v)
-            frontier = nxt
+        queue, seen, tree_edges = [graph.basepoint], {graph.basepoint}, set()
+        for u in queue:
+            for (g, sign), v in sorted(graph._links[u].items()):
+                if v not in seen:
+                    seen.add(v)
+                    tree_edges.add((u, g) if sign > 0 else (v, g))
+                    queue.append(v)
         nontree = sorted(e for e in graph.edges if e not in tree_edges)
         graph._tree = {e: i + 1 for i, e in enumerate(nontree)}
     return graph._tree
@@ -226,62 +216,4 @@ def _shortening(pairs):
                     if len(cand) < len(ui):
                         return i, j, su, sj, cand
     return None
-
-
-# ---------------------------------------------------------------------------
-# Schreier generators
-
-@dataclass(frozen=True)
-class CosetTable:
-    """Cosets of a kernel, indexed by elements of a finite quotient model."""
-
-    cosets: tuple
-    transitions: dict        # (coset, Gen) -> coset
-    _links: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_links", _two_way(self.transitions, self.cosets))
-
-    def trace(self, start, w: Word):
-        end = _walk(self._links, start, w)
-        if end is None:
-            raise KeyError("%s leaves the coset table" % w)
-        return end
-
-
-def coset_table(gens: Sequence[Gen], model, images: dict[Gen, object]) -> CosetTable:
-    from .models import finite_closure
-    elems = finite_closure(model, [model.identity()] + [images[g] for g in gens])
-    cosets = tuple(sorted(elems, key=repr))
-    transitions = {(c, g): model.mul(c, images[g]) for c in cosets for g in gens}
-    return CosetTable(cosets, transitions)
-
-
-def schreier_basis(gens: Sequence[Gen], model, images: dict[Gen, object],
-                   transversal: Sequence[Word]) -> list[Word]:
-    """Schreier generators u x (rep(ux))^-1 of the kernel, trivial ones dropped.
-
-    The transversal must hit each coset exactly once, starting with the
-    identity coset.
-    """
-    table = coset_table(gens, model, images)
-    reps = {}
-    for t in transversal:
-        c = table.trace(model.identity(), t)
-        if c in reps:
-            raise ValueError("transversal word %s repeats coset %r" % (t, c))
-        reps[c] = t
-    if set(reps) != set(table.cosets):
-        raise ValueError("transversal misses cosets")
-    if transversal and table.trace(model.identity(), transversal[0]) != model.identity():
-        raise ValueError("first transversal word must represent the identity coset")
-    out = []
-    for t in transversal:
-        c = table.trace(model.identity(), t)
-        for g in gens:
-            c2 = model.mul(c, images[g])
-            w = multiply(t, letter(g), invert(reps[c2]))
-            if w:
-                out.append(w)
-    return out
 

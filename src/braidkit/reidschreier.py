@@ -1,19 +1,21 @@
-"""Reidemeister-Schreier presentations of weight-map kernels.
+"""Reidemeister-Schreier presentations of subgroups of finite index and of
+weight-map kernels (Magnus, Karrass and Solitar, "Combinatorial Group
+Theory", section 2.3; Holt, Eick and O'Brien, "Handbook of Computational
+Group Theory", section 2.5).
 
-Given a finite presentation and a weight homomorphism onto Z/m (or Z), the
-kernel is presented on the Schreier generators t^c x t^-(c+omega(x)) over
-the transversal {t^c} of a designated weight-1 generator t (Magnus, Karrass
-and Solitar, "Combinatorial Group Theory", section 2.3).  One rewrite walks a
-word through the integer cosets c and emits a Schreier generator for each
-letter.  Modulo m > 0 it brings c back into [0, m) after each letter and
-emits w = t^m for each wrap; for Z (m = 0) it never wraps.  The finite and
-the Z case differ only in how they name the generator of x at coset c
-(x[..., c], or c in the family of x) and in what they return: a finite
-presentation, or an indexed one with one generator family per ambient
-generator.  A deliberately limited Tietze eliminator removes
-duplicate-generator relators only.
+One rewrite loop serves every subgroup: it reads the move of each letter,
+(next coset, emitted runs of Schreier generators), from a map keyed by
+(coset, generator, +-1).  `rs_coset_table` builds the map of any action by
+permutations of a finite set from its breadth-first coset table, with a
+generator x[..., i] = rep(i) x rep(i x)^-1 on each non-tree edge.
+`rs_finite_cyclic` precomputes the weight map onto Z/m over the transversal
+{t^c}, with x[..., c] = t^c x t^-(c+omega(x)) and w = t^m emitted at each
+wrap past m.  `rs_z_window` fills the weight map onto Z on demand and
+returns an indexed presentation, one generator family per ambient
+generator.
 
-On a finite presentation the eliminator follows the occurrence-indexed
+A deliberately limited Tietze eliminator removes duplicate-generator
+relators only.  On a finite presentation it follows the occurrence-indexed
 design of Havas, Kenne, Richardson and Robertson, "A Tietze transformation
 program" (1984).  Generators are interned as small ints in (name, indices)
 order, so that integer letter tuples sort like canonical_relator's keys;
@@ -26,11 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Hashable, Optional, Sequence, Union
 
 from .presentations import IndexedPresentation, Presentation, shift_families
-from .words import (Gen, Word, cyclic_reduce, free_reduce, letter,
-                    power, substitute)
+from .words import (IDENTITY, Gen, Word, cyclic_reduce, free_reduce, invert,
+                    letter, multiply, power, substitute)
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,65 @@ class RsOutput:
         return substitute(w, self.dictionary)
 
 
+def _rewrite(word: Word, start, moves) -> tuple[Word, Hashable]:
+    """(rewrite, end coset) of an ambient word read from coset `start`: each
+    letter x^sign looks up moves[coset, x, sign] = (next coset, runs) and
+    emits the runs."""
+    runs = []
+    c = start
+    for x, e in word.runs:
+        sign = 1 if e > 0 else -1
+        for _ in range(e * sign):
+            c, emitted = moves[c, x, sign]
+            runs += emitted
+    return free_reduce(runs), c
+
+
+def _rewrites(relators: Sequence[Word], cosets, moves) -> tuple:
+    """The rewrites of each relator from each coset that are not trivial."""
+    out = []
+    for r in relators:
+        for c in cosets:
+            rw, end = _rewrite(r, c, moves)
+            if end != c:  # the action is not one of the presented group
+                raise ValueError("relator %s does not fix coset %r" % (r, c))
+            if rw:
+                out.append(rw)
+    return tuple(out)
+
+
+class _OnDemand(dict):
+    """A move map that computes each move on its first lookup."""
+
+    def __init__(self, move: Callable):
+        self.move = move
+
+    def __missing__(self, key):
+        self[key] = value = self.move(*key)
+        return value
+
+
+def _weight_moves(gens: Sequence[Gen], t: Gen, weights: dict, modulus: int,
+                  name: Callable[[Gen, int], Gen], w_gen: Optional[Gen]):
+    """Move map of the weight map onto Z/modulus (Z for modulus 0), computed
+    up front mod m and on first use in Z: x^+-1 emits name(x, c) = t^c x
+    t^-(c+omega(x)), t none, and q wraps back into [0, m) emit w_gen^q."""
+    def move(c: int, x: Gen, sign: int) -> tuple[int, tuple]:
+        d = c + sign * weights[x]
+        q, d = divmod(d, modulus) if modulus else (0, d)
+        wraps = ((w_gen, q),) if q else ()
+        if x == t:
+            return d, wraps
+        if sign > 0:
+            return d, ((name(x, c), 1),) + wraps
+        return d, wraps + ((name(x, d), -1),)
+
+    if not modulus:
+        return _OnDemand(move)
+    return {(c, x, sign): move(c, x, sign)
+            for c in range(modulus) for x in gens for sign in (1, -1)}
+
+
 def _check_weights(p: Presentation, weights: Optional[dict], t: Gen,
                    modulus: int) -> dict:
     if weights is None:
@@ -61,9 +122,8 @@ def _check_weights(p: Presentation, weights: Optional[dict], t: Gen,
         raise ValueError("transversal %s is not a generator of %s" % (t, p.name))
     if weights[t] != 1:
         raise ValueError("transversal generator %s must have weight 1" % t)
-    if modulus:
-        if math.gcd(modulus, *[weights[g] for g in p.generators]) != 1:
-            raise ValueError("weights are not surjective mod %d" % modulus)
+    if modulus and math.gcd(modulus, *[weights[g] for g in p.generators]) != 1:
+        raise ValueError("weights are not surjective mod %d" % modulus)
     for r in p.relators:
         total = sum(weights[g] * e for g, e in r.runs)
         if (total % modulus if modulus else total) != 0:
@@ -76,29 +136,9 @@ def _schreier_word(t: Gen, x: Gen, coset: int, omega: int) -> Word:
     return free_reduce([(t, coset), (x, 1), (t, -(coset + omega))])
 
 
-def _rewrite(word: Word, start: int, t: Gen, weights: dict, modulus: int,
-             name: Callable[[Gen, int], Gen], w_gen: Optional[Gen]) -> Word:
-    """Rewrite an ambient word, read from coset `start`, in the Schreier
-    generators name(x, c) = t^c x t^-(c+omega(x)); t itself emits none.  A
-    positive letter emits before the coset moves, a negative one after it
-    moves back.  Modulus 0 is Z; modulo m > 0, divmod brings the coset back
-    into [0, m) after each letter and its q wraps emit w_gen^q, w_gen = t^m."""
-    runs = []
-    c = start
-    for x, sign in word.letters():
-        if sign > 0:
-            if x != t:
-                runs.append((name(x, c), 1))
-            c += weights[x]
-        else:
-            c -= weights[x]
-        if modulus:
-            q, c = divmod(c, modulus)
-            if q:
-                runs.append((w_gen, q))
-        if sign < 0 and x != t:
-            runs.append((name(x, c), -1))
-    return free_reduce(runs)
+def _finite_name(x: Gen, c: int) -> Gen:
+    """x[..., c]: the generator of x at coset c of a finite index subgroup."""
+    return Gen(x.name, x.indices + (c,))
 
 
 def rs_finite_cyclic(p: Presentation, modulus: int, t: Gen,
@@ -109,36 +149,92 @@ def rs_finite_cyclic(p: Presentation, modulus: int, t: Gen,
     generator t contributes the single generator w = t^modulus; every other
     generator x of weight omega contributes one generator x[..., c] per
     coset c, with ambient word t^c x t^-(c+omega).  Relators are the modulus
-    rewrites of each ambient relator (freely trivial ones dropped).
-    """
+    rewrites of each ambient relator (freely trivial ones dropped)."""
     if modulus < 1:
         raise ValueError("modulus must be positive")
     weights = _check_weights(p, weights, t, modulus)
+    moves = _weight_moves(p.generators, t, weights, modulus, _finite_name,
+                          Gen("w"))
+    dictionary = {Gen("w"): power(letter(t), modulus)}
+    dictionary.update((_finite_name(x, c), _schreier_word(t, x, c, weights[x]))
+                      for x in p.generators if x != t for c in range(modulus))
+    relators = _rewrites(p.relators, range(modulus), moves)
+    sub = Presentation("%s/ker%d" % (p.name, modulus), tuple(dictionary),
+                       relators)
+    return RsOutput(sub, dictionary,
+                    tuple(power(letter(t), j) for j in range(modulus)))
 
-    def name(x: Gen, c: int) -> Gen:
-        return Gen(x.name, x.indices + (c,))
 
-    w_gen = Gen("w")
-    dictionary = {w_gen: power(letter(t), modulus)}
-    gens = [w_gen]
-    for x in p.generators:
-        if x == t:
-            continue
-        for c in range(modulus):
-            g = name(x, c)
-            gens.append(g)
-            dictionary[g] = _schreier_word(t, x, c, weights[x])
+_COSET_BUDGET = 20000  # cosets rs_coset_table enumerates before it gives up
 
-    relators = []
-    for r in p.relators:
-        for k in range(modulus):
-            rw = _rewrite(r, k, t, weights, modulus, name, w_gen)
-            if rw:
-                relators.append(rw)
-    sub = Presentation("%s/ker%d" % (p.name, modulus), tuple(gens),
-                       tuple(relators))
-    transversal = tuple(power(letter(t), j) for j in range(modulus))
-    return RsOutput(sub, dictionary, transversal)
+
+def _coset_moves(gens: Sequence[Gen], start, act: Callable,
+                 transversal: Optional[Sequence[Word]] = None):
+    """(cosets, transversal, move map, dictionary) of a finite action: the
+    cosets in breadth-first order from `start`, or in the order of a given
+    Schreier transversal, and x[..., i] = rep(i) x rep(i x)^-1 on each edge
+    (coset i, x) whose word is not freely trivial, that is, off the tree."""
+    cosets, reps, forward = [start], {start: IDENTITY}, {}
+    for c in cosets:
+        for x in gens:
+            d = forward[c, x] = act(c, x)
+            if d not in reps:
+                if len(cosets) == _COSET_BUDGET:
+                    raise ValueError("the action has more than %d cosets"
+                                     % _COSET_BUDGET)
+                reps[d] = multiply(reps[c], letter(x))
+                cosets.append(d)
+    for x in gens:
+        if len({forward[c, x] for c in cosets}) < len(cosets):
+            raise ValueError("generator %s does not permute the cosets" % x)
+    backward = {(d, x): c for (c, x), d in forward.items()}
+    if transversal is not None:
+        reps, known = {}, set(transversal)
+        for w in transversal:
+            c = start
+            for x, sign in w.letters():
+                c = forward[c, x] if sign > 0 else backward[c, x]
+            if c in reps:
+                raise ValueError("transversal word %s repeats coset %r" % (w, c))
+            reps[c] = w
+        if len(reps) != len(cosets):
+            raise ValueError("transversal misses %d of the %d cosets"
+                             % (len(cosets) - len(reps), len(cosets)))
+        if next(iter(reps)) != start:
+            raise ValueError("first transversal word %s must represent the "
+                             "identity coset" % transversal[0])
+        for w in transversal:
+            prefix = free_reduce(list(w.letters())[:-1])
+            if w and prefix not in known:
+                raise ValueError("transversal is not prefix-closed: %s lacks "
+                                 "its prefix %s" % (w, prefix))
+        cosets = list(reps)
+    number = {c: i for i, c in enumerate(cosets)}
+    moves, dictionary = {}, {}
+    for x in gens:
+        for i, c in enumerate(cosets):
+            d = forward[c, x]
+            word = multiply(reps[c], letter(x), invert(reps[d]))
+            if word:
+                g = _finite_name(x, i)
+                dictionary[g] = word
+            moves[i, x, 1] = (number[d], ((g, 1),) if word else ())
+            moves[number[d], x, -1] = (i, ((g, -1),) if word else ())
+    return tuple(cosets), tuple(reps.values()), moves, dictionary
+
+
+def rs_coset_table(p: Presentation, start, act: Callable,
+                   transversal: Optional[Sequence[Word]] = None) -> RsOutput:
+    """Present the stabilizer of `start` (the kernel, when a finite quotient
+    acts on itself) under an action act(coset, gen) of the generators by
+    permutations of a finite set, on the generators of _coset_moves with the
+    nontrivial rewrites of each relator from each coset as relators."""
+    cosets, reps, moves, dictionary = _coset_moves(p.generators, start, act,
+                                                   transversal)
+    relators = _rewrites(p.relators, range(len(cosets)), moves)
+    sub = Presentation("%s/ker%d" % (p.name, len(cosets)), tuple(dictionary),
+                       relators)
+    return RsOutput(sub, dictionary, reps)
 
 
 # how far beyond the window the dictionary of rs_z_window spells out x@k
@@ -156,30 +252,22 @@ def rs_z_window(p: Presentation, t: Gen, weights: Optional[dict] = None,
     covers the indices within _DICTIONARY_MARGIN of the window.
     """
     weights = _check_weights(p, weights, t, 0)
-    fam_name = {}
-    for x in p.generators:
-        if x == t:
-            continue
-        fam_name[x] = x.name + "_".join(str(i) for i in x.indices)
+    fam_name = {x: x.name + "_".join(str(i) for i in x.indices)
+                for x in p.generators if x != t}
     if len(set(fam_name.values())) != len(fam_name):
         raise ValueError("ambient generator names collide as family names")
 
     def name(x: Gen, c: int) -> Gen:
         return Gen(fam_name[x], (c,))
 
-    families = tuple(fam_name[x] for x in p.generators if x != t)
-    rel_fams = tuple(_rewrite(r, 0, t, weights, 0, name, None)
-                     for r in p.relators)
-    ip = IndexedPresentation("%s/kerZ" % p.name, (), families, (), rel_fams,
-                             window)
-    dictionary = {}
-    for x in p.generators:
-        if x == t:
-            continue
-        for k in range(-window - _DICTIONARY_MARGIN, window + _DICTIONARY_MARGIN + 1):
-            dictionary[name(x, k)] = _schreier_word(t, x, k, weights[x])
-    transversal = (letter(t),)
-    return RsOutput(ip, dictionary, transversal)
+    moves = _weight_moves(p.generators, t, weights, 0, name, None)
+    rel_fams = tuple(_rewrite(r, 0, moves)[0] for r in p.relators)
+    ip = IndexedPresentation("%s/kerZ" % p.name, (), tuple(fam_name.values()),
+                             (), rel_fams, window)
+    reach = window + _DICTIONARY_MARGIN
+    dictionary = {name(x, k): _schreier_word(t, x, k, weights[x])
+                  for x in fam_name for k in range(-reach, reach + 1)}
+    return RsOutput(ip, dictionary, (letter(t),))
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,14 @@ from itertools import product
 from typing import Callable
 
 from . import actions, garside, hom, models, series
-from .freesub import express, schreier_basis
+from .freesub import express
 from .intlin import (identity, inv_unimodular, lattice_restrict, mat_mul,
                      mat_pow, matrix, smith_normal_form, _solve_in_lattice)
 from .presentations import (Presentation, affine_C, b3_punctured_gamma2_ab,
                             fullpres, gamma2_annulus, gamma2_b4, gamma2_b5,
                             punctured_sphere, sphere_braid)
-from .reidschreier import (canonical_relator, rs_finite_cyclic, rs_z_window,
-                           tietze_eliminate)
+from .reidschreier import (canonical_relator, rs_coset_table, rs_finite_cyclic,
+                           rs_z_window, tietze_eliminate)
 from .words import (Gen, Word, commutator, exponent_sum, invert, letter,
                     multiply, parse_word, power, substitute)
 
@@ -229,13 +229,12 @@ def _braid_equal(w1: str, w2: str, n: int):
 
 
 def _schreier_basis_printed():
+    # F(a, b) onto the Klein four-group: cosets are exponent sums mod 2
     a, b = Gen("a"), Gen("b")
-    table = models.FiniteTable(
-        ("e", "p", "q", "pq"),
-        (("e", "p", "q", "pq"), ("p", "e", "pq", "q"),
-         ("q", "pq", "e", "p"), ("pq", "q", "p", "e")))
     transversal = [parse_word(t) for t in ("1", "a", "a b", "a b a^-1")]
-    basis = schreier_basis([a, b], table, {a: "p", b: "q"}, transversal)
+    basis = rs_coset_table(Presentation("F2", (a, b), ()), (0, 0),
+                           lambda c, x: (c[0] ^ (x == a), c[1] ^ (x == b)),
+                           transversal).dictionary.values()
     return (sorted(str(parse_word(t)) for t in PRINTED_SCHREIER_BASIS),
             sorted(str(w) for w in basis))
 

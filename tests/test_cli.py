@@ -39,6 +39,13 @@ def test_present_without_a_needed_option_is_a_usage_error(args, missing):
     assert "--family %s needs %s" % (args[0], missing) in res.output
 
 
+def test_present_window_is_no_longer_an_option():
+    # present builds finite presentations only; it never read --window
+    res = run("present", "--family", "sphere", "--n", "4", "--window", "9")
+    assert res.exit_code == 2
+    assert "No such option" in res.output
+
+
 def test_ab_reads_stdin():
     res = run("ab", "--in", "-", input="group C2\ngens: a\nrel: a^2\n")
     assert res.exit_code == 0
@@ -119,6 +126,18 @@ def test_rs_weights_name_indexed_generators():
               "--weights", "*=1,a[3]=0", input=z2)
     assert res.exit_code == 2
     assert "'a[3]=0' matches no generator" in res.output
+
+
+def test_rs_weight_entry_may_name_a_generator_with_two_indices():
+    # the comma inside A[1,3] separates indices, not weight entries
+    pres = run("present", "--family", "punctured", "--m", "2", "--n", "2").output
+    outputs = []
+    for spec in ("*=1,A[1,3]=1", "*=1"):
+        res = run("rs", "--in", "-", "--mod", "4", "--transversal", "A[1,3]",
+                  "--weights", spec, input=pres)
+        assert res.exit_code == 0, res.output
+        outputs.append(res.output)
+    assert outputs[0] == outputs[1]
 
 
 def test_rs_weight_that_is_not_an_integer_is_a_usage_error():

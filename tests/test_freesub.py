@@ -1,4 +1,4 @@
-"""Stallings foldings, coset tables, Schreier generators."""
+"""Stallings foldings, membership and rewriting in a subgroup basis."""
 
 import random
 
@@ -7,14 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from braidkit.freesub import (
     contains,
-    coset_table,
     express,
     fold,
     membership,
     rank,
-    schreier_basis,
 )
-from braidkit.models import FiniteTable, q8
 from braidkit.words import (Gen, free_reduce, invert, multiply, parse_word,
                             substitute)
 
@@ -23,8 +20,7 @@ A, B, C = Gen("a"), Gen("b"), Gen("c")
 
 # ---------------------------------------------------------------------------
 # slow oracles: folding by union-find with a full rescan after every merge,
-# stepping backwards by scanning every edge, tracing cosets through an inverse
-# table rebuilt on each call
+# stepping backwards by scanning every edge
 
 class _UnionFind:
     def __init__(self):
@@ -101,14 +97,6 @@ def sweep_rank(basepoint, edges):
     return len(edges) - len(vertices) + 1
 
 
-def sweep_trace(table, start, w):
-    inverse = {(d, g): c for (c, g), d in table.transitions.items()}
-    v = start
-    for g, sign in w.letters():
-        v = table.transitions[(v, g)] if sign > 0 else inverse[(v, g)]
-    return v
-
-
 def perturbed(rng, w, gens):
     """w with one letter inserted at a random place."""
     letters = list(w.letters())
@@ -146,16 +134,6 @@ def even_basis(rng, k, length):
         basis = [random_word(rng, [A, B, C], length) for _ in range(k)]
         if nielsen_reduced(basis):
             return basis
-
-
-def klein_four():
-    elems = ("e", "p", "q", "pq")
-
-    def prod(x, y):
-        sx = set(x.replace("e", "")) ^ set(y.replace("e", ""))
-        return "".join(c for c in "pq" if c in sx) or "e"
-
-    return FiniteTable(elems, tuple(tuple(prod(x, y) for y in elems) for x in elems))
 
 
 def words(max_runs=6):
@@ -200,31 +178,6 @@ def test_express_round_trip():
         w = parse_word(text)
         zw = express(g, basis, w)
         assert substitute(zw, mapping) == w
-
-
-def test_coset_table_klein_four():
-    t = klein_four()
-    table = coset_table([A, B], t, {A: "p", B: "q"})
-    assert len(table.cosets) == 4
-    # tracing a word lands on its image in the quotient
-    assert table.trace(t.identity(), parse_word("a b")) == "pq"
-    assert table.trace(t.identity(), parse_word("a^2")) == "e"
-
-
-def test_schreier_basis_klein_four():
-    t = klein_four()
-    transversal = [parse_word(x) for x in ("1", "a", "a b", "a b a^-1")]
-    basis = schreier_basis([A, B], t, {A: "p", B: "q"}, transversal)
-    assert len(basis) == 5
-    g = fold(basis)
-    assert rank(g) == 5
-    # every basis word maps to the identity of the quotient
-    for w in basis:
-        img = t.identity()
-        for gen, sign in w.letters():
-            v = {A: "p", B: "q"}[gen]
-            img = t.mul(img, v if sign > 0 else t.inv(v))
-        assert img == t.identity()
 
 
 def bouquets(letters):
@@ -289,22 +242,3 @@ def test_backward_step_never_scans_the_edges():
         for gen in (A, B):
             assert g.step(v, gen, -1) == sweep_step(edges, v, gen, -1)
     assert contains(g, parse_word("b^-2 a^-2 b^-1 a^-1 b^-1 a^-1"))
-
-
-@pytest.mark.parametrize("model, images", [
-    (klein_four(), {A: "p", B: "q"}),
-    (q8(), {A: "x", B: "y"}),
-])
-def test_coset_trace_matches_the_inverse_table_oracle(model, images):
-    table = coset_table([A, B], model, images)
-    rng = random.Random(1)
-    for _ in range(200):
-        w = random_word(rng, [A, B], rng.randrange(12))
-        for start in table.cosets:
-            end = table.trace(start, w)
-            assert end == sweep_trace(table, start, w)
-            image = start
-            for gen, sign in w.letters():
-                image = model.mul(image, images[gen] if sign > 0
-                                  else model.inv(images[gen]))
-            assert end == image

@@ -1,12 +1,17 @@
 """Reidemeister-Schreier rewriting and the limited Tietze eliminator."""
 
+import math
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidkit.garside import braid_equal
+from braidkit.freesub import fold, rank
+from braidkit.garside import braid_equal, permutation
 from braidkit import reidschreier
+from braidkit.intlin import matrix, smith_normal_form
+from braidkit.models import FiniteTable, q8
 from braidkit.presentations import (
     IndexedPresentation,
     Presentation,
@@ -25,13 +30,14 @@ from braidkit.presentations import (
 )
 from braidkit.reidschreier import (
     canonical_relator,
+    rs_coset_table,
     rs_finite_cyclic,
     rs_z_window,
     tietze_eliminate,
 )
 from braidkit.series import abelianization
-from braidkit.words import (IDENTITY, Gen, free_reduce, invert, letter, multiply,
-                            parse_word, substitute)
+from braidkit.words import (IDENTITY, Gen, exponent_rows, free_reduce, invert,
+                            letter, multiply, parse_word, power, substitute)
 
 S1 = Gen("s", (1,))
 
@@ -148,12 +154,14 @@ def test_rewrite_matches_the_former_closures(word, modulus, start, wx, wy):
     weights = {_T: 1, _X: wx, _Y: wy}
     if modulus:
         start %= modulus
-        got = reidschreier._rewrite(word, start, _T, weights, modulus,
-                                    _finite_name, Gen("w"))
+        moves = reidschreier._weight_moves((_T, _X, _Y), _T, weights, modulus,
+                                           _finite_name, Gen("w"))
+        got = reidschreier._rewrite(word, start, moves)[0]
         assert got == former_finite_rewrite(word, start, _T, weights, modulus)
     else:
-        got = reidschreier._rewrite(word, start, _T, weights, 0,
-                                    lambda x, c: Gen(_FAM[x], (c,)), None)
+        moves = reidschreier._weight_moves((_T, _X, _Y), _T, weights, 0,
+                                           lambda x, c: Gen(_FAM[x], (c,)), None)
+        got = reidschreier._rewrite(word, start, moves)[0]
         assert got == former_z_rewrite(word, start, _T, weights, _FAM)
 
 
@@ -406,3 +414,276 @@ def test_elimination_rekeys_only_relators_holding_the_generator(monkeypatch):
     assert q.generators == (Gen("a"), Gen("b"), Gen("y"))
     # three keys on entry, then one for each of the two relators holding x
     assert len(keyed) == 5
+
+
+# ---------------------------------------------------------------------------
+# rs_coset_table: finite permutation actions
+
+A, B = Gen("a"), Gen("b")
+_F2 = Presentation("F2", (A, B), ())
+
+
+def klein_four():
+    elems = ("e", "p", "q", "pq")
+
+    def prod(x, y):
+        sx = set(x.replace("e", "")) ^ set(y.replace("e", ""))
+        return "".join(c for c in "pq" if c in sx) or "e"
+
+    return FiniteTable(elems, tuple(tuple(prod(x, y) for y in elems) for x in elems))
+
+
+def _model_act(model, images):
+    return lambda c, x: model.mul(c, images[x])
+
+
+def _model_image(model, images, start, w):
+    image = start
+    for gen, sign in w.letters():
+        image = model.mul(image, images[gen] if sign > 0
+                          else model.inv(images[gen]))
+    return image
+
+
+def sweep_trace(transitions, start, w):
+    """End coset of w from an inverse table rebuilt on each call."""
+    inverse = {(d, g): c for (c, g), d in transitions.items()}
+    v = start
+    for g, sign in w.letters():
+        v = transitions[(v, g)] if sign > 0 else inverse[(v, g)]
+    return v
+
+
+def random_word(rng, gens, length):
+    letters = []
+    while len(letters) < length:
+        step = (rng.choice(gens), rng.choice((1, -1)))
+        if letters and letters[-1] == (step[0], -step[1]):
+            continue
+        letters.append(step)
+    return free_reduce(letters)
+
+
+def test_coset_table_klein_four():
+    t = klein_four()
+    cosets, _, moves, _ = reidschreier._coset_moves(
+        (A, B), t.identity(), _model_act(t, {A: "p", B: "q"}))
+    assert len(cosets) == 4
+    # walking a word lands on its image in the quotient
+    assert cosets[reidschreier._rewrite(parse_word("a b"), 0, moves)[1]] == "pq"
+    assert cosets[reidschreier._rewrite(parse_word("a^2"), 0, moves)[1]] == "e"
+
+
+def test_schreier_basis_klein_four():
+    t = klein_four()
+    images = {A: "p", B: "q"}
+    transversal = [parse_word(x) for x in ("1", "a", "a b", "a b a^-1")]
+    out = rs_coset_table(_F2, t.identity(), _model_act(t, images), transversal)
+    basis = list(out.dictionary.values())
+    assert len(basis) == 5
+    assert rank(fold(basis)) == 5
+    # every basis word maps to the identity of the quotient
+    for w in basis:
+        assert _model_image(t, images, t.identity(), w) == t.identity()
+
+
+@pytest.mark.parametrize("model, images", [
+    (klein_four(), {A: "p", B: "q"}),
+    (q8(), {A: "x", B: "y"}),
+])
+def test_coset_trace_matches_the_inverse_table_oracle(model, images):
+    transitions = {(c, g): model.mul(c, images[g])
+                   for c in model.elements for g in (A, B)}
+    cosets, _, moves, _ = reidschreier._coset_moves(
+        (A, B), model.identity(), _model_act(model, images))
+    rng = random.Random(1)
+    for _ in range(200):
+        w = random_word(rng, [A, B], rng.randrange(12))
+        for i, start in enumerate(cosets):
+            end = cosets[reidschreier._rewrite(w, i, moves)[1]]
+            assert end == sweep_trace(transitions, start, w)
+            assert end == _model_image(model, images, start, w)
+
+
+def _permutation_act(n):
+    """Strand permutations of n-strand braids, composed left to right."""
+    perms = {Gen("s", (i,)): permutation(letter(Gen("s", (i,))), n)
+             for i in range(1, n)}
+    return lambda c, x: tuple(perms[x][v - 1] for v in c)
+
+
+@pytest.mark.parametrize("n, invariants", [
+    (3, "Z/2"), (4, "Z^2 x Z/2"), (5, "Z^5 x Z/2")])
+def test_pure_sphere_braid_group_abelianization(n, invariants):
+    # P_n(S^2) is the kernel of B_n(S^2) -> S_n, of index n!, with
+    # abelianization Z^(n(n-3)/2) x Z/2
+    out = rs_coset_table(sphere_braid(n), tuple(range(1, n + 1)),
+                         _permutation_act(n))
+    assert len(out.transversal) == math.factorial(n)
+    assert str(abelianization(tietze_eliminate(out).presentation)) == invariants
+
+
+_CYCLIC_CASES = (
+    (sphere_braid(4), S1, 6, None), (artin_braid(4), S1, 3, None),
+    (punctured_sphere(2, 2), S1, 4, None),
+    (parse_presentation("group q\ngens: a b\nrel: a^6\nrel: b a^-2\n"),
+     Gen("a"), 6, {Gen("a"): 1, Gen("b"): 2}))
+
+
+@pytest.mark.parametrize("p, t, modulus, weights", _CYCLIC_CASES,
+                         ids=[case[0].name for case in _CYCLIC_CASES])
+def test_coset_table_relators_substitute_to_the_cyclic_ones(p, t, modulus,
+                                                            weights):
+    # over {t^j} the coset table's x[..., c] is t^c x t^-((c+omega) mod m),
+    # rs_finite_cyclic's is t^c x t^-(c+omega) = x[..., c] w^-q with
+    # q = (c+omega) // m, and t[..., m-1] = t^m is w: substituting
+    # x[..., c] w^q and w gives rs_finite_cyclic's relators
+    weights = weights or {g: 1 for g in p.generators}
+    w_gen = Gen("w")
+    table = rs_coset_table(p, 0, lambda c, x: (c + weights[x]) % modulus,
+                           [power(letter(t), j) for j in range(modulus)])
+    images = {}
+    for g in table.presentation.generators:
+        x, c = Gen(g.name, g.indices[:-1]), g.indices[-1]
+        if x == t:
+            assert c == modulus - 1
+            images[g] = letter(w_gen)
+        else:
+            q = (c + weights[x]) // modulus
+            images[g] = multiply(letter(g), power(letter(w_gen), q))
+    substituted = (substitute(r, images) for r in table.presentation.relators)
+    assert tuple(r for r in substituted if r) == \
+        rs_finite_cyclic(p, modulus, t, weights).presentation.relators
+
+
+def _derived_ladder(p):
+    """Abelian invariants down the derived series while the abelianization
+    is finite: each step takes the kernel onto the abelianization, acting
+    on tuples of residues through the columns of the Smith form's Q."""
+    ladder = []
+    while True:
+        ladder.append(str(abelianization(p)))
+        if ladder[-1] == "1":
+            return ladder
+        snf = smith_normal_form(matrix(exponent_rows(p.relators, p.generators)))
+        d = snf.invariant_factors()
+        assert len(d) == len(p.generators) and all(d)
+        keep = [i for i, di in enumerate(d) if di > 1]
+        image = {x: [snf.q[k, i] for i in keep]
+                 for k, x in enumerate(p.generators)}
+        moduli = [d[i] for i in keep]
+
+        def act(c, x, image=image, moduli=moduli):
+            return tuple((a + b) % m for a, b, m in zip(c, image[x], moduli))
+
+        p = tietze_eliminate(rs_coset_table(p, (0,) * len(keep), act)).presentation
+
+
+def test_derived_series_ladders():
+    # B_3(S^2) is the dicyclic group of order 12, and Q8 has derived
+    # subgroup Z/2
+    assert _derived_ladder(sphere_braid(3)) == ["Z/4", "Z/3", "1"]
+    q8_pres = parse_presentation("group Q8\ngens: x y\nrel: x^2 y^-2\n"
+                                 "rel: y x y^-1 x\n")
+    assert _derived_ladder(q8_pres) == ["Z/2 x Z/2", "Z/2", "1"]
+
+
+def _finite_case(name, gens, start, act, image):
+    """An expansion case over the coset table of a finite action; image(c,
+    w) is the coset that w leads to from c."""
+    cosets, reps, moves, dictionary = reidschreier._coset_moves(gens, start, act)
+    number = {c: i for i, c in enumerate(cosets)}
+    return (name, gens, moves, dictionary, range(len(cosets)), reps.__getitem__,
+            lambda c, w: number[image(cosets[c], w)])
+
+
+def _expansion_cases():
+    """(name, generators, move map, dictionary, start cosets, rep(c), end
+    coset of w from c) for weight maps onto Z/5 and Z and for the
+    Klein-four, Q8 and S_4 actions."""
+    gens = (_T, _X, _Y)
+    free = Presentation("F", gens, ())
+    weights = {_T: 1, _X: 2, _Y: -1}
+
+    def weight(w):
+        return sum(weights[x] * e for x, e in w.runs)
+
+    def t_power(c):
+        return power(letter(_T), c)
+
+    klein, klein_images = klein_four(), {A: "p", B: "q"}
+    quaternions, q8_images = q8(), {A: "x", B: "y"}
+    s4_act = _permutation_act(4)
+    return [
+        ("Z/5", gens,
+         reidschreier._weight_moves(gens, _T, weights, 5, _finite_name, Gen("w")),
+         rs_finite_cyclic(free, 5, _T, weights).dictionary, range(5),
+         t_power, lambda c, w: (c + weight(w)) % 5),
+        ("Z", gens,
+         reidschreier._weight_moves(gens, _T, weights, 0,
+                                    lambda x, c: Gen(_FAM[x], (c,)), None),
+         rs_z_window(free, _T, weights, window=20).dictionary, range(-3, 4),
+         t_power, lambda c, w: c + weight(w)),
+        _finite_case("Klein four", (A, B), "e", _model_act(klein, klein_images),
+                     lambda c, w: _model_image(klein, klein_images, c, w)),
+        _finite_case("Q8", (A, B), "1", _model_act(quaternions, q8_images),
+                     lambda c, w: _model_image(quaternions, q8_images, c, w)),
+        # the generators of S_4 are involutions, so signs do not matter
+        _finite_case("S_4", tuple(Gen("s", (i,)) for i in range(1, 4)),
+                     (1, 2, 3, 4), s4_act,
+                     lambda c, w: reduce(s4_act, (x for x, _ in w.letters()), c)),
+    ]
+
+
+_EXPANSION_CASES = _expansion_cases()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_EXPANSION_CASES), st.data())
+def test_rewrite_expands_to_the_schreier_word(case, data):
+    # expand(rewrite of w from c) = rep(c) w rep(c w)^-1, freely
+    _, gens, moves, dictionary, starts, rep, end_of = case
+    w = data.draw(st.lists(st.tuples(st.sampled_from(gens),
+                                     st.integers(-3, 3).filter(bool)),
+                           max_size=12).map(free_reduce))
+    c = data.draw(st.sampled_from(starts))
+    rewritten, end = reidschreier._rewrite(w, c, moves)
+    assert end == end_of(c, w)
+    assert substitute(rewritten, dictionary) == \
+        multiply(rep(c), w, invert(rep(end)))
+
+
+_KLEIN_ACT = _model_act(klein_four(), {A: "p", B: "q"})
+
+
+@pytest.mark.parametrize("transversal, message", [
+    (("1", "a", "a^-1", "a b"), "transversal word a\\^-1 repeats coset 'p'"),
+    (("1", "a"), "transversal misses 2 of the 4 cosets"),
+    (("a", "1", "a b", "a b a^-1"),
+     "first transversal word a must represent the identity coset"),
+    (("1", "a", "b", "a^-1 b"),
+     "transversal is not prefix-closed: a\\^-1 b lacks its prefix a\\^-1"),
+], ids=["repeats", "misses", "first-not-identity", "not-prefix-closed"])
+def test_coset_table_rejects_a_bad_transversal(transversal, message):
+    with pytest.raises(ValueError, match=message):
+        rs_coset_table(_F2, "e", _KLEIN_ACT,
+                       [parse_word(w) for w in transversal])
+
+
+def test_coset_table_rejects_an_action_past_the_budget():
+    # Z acting on itself has no end of cosets
+    with pytest.raises(ValueError, match="the action has more than %d cosets"
+                       % reidschreier._COSET_BUDGET):
+        rs_coset_table(_F2, 0, lambda c, x: c + 1)
+
+
+def test_coset_table_rejects_an_action_that_does_not_permute():
+    with pytest.raises(ValueError,
+                       match="generator a does not permute the cosets"):
+        rs_coset_table(_F2, 0, lambda c, x: 1)
+
+
+def test_coset_table_rejects_a_relator_that_moves_a_coset():
+    p = parse_presentation("group c3\ngens: a\nrel: a^3\n")
+    with pytest.raises(ValueError, match="relator a\\^3 does not fix coset 0"):
+        rs_coset_table(p, 0, lambda c, x: (c + 1) % 2)

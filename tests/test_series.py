@@ -96,9 +96,9 @@ def _rewriter_coinvariance_rows(p, modulus, t, weights):
     relators = []
     for s in rs.presentation.generators:
         conj = multiply(letter(t), rs.dictionary[s], invert(letter(t)))
-        image = reidschreier._rewrite(
-            conj, 0, t, weights, modulus,
-            lambda x, c: Gen(x.name, x.indices + (c,)), Gen("w"))
+        image = reidschreier._rewrite(conj, 0, reidschreier._weight_moves(
+            p.generators, t, weights, modulus,
+            lambda x, c: Gen(x.name, x.indices + (c,)), Gen("w")))[0]
         relators.append(multiply(image, invert(letter(s))))
     return exponent_rows(relators, rs.presentation.generators)
 
