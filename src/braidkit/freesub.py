@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .words import Gen, Word, free_reduce, invert, letter, multiply, power
+from .words import (Gen, Word, free_reduce, invert, letter, multiply, power,
+                    substitute_runs)
 
 
 def _walk(links: dict, v, w: Word, crossed: Optional[list] = None):
@@ -153,8 +154,7 @@ def _trace_native(graph: SubgroupGraph, w: Word) -> Word:
                        for e, sign in crossed if e in index)
 
 
-def express(graph: SubgroupGraph, basis: Sequence[Word], w: Word,
-            symbol: str = "z") -> Word:
+def express(graph: SubgroupGraph, basis: Sequence[Word], w: Word) -> Word:
     """Express a member word in the given subgroup basis.
 
     `basis` lists subgroup elements (words in the ambient generators) that
@@ -162,26 +162,22 @@ def express(graph: SubgroupGraph, basis: Sequence[Word], w: Word,
     z[2], ... matching the basis order.  In a free group such an expression
     is unique.
     """
-    key = (symbol,) + tuple(basis)
+    key = tuple(basis)
     if key not in graph._basis_cache:
-        graph._basis_cache[key] = _basis_change(graph, basis, symbol)
-    table = graph._basis_cache[key]
-    native = _trace_native(graph, w)
-    runs = []
-    for g, e in native.runs:
-        runs.extend(power(table[g], e).runs)
-    return free_reduce(runs)
+        graph._basis_cache[key] = _basis_change(graph, basis)
+    return Word(substitute_runs(_trace_native(graph, w).runs,
+                                graph._basis_cache[key]))
 
 
-def _basis_change(graph: SubgroupGraph, basis: Sequence[Word], symbol: str):
-    """Expressions of the graph's native generators in the user basis,
-    computed by Nielsen-reducing the traced basis words."""
+def _basis_change(graph: SubgroupGraph, basis: Sequence[Word]) -> dict:
+    """Expressions, as runs, of the graph's native generators in the user
+    basis, computed by Nielsen-reducing the traced basis words."""
     n_rank = rank(graph)
     if len(basis) != n_rank:
         raise ValueError("basis size %d != subgroup rank %d" % (len(basis), n_rank))
     pairs = []   # (word over native gens, word over basis symbols)
     for i, bw in enumerate(basis):
-        pairs.append((_trace_native(graph, bw), letter(Gen(symbol, (i + 1,)))))
+        pairs.append((_trace_native(graph, bw), letter(Gen("z", (i + 1,)))))
     # Nielsen reduction: repeatedly shorten some u_i by a (signed) u_j
     while (found := _shortening(pairs)) is not None:
         i, j, su, sj, cand = found
@@ -197,7 +193,7 @@ def _basis_change(graph: SubgroupGraph, basis: Sequence[Word], symbol: str):
             raise ValueError("given words are not a free basis of the subgroup "
                              "(Nielsen reduction stalled at %s)" % u)
         (g, exp), = u.runs
-        table[g] = e if exp == 1 else invert(e)
+        table[g] = (e if exp == 1 else invert(e)).runs
     if len(table) != n_rank:
         raise ValueError("given words do not span the subgroup")
     return table

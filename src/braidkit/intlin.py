@@ -91,33 +91,6 @@ def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
     return result
 
 
-def det(a: IntMatrix) -> int:
-    """Exact determinant (fraction-free Bareiss elimination)."""
-    n = a.nrows
-    if n != a.ncols:
-        raise ValueError("determinant of non-square matrix")
-    if n == 0:
-        return 1
-    m = [list(r) for r in a.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 @dataclass(frozen=True)
 class SnfResult:
     """P * A * Q = D with P, Q unimodular and D diagonal, d_i >= 0, d_i | d_{i+1}."""

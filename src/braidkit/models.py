@@ -9,11 +9,11 @@ assignment of generator images.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import garside
 from .intlin import IntMatrix, mat_pow, matrix
-from .words import IDENTITY, Gen, Word, invert, letter, multiply, substitute
+from .words import IDENTITY, Gen, Word, invert, multiply, substitute
 
 
 class GroupModel:
@@ -170,39 +170,6 @@ class FreeAutomorphism:
         if self.inverse_images is None:
             raise ValueError("no inverse images declared for this automorphism")
         return FreeAutomorphism(self.inverse_images, self.images)
-
-    def compose(self, other: "FreeAutomorphism") -> "FreeAutomorphism":
-        """self after other: x -> self(other(x))."""
-        gens = set(self.images) | set(other.images)
-        images = {g: self.apply(other.images.get(g, letter(g))) for g in gens}
-        inv = None
-        if self.inverse_images is not None and other.inverse_images is not None:
-            inv = {g: substitute(self.inverse_images.get(g, letter(g)),
-                                 other.inverse_images)
-                   for g in gens}
-        return FreeAutomorphism(images, inv)
-
-    def check_inverse(self) -> bool:
-        if self.inverse_images is None:
-            return False
-        return all(self.apply(substitute(letter(g), self.inverse_images)) == letter(g)
-                   for g in self.images)
-
-
-def identity_automorphism(gens: Iterable[Gen]) -> FreeAutomorphism:
-    images = {g: letter(g) for g in gens}
-    return FreeAutomorphism(dict(images), dict(images))
-
-
-def action_of_word(actions: dict[Gen, FreeAutomorphism], w: Word) -> FreeAutomorphism:
-    """Compose the per-generator automorphisms along a word, covariantly:
-    the result of w1*w2 is action(w1) after action(w2)."""
-    gens = next(iter(actions.values())).images.keys()
-    out = identity_automorphism(gens)
-    for g, sign in w.letters():
-        a = actions[g] if sign > 0 else actions[g].inverse()
-        out = out.compose(a)
-    return out
 
 
 def act_on_finite(actions: dict[Gen, dict[str, str]], w: Word, h: str) -> str:

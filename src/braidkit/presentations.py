@@ -195,11 +195,7 @@ def punctured_sphere(m: int, n: int) -> Presentation:
         runs += [(s(r), 1) for r in range(2, m)]
     rels.append(free_reduce(runs))
     # strand generator relations
-    for r in range(1, m - 1):
-        for t in range(r + 2, m):
-            rels.append(commutator(letter(s(r)), letter(s(t))))
-    for r in range(1, m - 1):
-        rels.append(_braid_relator(s(r), s(r + 1)))
+    rels += artin_braid(m).relators
     for r in range(1, m):
         for i in range(1, n + 1):
             for j in range(n + 1, n + m + 1):

@@ -18,10 +18,13 @@ A deliberately limited Tietze eliminator removes duplicate-generator
 relators only.  On a finite presentation it follows the occurrence-indexed
 design of Havas, Kenne, Richardson and Robertson, "A Tietze transformation
 program" (1984).  Generators are interned as small ints in (name, indices)
-order, so that integer letter tuples sort like canonical_relator's keys;
-each relator carries its canonical key, computed once per rewrite; and an
-index from each generator to the relators holding it means an elimination
-rewrites and re-keys only those relators.
+order; each relator carries its canonical key, computed once per rewrite;
+and an index from each generator to the relators holding it means an
+elimination rewrites and re-keys only those relators.  Rewriting is the
+run-level `words.substitute_runs`.  There is one canonical key,
+`_cyclic_key` on interned runs (after `words.cyclic_reduce_runs`);
+`canonical_relator` interns a word's generators in sorted order, keys it
+and decodes the letters.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence, Union
 
 from .presentations import IndexedPresentation, Presentation, shift_families
-from .words import (IDENTITY, Gen, Word, cyclic_reduce, free_reduce, invert,
-                    letter, multiply, power, substitute)
+from .words import (IDENTITY, Gen, Word, cyclic_reduce_runs, free_reduce,
+                    invert, letter, multiply, power, substitute,
+                    substitute_runs)
 
 
 @dataclass(frozen=True)
@@ -273,39 +277,16 @@ def rs_z_window(p: Presentation, t: Gen, weights: Optional[dict] = None,
 # ---------------------------------------------------------------------------
 # relator canonicalization and the limited Tietze eliminator
 
-def canonical_relator(w: Word) -> tuple:
-    """Least representative among cyclic rotations of w and of its inverse."""
-    w = cyclic_reduce(w)
-    seq = [(g.name, g.indices, s) for g, s in w.letters()]
-    if not seq:
-        return ()
-    best = None
-    for cand_seq in (seq, [(n, i, -s) for n, i, s in reversed(seq)]):
-        for r in range(len(cand_seq)):
-            rot = tuple(cand_seq[r:] + cand_seq[:r])
-            if best is None or rot < best:
-                best = rot
-    return best
-
-
-# The finite eliminator works on interned runs: generator i of the sorted
-# generator list is the int i, and letter i^s is the int 2i + (s > 0), so
-# that tuples of letters compare like canonical_relator's
-# (name, indices, sign) tuples.
+# Relator keys and the finite eliminator work on interned runs: generator i
+# of a sorted generator list is the int i, and letter i^s is the int
+# 2i + (s > 0), so that tuples of letters compare like (name, indices, sign)
+# tuples.
 
 def _cyclic_key(runs: tuple) -> tuple:
-    """canonical_relator of an interned word: the least rotation of its
-    cyclic reduction or of that reduction's inverse, as letter ints."""
-    runs = list(runs)
-    while len(runs) > 1 and runs[0][0] == runs[-1][0]:
-        g, e = runs.pop()
-        e += runs[0][1]
-        if e:
-            runs[0] = (g, e)
-            break
-        del runs[0]
+    """The least rotation, as letter ints, of the cyclic reduction of an
+    interned word or of that reduction's inverse."""
     seq = []
-    for g, e in runs:
+    for g, e in cyclic_reduce_runs(runs):
         seq += [2 * g + 1] * e if e > 0 else [2 * g] * -e
     if not seq:
         return ()
@@ -323,23 +304,13 @@ def _cyclic_key(runs: tuple) -> tuple:
     return best
 
 
-def _substitute(runs: tuple, g: int, image: tuple) -> tuple:
-    """Freely reduced interned runs with g replaced by the image runs."""
-    out = []
-    for h, e in runs:
-        if h != g:
-            parts = ((h, e),)
-        elif e > 0:
-            parts = image * e
-        else:
-            parts = tuple((x, -k) for x, k in reversed(image)) * -e
-        for x, k in parts:
-            if out and out[-1][0] == x:
-                k += out.pop()[1]
-                if not k:
-                    continue
-            out.append((x, k))
-    return tuple(out)
+def canonical_relator(w: Word) -> tuple:
+    """Least representative among cyclic rotations of w and of its inverse,
+    as (name, indices, sign) letters."""
+    gens = sorted(w.generators())
+    code = {g: i for i, g in enumerate(gens)}
+    return tuple((gens[c >> 1].name, gens[c >> 1].indices, 1 if c & 1 else -1)
+                 for c in _cyclic_key(tuple((code[g], e) for g, e in w.runs)))
 
 
 def _find_elimination(runs: tuple):
@@ -404,6 +375,7 @@ def _tietze_presentation(p: Presentation) -> Presentation:
     while candidates:
         g, image = _find_elimination(
             min(candidates, key=lambda r: r.sort_key).runs)
+        images = {g: image}
         gens.remove(interned[g])
         touched = list(index[g])
         for r in touched:
@@ -412,7 +384,7 @@ def _tietze_presentation(p: Presentation) -> Presentation:
         rank = {}
         for r in touched:
             before = r.sort_key
-            r.rewrite(_substitute(r.runs, g, image))
+            r.rewrite(substitute_runs(r.runs, images))
             if not r.key:
                 continue
             mine = (r.sort_key[0], before)

@@ -2,16 +2,16 @@
 
 Abelianization of presentations, commutator-quotient computations via
 Schreier rewriting and coinvariants (full for finite cyclic abelianization,
-windowed for Z-indexed presentations), a class-2 nilpotent collector, closed
-form rank formulas for two free-by-cyclic style lower central series, and
-normal closures of twisted commutators in finite groups.
+windowed for Z-indexed presentations), closed form rank formulas for two
+free-by-cyclic style lower central series, and normal closures of twisted
+commutators in finite groups.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .intlin import IntMatrix, abelian_invariants, mat_pow, matrix, smith_normal_form
 from .models import FiniteTable, act_on_finite, finite_closure
@@ -105,22 +105,13 @@ class WindowedInvariants:
                                 ", stable" if self.stable else ", UNSTABLE")
 
 
-def windowed_coinvariants(ip: IndexedPresentation, window: Optional[int] = None,
-                          identify: Union[bool, Iterable[str]] = ()) -> WindowedInvariants:
-    """Abelian invariants of a windowed presentation.  Each family f listed
-    in `identify` (all of them for True) gains the relator family
-    f[0] f[1]^-1, identifying f with its index shift (the abelianized
-    conjugation action of the transversal generator).  Stable when windows
+def windowed_coinvariants(ip: IndexedPresentation,
+                          window: Optional[int] = None) -> WindowedInvariants:
+    """Abelian invariants of a windowed presentation.  Stable when windows
     K and K+1 agree."""
     k = ip.window if window is None else window
     if k < 2:
         raise ValueError("window must be >= 2")
-    fams = tuple(ip.families) if identify is True else tuple(identify)
-    unknown = [f for f in fams if f not in ip.families]
-    if unknown:
-        raise ValueError("unknown family %r" % unknown[0])
-    ip = replace(ip, relator_families=ip.relator_families + tuple(
-        free_reduce([(Gen(f, (0,)), 1), (Gen(f, (1,)), -1)]) for f in fams))
 
     def at(kk: int) -> AbelianInvariants:
         pres = ip.instantiate(kk)
@@ -138,54 +129,6 @@ def shifted_z_family_system() -> IndexedPresentation:
     return IndexedPresentation("zshift", (), ("z",), (),
                                (parse_word("z[0] z[1]^-1"),
                                 parse_word("z[0] z[-1]")), 3)
-
-
-# ---------------------------------------------------------------------------
-# class-2 nilpotent collection
-
-def nilpotent_class2_gamma2(p: Presentation) -> AbelianInvariants:
-    """Second lower central quotient computed by collection in the free
-    class-2 nilpotent group: basic commutators [g_i, g_j] (i < j) modulo the
-    relator images, their brackets with generators, and commutator parts of
-    relator combinations that die in the abelianization."""
-    gens = list(p.generators)
-    g = len(gens)
-    pairs = [(i, j) for i in range(g) for j in range(i + 1, g)]
-    pair_index = {pq: n for n, pq in enumerate(pairs)}
-
-    def collect(w: Word):
-        a = [0] * g
-        c = [0] * len(pairs)
-        for x, s in w.letters():
-            k = gens.index(x)
-            for j in range(k + 1, g):
-                c[pair_index[(k, j)]] -= a[j] * s
-            a[k] += s
-        return a, c
-
-    images = [collect(r) for r in p.relators]
-    rows = []
-    # brackets of relator abelianizations with each generator
-    for a, _c in images:
-        for k in range(g):
-            row = [0] * len(pairs)
-            for i in range(k):
-                row[pair_index[(i, k)]] += a[i]
-            for j in range(k + 1, g):
-                row[pair_index[(k, j)]] -= a[j]
-            rows.append(row)
-    # commutator parts of relator products with trivial exponent sum
-    if images:
-        a_mat = matrix([a for a, _ in images])
-        snf = smith_normal_form(a_mat)
-        rank = sum(1 for i in range(min(snf.d.nrows, snf.d.ncols))
-                   if snf.d[i, i] != 0)
-        for i in range(rank, len(images)):
-            combo = [snf.p[i, r] for r in range(len(images))]
-            row = [sum(m * images[r][1][n] for r, m in enumerate(combo))
-                   for n in range(len(pairs))]
-            rows.append(row)
-    return _invariants(rows, len(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -234,43 +177,38 @@ def _divisor_sum(n: int, k_alpha) -> Fraction:
     return total / n
 
 
+def _lcs_rank(i: int, first_j: int,
+              k_alpha: Callable[[int], Fraction]) -> RankReport:
+    """The rank sum over j = first_j .. i-2 of the divisor sums of i - j,
+    with the alpha_k = k_alpha(k) / k it used."""
+    if i < 2:
+        raise ValueError("need i >= 2")
+    k_alphas = {}
+
+    def cached(k: int) -> Fraction:
+        if k not in k_alphas:
+            k_alphas[k] = Fraction(k_alpha(k))
+        return k_alphas[k]
+
+    total = sum((_divisor_sum(i - j, cached) for j in range(first_j, i - 1)),
+                Fraction(0))
+    if total.denominator != 1:
+        raise ValueError("non-integral rank at i=%d: %s" % (i, total))
+    return RankReport(i, int(total),
+                      tuple((k, k_alphas[k] / k) for k in sorted(k_alphas)))
+
+
 def lcs_rank_z2_free(i: int) -> RankReport:
     """Rank of the i-th lower central quotient of the two-generator group
     with a single commuting-square relation (free-by-infinite-cyclic with
     monodromy of trace 1)."""
-    if i < 2:
-        raise ValueError("need i >= 2")
-    alphas = {}
-
-    def k_alpha(k: int) -> Fraction:
-        alphas[k] = alpha_k(k)
-        return k * alphas[k]
-
-    total = Fraction(0)
-    for j in range(0, i - 1):
-        total += _divisor_sum(i - j, k_alpha)
-    if total.denominator != 1:
-        raise ValueError("non-integral rank at i=%d: %s" % (i, total))
-    return RankReport(i, int(total), tuple(sorted(alphas.items())))
+    return _lcs_rank(i, 0, lambda k: k * alpha_k(k))
 
 
 def lcs_rank_torus(i: int) -> RankReport:
     """Rank of the i-th lower central quotient in the torus case, where
     k alpha_k = 2^k + 2(-1)^k and the outer sum starts at j = 1."""
-    if i < 2:
-        raise ValueError("need i >= 2")
-    alphas = {}
-
-    def k_alpha(k: int) -> Fraction:
-        alphas[k] = Fraction(2 ** k + 2 * (-1) ** k, k)
-        return 2 ** k + 2 * (-1) ** k
-
-    total = Fraction(0)
-    for j in range(1, i - 1):
-        total += _divisor_sum(i - j, k_alpha)
-    if total.denominator != 1:
-        raise ValueError("non-integral rank at i=%d: %s" % (i, total))
-    return RankReport(i, int(total), tuple(sorted(alphas.items())))
+    return _lcs_rank(i, 1, lambda k: 2 ** k + 2 * (-1) ** k)
 
 
 # ---------------------------------------------------------------------------

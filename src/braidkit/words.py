@@ -2,7 +2,9 @@
 
 Words are stored run-length encoded: a sequence of (symbol, exponent) runs
 with nonzero exponents and no two consecutive runs sharing a symbol.  All
-operations keep words freely reduced.
+operations keep words freely reduced.  Substitution and cyclic reduction
+are run-level kernels (`substitute_runs`, `cyclic_reduce_runs`) that take
+letters of any hashable type, so interned int letters share them.
 """
 
 from __future__ import annotations
@@ -72,10 +74,6 @@ class Word:
 IDENTITY = Word()
 
 
-def gen(name: str, *indices: int) -> Gen:
-    return Gen(name, tuple(indices))
-
-
 def letter(g: Gen, exp: int = 1) -> Word:
     if exp == 0:
         return IDENTITY
@@ -123,12 +121,25 @@ def commutator(a: Word, b: Word) -> Word:
     return multiply(a, b, invert(a), invert(b))
 
 
+def cyclic_reduce_runs(runs: Sequence[tuple]) -> tuple:
+    """Cyclic reduction of freely reduced runs over any letter type: end
+    letters cancel in pairs, and what is left of the longer end run stays
+    on its side."""
+    i, j = 0, len(runs) - 1
+    while i < j and runs[i][0] == runs[j][0]:
+        (g, a), (_, b) = runs[i], runs[j]
+        if (a > 0) == (b > 0):
+            break
+        if a + b:
+            mid = tuple(runs[i + 1:j])
+            return ((g, a + b),) + mid if abs(a) > abs(b) else mid + ((g, a + b),)
+        i, j = i + 1, j - 1
+    return tuple(runs[i:j + 1])
+
+
 def cyclic_reduce(w: Word) -> Word:
     """Strip matching first/last letters until the word is cyclically reduced."""
-    letters = list(w.letters())
-    while len(letters) >= 2 and letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
-        letters = letters[1:-1]
-    return free_reduce(letters)
+    return Word(cyclic_reduce_runs(w.runs))
 
 
 def exponent_sum(w: Word, g: Gen) -> int:
@@ -155,16 +166,31 @@ def exponent_vector(w: Word, gens: Sequence[Gen]) -> tuple[int, ...]:
     return exponent_rows((w,), gens)[0]
 
 
-def substitute(w: Word, images: dict[Gen, Word]) -> Word:
-    """Replace each generator by its image word (identity for missing gens)."""
-    runs: list[tuple[Gen, int]] = []
-    for g, e in w.runs:
+def substitute_runs(runs: Iterable[tuple], images: dict) -> tuple:
+    """Freely reduced runs with each letter g that has images[g] (runs)
+    replaced by it, in one pass; letters may be of any hashable type."""
+    out: list[tuple] = []
+    for g, e in runs:
         img = images.get(g)
         if img is None:
-            runs.append((g, e))
+            parts = ((g, e),)
+        elif e > 0:
+            parts = img * e
         else:
-            runs.extend(power(img, e).runs)
-    return free_reduce(runs)
+            parts = tuple((x, -k) for x, k in reversed(img)) * -e
+        for x, k in parts:
+            if out and out[-1][0] == x:
+                k += out.pop()[1]
+                if not k:
+                    continue
+            out.append((x, k))
+    return tuple(out)
+
+
+def substitute(w: Word, images: dict[Gen, Word]) -> Word:
+    """Replace each generator by its image word (identity for missing gens)."""
+    return Word(substitute_runs(w.runs, {g: images[g].runs for g, _ in w.runs
+                                         if g in images}))
 
 
 _TOKEN = re.compile(

@@ -1,0 +1,243 @@
+"""Slow, independent implementations that the tests check the package
+against, and the free-group actions only the tests use.
+
+- Word kernels as they were before `braidkit.words` worked on runs:
+  substitution by word powers, cyclic reduction by stripping letters and a
+  canonical relator key that scans every rotation.
+- Free-group automorphisms: composition, inverse check, the action of a
+  word, the Artin action of braid generators and its relatives, and the
+  abelianized action on the z-basis of N = ker(F2 -> Z2 x Z2).
+- A Bareiss determinant and a class-2 nilpotent collector for the second
+  lower central quotient.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from braidkit.actions import n_graph, z_basis_words
+from braidkit.freesub import express
+from braidkit.intlin import IntMatrix, abelian_invariants, matrix, smith_normal_form
+from braidkit.models import FreeAutomorphism
+from braidkit.presentations import Presentation
+from braidkit.series import AbelianInvariants
+from braidkit.words import (Gen, Word, exponent_vector, free_reduce, invert,
+                            letter, multiply, power, substitute)
+
+# ---------------------------------------------------------------------------
+# word kernels
+
+
+def substitute_by_powers(w: Word, images: dict) -> Word:
+    """Replace each generator by its image word (identity for missing gens),
+    one power of an image word at a time."""
+    runs = []
+    for g, e in w.runs:
+        img = images.get(g)
+        if img is None:
+            runs.append((g, e))
+        else:
+            runs.extend(power(img, e).runs)
+    return free_reduce(runs)
+
+
+def cyclic_reduce_letters(w: Word) -> Word:
+    """Strip matching first/last letters until the word is cyclically reduced."""
+    letters = list(w.letters())
+    while (len(letters) >= 2 and letters[0][0] == letters[-1][0]
+           and letters[0][1] == -letters[-1][1]):
+        letters = letters[1:-1]
+    return free_reduce(letters)
+
+
+def canonical_relator_all_rotations(w: Word) -> tuple:
+    """Least representative among cyclic rotations of w and of its inverse,
+    found by comparing every rotation."""
+    w = cyclic_reduce_letters(w)
+    seq = [(g.name, g.indices, s) for g, s in w.letters()]
+    if not seq:
+        return ()
+    best = None
+    for cand_seq in (seq, [(n, i, -s) for n, i, s in reversed(seq)]):
+        for r in range(len(cand_seq)):
+            rot = tuple(cand_seq[r:] + cand_seq[:r])
+            if best is None or rot < best:
+                best = rot
+    return best
+
+
+# ---------------------------------------------------------------------------
+# free-group automorphisms
+
+
+def compose(a: FreeAutomorphism, b: FreeAutomorphism) -> FreeAutomorphism:
+    """a after b: x -> a(b(x))."""
+    gens = set(a.images) | set(b.images)
+    images = {g: a.apply(b.images.get(g, letter(g))) for g in gens}
+    inv = None
+    if a.inverse_images is not None and b.inverse_images is not None:
+        inv = {g: substitute(a.inverse_images.get(g, letter(g)),
+                             b.inverse_images)
+               for g in gens}
+    return FreeAutomorphism(images, inv)
+
+
+def check_inverse(a: FreeAutomorphism) -> bool:
+    if a.inverse_images is None:
+        return False
+    return all(a.apply(substitute(letter(g), a.inverse_images)) == letter(g)
+               for g in a.images)
+
+
+def identity_automorphism(gens: Iterable[Gen]) -> FreeAutomorphism:
+    images = {g: letter(g) for g in gens}
+    return FreeAutomorphism(dict(images), dict(images))
+
+
+def action_of_word(actions: dict, w: Word) -> FreeAutomorphism:
+    """Compose the per-generator automorphisms along a word, covariantly:
+    the result of w1*w2 is action(w1) after action(w2)."""
+    gens = next(iter(actions.values())).images.keys()
+    out = identity_automorphism(gens)
+    for g, sign in w.letters():
+        out = compose(out, actions[g] if sign > 0 else actions[g].inverse())
+    return out
+
+
+def half_twist_action() -> FreeAutomorphism:
+    """Half-twist conjugation on the rank-2 free kernel F2(g1, g2):
+    g1 -> g2, g2 -> g2^-1 g1 g2."""
+    g1, g2 = Gen("g", (1,)), Gen("g", (2,))
+    return FreeAutomorphism(
+        {g1: letter(g2), g2: multiply(invert(letter(g2)), letter(g1), letter(g2))},
+        {g1: multiply(letter(g1), letter(g2), invert(letter(g1))),
+         g2: letter(g1)})
+
+
+def artin_action(i: int, n: int, name: str = "x") -> FreeAutomorphism:
+    """Artin action of the i-th braid generator on F_n(x_1..x_n):
+    x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i."""
+    if not 1 <= i <= n - 1:
+        raise ValueError("need 1 <= i <= n-1")
+    x = [Gen(name, (j,)) for j in range(1, n + 1)]
+    xi, xj = x[i - 1], x[i]
+    images = {g: letter(g) for g in x}
+    inverse = {g: letter(g) for g in x}
+    images[xi] = multiply(letter(xi), letter(xj), invert(letter(xi)))
+    images[xj] = letter(xi)
+    inverse[xi] = letter(xj)
+    inverse[xj] = multiply(invert(letter(xj)), letter(xi), letter(xj))
+    return FreeAutomorphism(images, inverse)
+
+
+def puncture_strand_action(i: int, n: int, name: str = "x") -> FreeAutomorphism:
+    """Conjugation by the i-th braid generator on the puncture loops:
+    x_j -> x_{j+1} if j = i; x_j -> x_j^-1 x_{j-1} x_j if j = i + 1;
+    fixed otherwise."""
+    if not 1 <= i <= n - 1:
+        raise ValueError("need 1 <= i <= n-1")
+    x = [Gen(name, (j,)) for j in range(1, n + 1)]
+    xi, xj = x[i - 1], x[i]
+    images = {g: letter(g) for g in x}
+    inverse = {g: letter(g) for g in x}
+    images[xi] = letter(xj)
+    images[xj] = multiply(invert(letter(xj)), letter(xi), letter(xj))
+    inverse[xj] = letter(xi)
+    inverse[xi] = multiply(letter(xi), letter(xj), invert(letter(xi)))
+    return FreeAutomorphism(images, inverse)
+
+
+def z_action(aut: FreeAutomorphism) -> FreeAutomorphism:
+    """Restrict an automorphism of F2(a,b) preserving N to the z-basis."""
+    graph = n_graph()
+    basis = z_basis_words()
+
+    def restrict(inner: FreeAutomorphism) -> dict:
+        return {Gen("z", (i + 1,)): express(graph, basis, inner.apply(bw))
+                for i, bw in enumerate(basis)}
+
+    return FreeAutomorphism(restrict(aut), restrict(aut.inverse()))
+
+
+def action_matrix(aut_z: FreeAutomorphism, rank: int = 5) -> IntMatrix:
+    """Abelianized action matrix: column j is the exponent vector of the
+    image of z_j."""
+    zs = [Gen("z", (i + 1,)) for i in range(rank)]
+    cols = [exponent_vector(aut_z.images[z], zs) for z in zs]
+    return matrix([[cols[j][i] for j in range(rank)] for i in range(rank)])
+
+
+# ---------------------------------------------------------------------------
+# integer linear algebra and the class-2 collector
+
+
+def det(a: IntMatrix) -> int:
+    """Exact determinant (fraction-free Bareiss elimination)."""
+    n = a.nrows
+    if n != a.ncols:
+        raise ValueError("determinant of non-square matrix")
+    if n == 0:
+        return 1
+    m = [list(r) for r in a.rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def nilpotent_class2_gamma2(p: Presentation) -> AbelianInvariants:
+    """Second lower central quotient computed by collection in the free
+    class-2 nilpotent group: basic commutators [g_i, g_j] (i < j) modulo the
+    relator images, their brackets with generators, and commutator parts of
+    relator combinations that die in the abelianization."""
+    gens = list(p.generators)
+    g = len(gens)
+    pairs = [(i, j) for i in range(g) for j in range(i + 1, g)]
+    pair_index = {pq: n for n, pq in enumerate(pairs)}
+
+    def collect(w: Word):
+        a = [0] * g
+        c = [0] * len(pairs)
+        for x, s in w.letters():
+            k = gens.index(x)
+            for j in range(k + 1, g):
+                c[pair_index[(k, j)]] -= a[j] * s
+            a[k] += s
+        return a, c
+
+    images = [collect(r) for r in p.relators]
+    rows = []
+    # brackets of relator abelianizations with each generator
+    for a, _c in images:
+        for k in range(g):
+            row = [0] * len(pairs)
+            for i in range(k):
+                row[pair_index[(i, k)]] += a[i]
+            for j in range(k + 1, g):
+                row[pair_index[(k, j)]] -= a[j]
+            rows.append(row)
+    # commutator parts of relator products with trivial exponent sum
+    if images:
+        a_mat = matrix([a for a, _ in images])
+        snf = smith_normal_form(a_mat)
+        rank = sum(1 for i in range(min(snf.d.nrows, snf.d.ncols))
+                   if snf.d[i, i] != 0)
+        for i in range(rank, len(images)):
+            combo = [snf.p[i, r] for r in range(len(images))]
+            row = [sum(m * images[r][1][n] for r, m in enumerate(combo))
+                   for n in range(len(pairs))]
+            rows.append(row)
+    return AbelianInvariants(*abelian_invariants(rows, len(pairs)))

@@ -273,7 +273,8 @@ def test_criterion_15_property_suites():
             failures.append("word law failed: %s, %s" % (u, v))
 
     # SNF with |det| oracle
-    from braidkit.intlin import det, mat_mul, matrix, smith_normal_form
+    from braidkit.intlin import mat_mul, matrix, smith_normal_form
+    from oracles import det
 
     for _ in range(25):
         a = matrix([[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)])
@@ -297,10 +298,9 @@ def test_criterion_15_property_suites():
             failures.append("folding rejected a member: %s" % (prod,))
 
     # Artin representation well-definedness under braid equality
-    from braidkit.actions import artin_action
     from braidkit.garside import braid_equal
-    from braidkit.models import action_of_word
     from braidkit.words import parse_word
+    from oracles import action_of_word, artin_action
 
     n = 4
     acts = {Gen("s", (i,)): artin_action(i, n) for i in range(1, n)}

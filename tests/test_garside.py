@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidkit import garside
-from braidkit.actions import artin_action
 from braidkit.garside import braid_equal, nf_to_word, normal_form, permutation
 from braidkit.hom import check_hom
-from braidkit.models import GarsideBraidGroup, action_of_word
+from braidkit.models import GarsideBraidGroup
 from braidkit.presentations import artin_braid
 from braidkit.words import Gen, free_reduce, invert, letter, multiply, parse_word
+from oracles import action_of_word, artin_action
 
 IDENT = parse_word("1")
 

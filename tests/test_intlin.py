@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from braidkit.intlin import (
     IntMatrix,
     abelian_invariants,
-    det,
     identity,
     inv_unimodular,
     lattice_restrict,
@@ -19,6 +18,7 @@ from braidkit.intlin import (
     serialize_matrix,
     smith_normal_form,
 )
+from oracles import det
 
 small_int = st.integers(-9, 9)
 

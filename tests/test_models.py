@@ -6,15 +6,14 @@ from hypothesis import given, settings, strategies as st
 from braidkit.models import (
     FreeAutomorphism,
     GarsideBraidGroup,
-    action_of_word,
     automorphism_from_images,
     finite_closure,
-    identity_automorphism,
     q8,
     q8_semidirect_f2,
     z2z6_model,
 )
 from braidkit.words import Gen, Word, letter, parse_word
+from oracles import action_of_word, check_inverse, compose
 
 
 def test_q8_table():
@@ -75,8 +74,8 @@ def test_automorphism_compose_and_inverse():
     a, b = Gen("a"), Gen("b")
     u = FreeAutomorphism({a: parse_word("b"), b: parse_word("b^2 a^-1 b")},
                          {a: parse_word("a b^-1 a^2"), b: parse_word("a")})
-    assert u.check_inverse()
-    v = u.compose(u.inverse())
+    assert check_inverse(u)
+    v = compose(u, u.inverse())
     for g in (a, b):
         assert v.apply(letter(g)) == letter(g)
 

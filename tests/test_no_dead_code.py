@@ -1,0 +1,66 @@
+"""Nothing public in `src/braidkit` may be unreachable.
+
+An `ast` scan lists every public module-level function and class of the
+package and fails on those that no name, attribute or import in the package
+refers to, that `braidkit.__all__` does not export, and that the benchmark's
+tracer (`perfbench/tracing.py`) does not name.  Click commands are reached
+through their group and are exempt.  Code that only the tests use belongs
+in `tests/oracles.py`."""
+
+import ast
+import os
+
+import braidkit
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+PACKAGE = os.path.join(ROOT, "src", "braidkit")
+TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as f:
+        return ast.parse(f.read(), path)
+
+
+def _references(tree, strings: bool = False) -> set:
+    """Names a module reads, takes as attributes or imports, and with
+    `strings` also its string constants (the tracer names its presentation
+    builders as strings)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(a.name.split(".")[-1] for a in node.names)
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            out.add(node.value)
+    return out
+
+
+def _is_click_command(node) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group")
+               for d in node.decorator_list)
+
+
+def unreferenced_public_definitions() -> list:
+    """module.name of each public module-level function or class of the
+    package that nothing refers to."""
+    modules = {f[:-3]: _parse(os.path.join(PACKAGE, f))
+               for f in sorted(os.listdir(PACKAGE)) if f.endswith(".py")}
+    used = set(braidkit.__all__) | _references(_parse(TRACING), strings=True)
+    for tree in modules.values():
+        used |= _references(tree)
+    return ["%s.%s" % (module, node.name)
+            for module, tree in modules.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and not _is_click_command(node)
+            and node.name not in used]
+
+
+def test_every_public_definition_has_a_caller():
+    assert unreferenced_public_definitions() == []

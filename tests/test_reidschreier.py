@@ -38,6 +38,7 @@ from braidkit.reidschreier import (
 from braidkit.series import abelianization
 from braidkit.words import (IDENTITY, Gen, exponent_rows, free_reduce, invert,
                             letter, multiply, parse_word, power, substitute)
+from oracles import canonical_relator_all_rotations
 
 S1 = Gen("s", (1,))
 
@@ -223,6 +224,27 @@ def test_canonical_relator_fixed_point(w):
     assert canonical_relator(rebuilt) == c
 
 
+_KEY_ALPHABET = (Gen("a"), Gen("b"), Gen("a", (1,)), Gen("a", (-1,)),
+                 Gen("B", (2, 3)), Gen("B", (2,)))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.sampled_from(_KEY_ALPHABET),
+                          st.integers(-3, 3).filter(bool)), max_size=12)
+       .map(free_reduce), st.integers(0, 3))
+def test_canonical_relator_matches_the_all_rotations_oracle(w, k):
+    # a power of w repeats its least letter, so several rotations tie there
+    for u in (w, power(w, k), multiply(invert(w), letter(S1), w)):
+        assert canonical_relator(u) == canonical_relator_all_rotations(u)
+
+
+def test_canonical_relator_matches_the_oracle_on_sphere_kernels():
+    for n in range(4, 9):
+        kernel = rs_finite_cyclic(sphere_braid(n), 2 * (n - 1), S1).presentation
+        for r in kernel.relators:
+            assert canonical_relator(r) == canonical_relator_all_rotations(r)
+
+
 def test_tietze_two_letter_elimination():
     p = parse_presentation("group t\ngens: x y\nrel: x y^-1\n")
     q = tietze_eliminate(p)
@@ -405,12 +427,14 @@ def test_elimination_rekeys_only_relators_holding_the_generator(monkeypatch):
     # x = y is eliminated; [a, b] holds neither and is keyed once, on entry
     p = parse_presentation("group t\ngens: a b x y\n"
                            "rel: x y^-1\nrel: a b a^-1 b^-1\nrel: x a x^-1 a^-1\n")
+    # the oracle keys relators through _cyclic_key too: run it unpatched
+    want = sweep_tietze(p)
     keyed = []
     key = reidschreier._cyclic_key
     monkeypatch.setattr(reidschreier, "_cyclic_key",
                         lambda runs: keyed.append(runs) or key(runs))
     q = tietze_eliminate(p)
-    assert q == sweep_tietze(p)
+    assert q == want
     assert q.generators == (Gen("a"), Gen("b"), Gen("y"))
     # three keys on entry, then one for each of the two relators holding x
     assert len(keyed) == 5

@@ -23,7 +23,6 @@ from braidkit.series import (
     hat_subgroup,
     lcs_rank_torus,
     lcs_rank_z2_free,
-    nilpotent_class2_gamma2,
     shifted_z_family_system,
     windowed_coinvariants,
 )
@@ -31,6 +30,7 @@ from braidkit import reidschreier, series
 from braidkit.reidschreier import rs_finite_cyclic
 from braidkit.words import (Gen, Word, exponent_rows, invert, letter, multiply,
                             parse_word)
+from oracles import nilpotent_class2_gamma2
 
 
 def test_invariants_str():
@@ -181,7 +181,7 @@ def test_rank2_nilpotent_quotient_of_gamma2_b4():
 
 
 def test_windowed_coinvariants_stability():
-    res = windowed_coinvariants(gamma2_annulus(3), window=4, identify=())
+    res = windowed_coinvariants(gamma2_annulus(3), window=4)
     assert res.stable
     assert res.invariants == AbelianInvariants(4, ())
     res = windowed_coinvariants(b3_punctured_gamma2_ab(), window=4)
@@ -190,7 +190,7 @@ def test_windowed_coinvariants_stability():
 
 
 def test_shifted_z_system_gives_order_two():
-    res = windowed_coinvariants(shifted_z_family_system(), window=4, identify=())
+    res = windowed_coinvariants(shifted_z_family_system(), window=4)
     assert res.stable
     assert res.invariants == AbelianInvariants(0, (2,))
 

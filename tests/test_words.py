@@ -1,6 +1,6 @@
 """Free-group word algebra: algebraic laws plus parser round trips."""
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from braidkit.words import (
     IDENTITY,
@@ -18,8 +18,10 @@ from braidkit.words import (
     parse_word,
     power,
     substitute,
+    substitute_runs,
     word_to_text,
 )
+from oracles import cyclic_reduce_letters, substitute_by_powers
 
 A, B, C = Gen("a"), Gen("b"), Gen("c")
 ALPHABET = (A, B, C)
@@ -101,3 +103,30 @@ def test_parse_identity_and_indices():
     assert parse_word("1") == IDENTITY
     w = parse_word("A[2,3]^-1 s[1]")
     assert w == multiply(invert(letter(Gen("A", (2, 3)))), letter(Gen("s", (1,))))
+
+
+@settings(max_examples=300)
+@given(words(8), words(4))
+def test_cyclic_reduce_matches_the_letter_oracle(w, c):
+    # conjugating by c gives long chains of cancelling end runs
+    for u in (w, multiply(c, w, invert(c)), multiply(c, w, c)):
+        assert cyclic_reduce(u) == cyclic_reduce_letters(u)
+
+
+@settings(max_examples=300)
+@given(words(8), st.dictionaries(st.sampled_from(ALPHABET), words(4)))
+def test_substitute_matches_the_power_oracle(w, images):
+    # images may be trivial, may hold their own generator, may be missing
+    assert substitute(w, images) == substitute_by_powers(w, images)
+
+
+@settings(max_examples=100)
+@given(words(8), st.dictionaries(st.sampled_from(ALPHABET), words(4)))
+def test_substitute_runs_on_interned_letters(w, images):
+    code = {g: i for i, g in enumerate(ALPHABET)}
+
+    def intern(u):
+        return tuple((code[g], e) for g, e in u.runs)
+
+    got = substitute_runs(intern(w), {code[g]: intern(u) for g, u in images.items()})
+    assert got == intern(substitute_by_powers(w, images))
