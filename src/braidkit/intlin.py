@@ -1,20 +1,26 @@
-"""Exact integer matrices: Smith normal form, unimodular inverses, lattices.
+"""Exact integer matrices: Hermite and Smith forms, unimodular inverses, lattices.
 
-Matrices are dense and the dense routines favour clarity over asymptotics;
-they serve small matrices and every caller that needs the transforms P, Q.
-The one sparse routine is `abelian_invariants`: relation matrices of
-rewritten presentations are large (hundreds of rows), a few percent dense
-and almost all +/-1, so it eliminates unit pivots on sparse rows first and
-gives the dense Smith form only the block left without a unit entry.
-No floating point anywhere.
+One row Hermite form, U * A = H by extended-gcd row operations with the
+entries above each pivot reduced, serves three routines: integer solves
+against a lattice basis (`solve_in_lattice`, factoring the basis once for
+any number of targets), the unimodular inverse (U itself when H = I) and
+the invariant factors of the block `abelian_invariants` leaves over.
+
+The dense Smith form favours clarity over asymptotics; it is kept for every
+caller that needs the transforms P, Q.  Relation matrices of rewritten
+presentations are large (hundreds of rows), a few percent dense and almost
+all +/-1, so `abelian_invariants` eliminates unit pivots on sparse rows
+first and gives only the block left without a unit entry to alternating
+Hermite forms.  No floating point and no fractions anywhere.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd
+from operator import mul
 from typing import Sequence
 
 
@@ -71,7 +77,7 @@ def mat_mul(a: IntMatrix, b: IntMatrix, *rest: IntMatrix) -> IntMatrix:
     if a.ncols != b.nrows:
         raise ValueError("shape mismatch: %dx%d * %dx%d" % (a.nrows, a.ncols, b.nrows, b.ncols))
     bt = b.transpose().rows
-    product = IntMatrix(tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
+    product = IntMatrix(tuple(tuple(sum(map(mul, row, col)) for col in bt)
                               for row in a.rows))
     return mat_mul(product, *rest) if rest else product
 
@@ -186,16 +192,87 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     return SnfResult(matrix(p), matrix(d), matrix(q))
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def _hermite(m: list[list[int]], u: list[list[int]] | None = None) -> list[int]:
+    """Bring the rows of m to Hermite form in place; return the pivot columns.
+
+    Every row operation is unimodular and is also done on u when given, so
+    u becomes U * u with U * m = H.  H is in row echelon form, its first
+    len(pivots) rows are nonzero, each pivot is positive and the entries
+    above it lie in [0, pivot).  A row is combined into the pivot row by
+    the extended gcd of their entries (Kannan-Bachem, SIAM J. Comput. 1979),
+    or simply subtracted when the pivot divides it.
+    """
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    both = (m,) if u is None else (m, u)
+    pivots: list[int] = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        for i in range(r + 1, nr):
+            b = m[i][c]
+            if not b:
+                continue
+            a = m[r][c]
+            if not a:
+                for w in both:
+                    w[r], w[i] = w[i], w[r]
+            elif b % a == 0:
+                q = b // a
+                for w in both:
+                    w[i] = [y - q * x for x, y in zip(w[r], w[i])]
+            else:
+                # [[s, t], [-b/g, a/g]] has determinant 1 and clears m[i][c]
+                g, s, t = _xgcd(a, b)
+                a, b = a // g, b // g
+                for w in both:
+                    top, low = w[r], w[i]
+                    w[r] = [s * x + t * y for x, y in zip(top, low)]
+                    w[i] = [a * y - b * x for x, y in zip(top, low)]
+        p = m[r][c]
+        if not p:
+            continue
+        if p < 0:
+            p = -p
+            for w in both:
+                w[r] = [-x for x in w[r]]
+        for i in range(r):
+            q = m[i][c] // p
+            if q:
+                for w in both:
+                    w[i] = [y - q * x for x, y in zip(w[r], w[i])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
 def inv_unimodular(a: IntMatrix) -> IntMatrix:
-    """Inverse of a matrix with determinant ±1 (error otherwise)."""
+    """Inverse of a matrix with determinant ±1 (error otherwise).
+
+    U * A = H = I exactly when A is unimodular, and then U is the inverse.
+    """
     if a.nrows != a.ncols:
         raise ValueError("inverse of non-square matrix")
-    snf = smith_normal_form(a)
-    if any(snf.d[i, i] != 1 for i in range(a.nrows)):
+    eye = [list(r) for r in identity(a.nrows).rows]
+    h = [list(r) for r in a.rows]
+    u = [r[:] for r in eye]
+    _hermite(h, u)
+    if h != eye:
         raise ValueError("matrix is not unimodular; invariant factors %s"
-                         % (snf.invariant_factors(),))
-    # P A Q = I  =>  A^-1 = Q P
-    return snf.q * snf.p
+                         % (smith_normal_form(a).invariant_factors(),))
+    return IntMatrix(tuple(map(tuple, u)))
 
 
 def abelian_invariants(relations: IntMatrix | Sequence[Sequence[int]],
@@ -209,8 +286,8 @@ def abelian_invariants(relations: IntMatrix | Sequence[Sequence[int]],
     operations, then its row with column operations, and drop both.  Pivots
     are taken in Markowitz order, least (row weight - 1) * (column count - 1)
     first, to keep fill-in low (Havas-Holt-Rees, "Recognizing badly
-    presented Z-modules", 1993).  The dense Smith form then runs on the
-    block that has no unit entry left; columns no row touches are free.
+    presented Z-modules", 1993).  The block that has no unit entry left
+    goes to `_invariant_factors`; columns no row touches are free.
     """
     dense = relations.rows if isinstance(relations, IntMatrix) else relations
     rows: dict[int, dict[int, int]] = {}
@@ -222,15 +299,36 @@ def abelian_invariants(relations: IntMatrix | Sequence[Sequence[int]],
         if row:
             rows[i] = row
     pivots = _eliminate_unit_pivots(rows)
-    factors: tuple[int, ...] = ()
+    factors: list[int] = []
     if rows:
         cols = sorted({j for row in rows.values() for j in row})
-        block = IntMatrix(tuple(tuple(row.get(j, 0) for j in cols)
-                                for _, row in sorted(rows.items())))
-        factors = smith_normal_form(block).invariant_factors()
-    rank = num_generators - pivots - sum(1 for d in factors if d != 0)
+        factors = _invariant_factors([[row.get(j, 0) for j in cols]
+                                      for _, row in sorted(rows.items())])
+    rank = num_generators - pivots - len(factors)
     torsion = tuple(d for d in factors if d > 1)
     return rank, torsion
+
+
+def _invariant_factors(m: list[list[int]]) -> list[int]:
+    """The nonzero invariant factors of m, in divisibility order.
+
+    Row Hermite forms of m and of its transpose alternate, each keeping only
+    the nonzero rows, until the matrix is diagonal (Kannan-Bachem); pairwise
+    (gcd, lcm) steps then put the diagonal in divisibility order.  m is
+    overwritten.
+    """
+    while True:
+        rank = len(_hermite(m))
+        m = m[:rank]
+        if all(not x for i, row in enumerate(m) for j, x in enumerate(row) if i != j):
+            break
+        m = [list(col) for col in zip(*m)]
+    d = [m[i][i] for i in range(len(m))]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return d
 
 
 def _eliminate_unit_pivots(rows: dict[int, dict[int, int]]) -> int:
@@ -301,45 +399,48 @@ def lattice_restrict(m: IntMatrix, basis: Sequence[Sequence[int]]) -> IntMatrix:
     if any(len(c) != n for c in cols):
         raise ValueError("basis vector length mismatch")
     b = IntMatrix(tuple(zip(*cols)))  # n x k, columns are basis vectors
-    out_cols = []
-    for c in cols:
-        image = [sum(m[i, j] * c[j] for j in range(n)) for i in range(n)]
-        coords = _solve_in_lattice(b, image)
-        if coords is None:
+    images = [tuple(sum(map(mul, row, c)) for row in m.rows) for c in cols]
+    coords = solve_in_lattice(b, images)
+    for c, x in zip(cols, coords):
+        if x is None:
             raise ValueError("sublattice not invariant: image of %s is not in the span" % (c,))
-        out_cols.append(coords)
-    return IntMatrix(tuple(zip(*out_cols)))
+    return IntMatrix(tuple(zip(*coords)))
 
 
-def _solve_in_lattice(b: IntMatrix, target: Sequence[int]):
-    """Integer solution x of B x = target, or None."""
-    nr, k = b.nrows, b.ncols
-    aug = [[Fraction(b[i, j]) for j in range(k)] + [Fraction(target[i])] for i in range(nr)]
-    # rational row reduction
-    row = 0
-    pivots = []
-    for col in range(k):
-        piv = next((r for r in range(row, nr) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(nr):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, nr):
-        if aug[r][k] != 0:
-            return None
-    x = [Fraction(0)] * k
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][k]
-    if any(v.denominator != 1 for v in x):
-        return None
-    return tuple(int(v) for v in x)
+def solve_in_lattice(b: IntMatrix,
+                     targets: Sequence[Sequence[int]]) -> list[tuple[int, ...] | None]:
+    """For each target y, an integer x with B x = y, or None.
+
+    B's Hermite form U * B = H is computed once.  Then B x = y holds exactly
+    when H x = z = U * y, so z must vanish below the rank, and x follows by
+    back-substitution with exact division, every non-pivot coordinate 0.
+    That is the rational solution with those coordinates 0; None means it is
+    not integral, which for B of full column rank means y is not in the
+    lattice spanned by B's columns.
+    """
+    n, k = b.nrows, b.ncols
+    h = [list(r) for r in b.rows]
+    u = [list(r) for r in identity(n).rows]
+    pivots = _hermite(h, u)
+    rank = len(pivots)
+
+    def back_substitute(z: list[int]) -> tuple[int, ...] | None:
+        x = [0] * k
+        for i in reversed(range(rank)):
+            row = h[i]
+            x[pivots[i]], rem = divmod(z[i] - sum(row[p] * x[p] for p in pivots[i + 1:]),
+                                       row[pivots[i]])
+            if rem:
+                return None
+        return tuple(x)
+
+    out = []
+    for y in targets:
+        if len(y) != n:
+            raise ValueError("target length %d != basis vector length %d" % (len(y), n))
+        z = [sum(map(mul, row, y)) for row in u]
+        out.append(None if any(z[rank:]) else back_substitute(z))
+    return out
 
 
 def parse_matrix(text: str) -> IntMatrix:

@@ -20,7 +20,7 @@ from typing import Callable
 from . import actions, garside, hom, models, series
 from .freesub import express
 from .intlin import (identity, inv_unimodular, lattice_restrict, mat_mul,
-                     mat_pow, matrix, smith_normal_form, _solve_in_lattice)
+                     mat_pow, matrix, smith_normal_form, solve_in_lattice)
 from .presentations import (Presentation, affine_C, b3_punctured_gamma2_ab,
                             fullpres, gamma2_annulus, gamma2_b4, gamma2_b5,
                             punctured_sphere, sphere_braid)
@@ -133,8 +133,7 @@ def _commutator_conjugates():
 
 def _columns_in_lattice(x) -> bool:
     diff = mat_mul(M_C, x, M_C_INV, inv_unimodular(x)) - identity(5)
-    return all(not any(col) or _solve_in_lattice(A_COLUMNS, col) is not None
-               for col in (diff.column(j) for j in range(5)))
+    return None not in solve_in_lattice(A_COLUMNS, diff.transpose().rows)
 
 
 def _monodromy_fibonacci():

@@ -9,11 +9,15 @@ against, and the free-group actions only the tests use.
   abelianized action on the z-basis of N = ker(F2 -> Z2 x Z2).
 - A Bareiss determinant and a class-2 nilpotent collector for the second
   lower central quotient.
+- Lattice solves and unimodular inverses as they were before `intlin` had a
+  Hermite form: rational row reduction with `Fraction`, and the inverse
+  Q * P read off the dense Smith form P * A * Q = I.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from fractions import Fraction
+from typing import Iterable, Sequence
 
 from braidkit.actions import n_graph, z_basis_words
 from braidkit.freesub import express
@@ -196,6 +200,49 @@ def det(a: IntMatrix) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def solve_in_lattice_rational(b: IntMatrix, target: Sequence[int]):
+    """Integer solution x of B x = target by rational row reduction, free
+    variables 0, or None when that solution is not integral."""
+    nr, k = b.nrows, b.ncols
+    aug = [[Fraction(b[i, j]) for j in range(k)] + [Fraction(target[i])] for i in range(nr)]
+    row = 0
+    pivots = []
+    for col in range(k):
+        piv = next((r for r in range(row, nr) if aug[r][col] != 0), None)
+        if piv is None:
+            continue
+        aug[row], aug[piv] = aug[piv], aug[row]
+        inv = 1 / aug[row][col]
+        aug[row] = [x * inv for x in aug[row]]
+        for r in range(nr):
+            if r != row and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
+        pivots.append(col)
+        row += 1
+    for r in range(row, nr):
+        if aug[r][k] != 0:
+            return None
+    x = [Fraction(0)] * k
+    for r, col in enumerate(pivots):
+        x[col] = aug[r][k]
+    if any(v.denominator != 1 for v in x):
+        return None
+    return tuple(int(v) for v in x)
+
+
+def inv_unimodular_snf(a: IntMatrix) -> IntMatrix:
+    """Inverse of a matrix with determinant ±1 from its dense Smith form:
+    P A Q = I gives A^-1 = Q P."""
+    if a.nrows != a.ncols:
+        raise ValueError("inverse of non-square matrix")
+    snf = smith_normal_form(a)
+    if any(snf.d[i, i] != 1 for i in range(a.nrows)):
+        raise ValueError("matrix is not unimodular; invariant factors %s"
+                         % (snf.invariant_factors(),))
+    return snf.q * snf.p
 
 
 def nilpotent_class2_gamma2(p: Presentation) -> AbelianInvariants:

@@ -1,9 +1,12 @@
-"""Exact integer linear algebra: SNF laws, determinants, invariant factors."""
+"""Exact integer linear algebra: SNF laws, determinants, invariant factors,
+lattice solves and unimodular inverses against slow oracles."""
 
-from fractions import Fraction
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import invariant_factors
 
 from braidkit.intlin import (
     IntMatrix,
@@ -17,8 +20,9 @@ from braidkit.intlin import (
     parse_matrix,
     serialize_matrix,
     smith_normal_form,
+    solve_in_lattice,
 )
-from oracles import det
+from oracles import det, inv_unimodular_snf, solve_in_lattice_rational
 
 small_int = st.integers(-9, 9)
 
@@ -89,6 +93,109 @@ def test_lattice_restrict_identity():
     assert lattice_restrict(identity(3), basis) == identity(2)
 
 
+def test_lattice_restrict_names_the_vector_that_leaves():
+    swap = matrix([[0, 1], [1, 0]])
+    with pytest.raises(ValueError) as e:
+        lattice_restrict(swap, [(1, 0)])
+    assert str(e.value) == "sublattice not invariant: image of (1, 0) is not in the span"
+    assert lattice_restrict(swap, [(1, 1)]) == matrix([[1]])
+
+
+@st.composite
+def lattice_cases(draw):
+    """A basis B (n x k, possibly of lower rank) and targets: members B c,
+    members moved by a small vector, arbitrary vectors and zero."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 4))
+    cols = draw(st.lists(st.lists(small_int, min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    if k > 1 and draw(st.booleans()):
+        # make the last column an integer combination of the others
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=k - 1, max_size=k - 1))
+        cols[-1] = [sum(c * col[i] for c, col in zip(coeffs, cols[:-1]))
+                    for i in range(n)]
+    vec = st.lists(small_int, min_size=n, max_size=n)
+    targets = [[0] * n]
+    for c in draw(st.lists(st.lists(st.integers(-5, 5), min_size=k, max_size=k),
+                           max_size=3)):
+        member = [sum(x * col[i] for x, col in zip(c, cols)) for i in range(n)]
+        nudge = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+        targets += [member, [a + b for a, b in zip(member, nudge)]]
+    targets += draw(st.lists(vec, max_size=3))
+    return matrix([list(r) for r in zip(*cols)]), targets
+
+
+@settings(max_examples=300, derandomize=True)
+@given(lattice_cases())
+def test_solve_in_lattice_matches_the_rational_oracle(case):
+    b, targets = case
+    got = solve_in_lattice(b, targets)
+    assert got == [solve_in_lattice_rational(b, y) for y in targets]
+    for x, y in zip(got, targets):
+        if x is not None:
+            assert mat_mul(b, matrix([[v] for v in x])).column(0) == tuple(y)
+
+
+def test_solve_in_lattice_full_rank_membership():
+    b = matrix([[2, 0], [0, 3], [1, 1]])
+    assert solve_in_lattice(b, [(4, 3, 3), (2, 0, 0), (0, 0, 0), (1, 0, 0)]) == [
+        (2, 1), None, (0, 0), None]
+    with pytest.raises(ValueError) as e:
+        solve_in_lattice(b, [(1, 2)])
+    assert str(e.value) == "target length 2 != basis vector length 3"
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """Products of elementary row operations on the identity."""
+    n = draw(st.integers(1, 6))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 12))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(("add", "swap", "negate")))
+        if op == "add" and i != j:
+            c = draw(st.integers(-4, 4))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        elif op == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == "negate":
+            rows[i] = [-x for x in rows[i]]
+    return matrix(rows)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(unimodular_matrices())
+def test_unimodular_inverse_matches_the_snf_oracle(u):
+    inverse = inv_unimodular(u)
+    assert inverse == inv_unimodular_snf(u)
+    assert mat_mul(u, inverse) == identity(u.nrows)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(matrices_3x3())
+def test_non_unimodular_errors_match_the_snf_oracle(a):
+    try:
+        expected = inv_unimodular_snf(a)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            inv_unimodular(a)
+        assert str(got.value) == str(e)
+    else:
+        assert inv_unimodular(a) == expected
+
+
+def test_inv_unimodular_error_texts():
+    with pytest.raises(ValueError) as e:
+        inv_unimodular(matrix([[1, 2, 3], [4, 5, 6]]))
+    assert str(e.value) == "inverse of non-square matrix"
+    with pytest.raises(ValueError) as e:
+        inv_unimodular(matrix([[2, 0], [0, 3]]))
+    assert str(e.value) == "matrix is not unimodular; invariant factors (1, 6)"
+    with pytest.raises(ValueError) as e:
+        inv_unimodular(matrix([[1, 2], [2, 4]]))
+    assert str(e.value) == "matrix is not unimodular; invariant factors (1, 0)"
+
+
 def test_serialize_round_trip():
     m = matrix([[0, -7], [123456789123456789, 1]])
     assert parse_matrix(serialize_matrix(m)) == m
@@ -109,20 +216,27 @@ def dense_invariants(rows, num_generators):
             tuple(d for d in factors if d > 1))
 
 
-# The dense oracle's entries can grow without bound on matrices with few
-# units (a 10x9 matrix of entries 0, +/-2, 3, 4 did not finish in 25 s), so
-# the pools keep zeros common and units frequent, and matrices without a
-# unit entry stay within 6x6.
+def sympy_invariants(rows, num_generators):
+    """(free_rank, torsion) from sympy's invariant factors over ZZ: the
+    oracle where the dense Smith form's entries explode."""
+    factors = [int(d) for d in invariant_factors(Matrix(rows), domain=ZZ)] if rows else []
+    return (num_generators - sum(1 for d in factors if d != 0),
+            tuple(d for d in factors if d > 1))
+
+
+# Matrices without a unit entry are where the dense Smith form's entries can
+# grow without bound (see test_abelian_invariants_finish_on_a_unitless_block);
+# beyond 6x6 they are checked against sympy instead.
 MIXED = (0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3)
-NO_UNIT = (0, 0, 0, 2, -2, 3, 4)
+NO_UNIT = (0, 0, 0, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6)
+DENSE_ORACLE_MAX = 6
 
 
 @st.composite
 def relation_matrices(draw):
     pool = draw(st.sampled_from((MIXED, NO_UNIT)))
-    size = 10 if pool is MIXED else 6
-    ncols = draw(st.integers(1, size))
-    nrows = draw(st.integers(0, size))
+    ncols = draw(st.integers(1, 10))
+    nrows = draw(st.integers(0, 10))
     empty = draw(st.sets(st.integers(0, ncols - 1)))
     zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0))))
     rows = draw(st.lists(st.lists(st.sampled_from(pool), min_size=ncols,
@@ -130,14 +244,30 @@ def relation_matrices(draw):
                          min_size=nrows, max_size=nrows))
     rows = [[0 if i in zero_rows or j in empty else x for j, x in enumerate(r)]
             for i, r in enumerate(rows)]
-    return rows, ncols
+    dense = pool is MIXED or max(nrows, ncols) <= DENSE_ORACLE_MAX
+    return rows, ncols, dense
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=500)
 @given(relation_matrices())
 def test_abelian_invariants_match_dense_oracle(case):
-    rows, ncols = case
-    assert abelian_invariants(rows, ncols) == dense_invariants(rows, ncols)
+    rows, ncols, dense = case
+    oracle = dense_invariants if dense else sympy_invariants
+    assert abelian_invariants(rows, ncols) == oracle(rows, ncols)
+
+
+def test_abelian_invariants_finish_on_a_unitless_block():
+    # no +/-1 entry, so the whole matrix is the leftover block; the dense
+    # Smith form's entries grow without bound here (over 25 s)
+    rows = [[3, 2, 2, 4, 0, 0, 2, 0, -2], [0, 0, 0, 0, 0, 4, 4, 4, 4],
+            [4, 0, 0, 3, 0, 2, 0, 2, 2], [0, 0, 2, 0, 4, 0, 0, 0, 4],
+            [-2, -2, 0, 4, 0, 4, -2, 2, 2], [-2, 4, 2, 3, -2, 0, 0, 0, 0],
+            [2, 2, 2, 0, 0, 3, 3, 0, 0], [3, -2, 0, 0, 3, 0, 0, 4, 4],
+            [0, -2, 0, 3, 4, -2, 0, -2, 0], [0, 0, 0, 0, 2, -2, -2, 4, 0]]
+    start = time.perf_counter()
+    got = abelian_invariants(rows, 9)
+    assert time.perf_counter() - start < 0.5
+    assert got == (0, (2, 2, 2, 2, 4)) == sympy_invariants(rows, 9)
 
 
 def test_abelian_invariants_match_dense_oracle_on_presentations():
