@@ -4,14 +4,13 @@ One row Hermite form, U * A = H by extended-gcd row operations with the
 entries above each pivot reduced, serves three routines: integer solves
 against a lattice basis (`solve_in_lattice`, factoring the basis once for
 any number of targets), the unimodular inverse (U itself when H = I) and
-the invariant factors of the block `abelian_invariants` leaves over.
+the Smith form, from Hermite forms of the matrix and of its transpose in
+turn (`_smith`), with the transforms P, Q or without them.
 
-The dense Smith form favours clarity over asymptotics; it is kept for every
-caller that needs the transforms P, Q.  Relation matrices of rewritten
-presentations are large (hundreds of rows), a few percent dense and almost
-all +/-1, so `abelian_invariants` eliminates unit pivots on sparse rows
-first and gives only the block left without a unit entry to alternating
-Hermite forms.  No floating point and no fractions anywhere.
+Relation matrices of rewritten presentations are large (hundreds of rows),
+a few percent dense and almost all +/-1, so `abelian_invariants` eliminates
+unit pivots on sparse rows first and gives only the block left without a
+unit entry to `_smith`.  No floating point and no fractions anywhere.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -110,86 +108,14 @@ class SnfResult:
 
 
 def smith_normal_form(a: IntMatrix) -> SnfResult:
+    """P * A * Q = D, with P and Q built up alongside `_smith`."""
     nr, nc = a.nrows, a.ncols
-    m = [list(r) for r in a.rows]
     p = [list(r) for r in identity(nr).rows]
-    q = [list(r) for r in identity(nc).rows]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        p[i], p[j] = p[j], p[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in q:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        # row dst += c * row src
-        m[dst] = [x + c * y for x, y in zip(m[dst], m[src])]
-        p[dst] = [x + c * y for x, y in zip(p[dst], p[src])]
-
-    def add_col(dst, src, c):
-        for row in m:
-            row[dst] += c * row[src]
-        for row in q:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        p[i] = [-x for x in p[i]]
-
-    t = 0
-    while t < min(nr, nc):
-        # find pivot of minimal absolute value in the trailing submatrix
-        pivot = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        # clear row and column t
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, nr):
-                if m[i][t] % m[t][t] != 0:
-                    add_row(i, t, -(m[i][t] // m[t][t]))
-                    swap_rows(t, i)
-                    dirty = True
-                elif m[i][t] != 0:
-                    add_row(i, t, -(m[i][t] // m[t][t]))
-            for j in range(t + 1, nc):
-                if m[t][j] % m[t][t] != 0:
-                    add_col(j, t, -(m[t][j] // m[t][t]))
-                    swap_cols(t, j)
-                    dirty = True
-                elif m[t][j] != 0:
-                    add_col(j, t, -(m[t][j] // m[t][t]))
-        # enforce divisibility into the rest of the matrix
-        fixed = False
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if m[i][j] % m[t][t] != 0:
-                    add_row(t, i, 1)
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        if m[t][t] < 0:
-            negate_row(t)
-        t += 1
-
+    qt = [list(r) for r in identity(nc).rows]
     d = [[0] * nc for _ in range(nr)]
-    for i in range(min(nr, nc)):
-        d[i][i] = m[i][i]
-    return SnfResult(matrix(p), matrix(d), matrix(q))
+    for i, x in enumerate(_smith([list(r) for r in a.rows], p, qt)):
+        d[i][i] = x
+    return SnfResult(matrix(p), matrix(d), IntMatrix(tuple(zip(*qt))))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -258,6 +184,44 @@ def _hermite(m: list[list[int]], u: list[list[int]] | None = None) -> list[int]:
     return pivots
 
 
+def _smith(m: list[list[int]], p: list[list[int]] | None = None,
+           qt: list[list[int]] | None = None) -> list[int]:
+    """The nonzero invariant factors of m, in divisibility order.
+
+    Row Hermite forms of m and of its transpose alternate, each keeping only
+    the nonzero rows, until the matrix is diagonal (Kannan-Bachem); pairwise
+    (gcd, lcm) steps then put the diagonal in divisibility order.  m is
+    overwritten.  When p and qt (Q transposed) are given, the row operations
+    are also done on p and the column operations on qt, so that P * A * Q is
+    diagonal with these factors first: `_hermite` only touches the rows of
+    p or qt that the kept rows of m still index.
+    """
+    transforms = (p, qt)
+    side = 0
+    while True:
+        rank = len(_hermite(m, transforms[side]))
+        m = m[:rank]
+        if all(not x for i, row in enumerate(m) for j, x in enumerate(row) if i != j):
+            break
+        m = [list(col) for col in zip(*m)]
+        side = 1 - side
+    d = [m[i][i] for i in range(len(m))]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            if d[j] % d[i] == 0:
+                continue
+            g, s, t = _xgcd(d[i], d[j])
+            a, b = d[i] // g, d[j] // g
+            d[i], d[j] = g, a * d[j]
+            if p is not None:
+                # [[s, t], [-b, a]] diag(a g, b g) [[1, -t b], [1, s a]] = diag(g, a b g)
+                p[i], p[j] = ([s * x + t * y for x, y in zip(p[i], p[j])],
+                              [a * y - b * x for x, y in zip(p[i], p[j])])
+                qt[i], qt[j] = ([x + y for x, y in zip(qt[i], qt[j])],
+                                [s * a * y - t * b * x for x, y in zip(qt[i], qt[j])])
+    return d
+
+
 def inv_unimodular(a: IntMatrix) -> IntMatrix:
     """Inverse of a matrix with determinant ±1 (error otherwise).
 
@@ -287,7 +251,7 @@ def abelian_invariants(relations: IntMatrix | Sequence[Sequence[int]],
     are taken in Markowitz order, least (row weight - 1) * (column count - 1)
     first, to keep fill-in low (Havas-Holt-Rees, "Recognizing badly
     presented Z-modules", 1993).  The block that has no unit entry left
-    goes to `_invariant_factors`; columns no row touches are free.
+    goes to `_smith`; columns no row touches are free.
     """
     dense = relations.rows if isinstance(relations, IntMatrix) else relations
     rows: dict[int, dict[int, int]] = {}
@@ -302,33 +266,11 @@ def abelian_invariants(relations: IntMatrix | Sequence[Sequence[int]],
     factors: list[int] = []
     if rows:
         cols = sorted({j for row in rows.values() for j in row})
-        factors = _invariant_factors([[row.get(j, 0) for j in cols]
-                                      for _, row in sorted(rows.items())])
+        factors = _smith([[row.get(j, 0) for j in cols]
+                          for _, row in sorted(rows.items())])
     rank = num_generators - pivots - len(factors)
     torsion = tuple(d for d in factors if d > 1)
     return rank, torsion
-
-
-def _invariant_factors(m: list[list[int]]) -> list[int]:
-    """The nonzero invariant factors of m, in divisibility order.
-
-    Row Hermite forms of m and of its transpose alternate, each keeping only
-    the nonzero rows, until the matrix is diagonal (Kannan-Bachem); pairwise
-    (gcd, lcm) steps then put the diagonal in divisibility order.  m is
-    overwritten.
-    """
-    while True:
-        rank = len(_hermite(m))
-        m = m[:rank]
-        if all(not x for i, row in enumerate(m) for j, x in enumerate(row) if i != j):
-            break
-        m = [list(col) for col in zip(*m)]
-    d = [m[i][i] for i in range(len(m))]
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            g = gcd(d[i], d[j])
-            d[i], d[j] = g, d[i] // g * d[j]
-    return d
 
 
 def _eliminate_unit_pivots(rows: dict[int, dict[int, int]]) -> int:
@@ -392,12 +334,17 @@ def lattice_restrict(m: IntMatrix, basis: Sequence[Sequence[int]]) -> IntMatrix:
     """Matrix of m restricted to the sublattice spanned by the given column vectors.
 
     Columns of the result express m·b_j in the basis (b_1..b_k).  Raises if the
-    sublattice is not invariant, naming the offending vector.
+    basis vectors are linearly dependent, so that coordinates are not unique,
+    or if the sublattice is not invariant, naming the offending vector.
     """
     cols = [tuple(int(x) for x in b) for b in basis]
     n = m.nrows
     if any(len(c) != n for c in cols):
         raise ValueError("basis vector length mismatch")
+    rank = len(_hermite([list(c) for c in cols]))
+    if rank < len(cols):
+        raise ValueError("basis vectors are linearly dependent: rank %d of %d vectors"
+                         % (rank, len(cols)))
     b = IntMatrix(tuple(zip(*cols)))  # n x k, columns are basis vectors
     images = [tuple(sum(map(mul, row, c)) for row in m.rows) for c in cols]
     coords = solve_in_lattice(b, images)

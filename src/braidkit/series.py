@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Optional, Sequence
 
 from .intlin import IntMatrix, abelian_invariants, mat_pow, matrix, smith_normal_form
@@ -77,8 +78,10 @@ def gamma2_mod_gamma3(p: Presentation, t: Gen) -> AbelianInvariants:
     try:
         unit = pow(raw[t], -1, m)
     except ValueError:
+        # raw[t] depends on Q up to a unit of Z/m; the subgroup it generates,
+        # named by gcd(raw[t], m) reduced mod m, does not
         raise ValueError("transversal %s maps to %d in Z/%d and does not "
-                         "generate it" % (t, raw[t], m)) from None
+                         "generate it" % (t, gcd(raw[t], m) % m, m)) from None
     weights = {g: (raw[g] * unit) % m for g in p.generators}
     sub = rs_finite_cyclic(p, m, t, weights).presentation
     relators = list(sub.relators)

@@ -9,9 +9,10 @@ against, and the free-group actions only the tests use.
   abelianized action on the z-basis of N = ker(F2 -> Z2 x Z2).
 - A Bareiss determinant and a class-2 nilpotent collector for the second
   lower central quotient.
-- Lattice solves and unimodular inverses as they were before `intlin` had a
-  Hermite form: rational row reduction with `Fraction`, and the inverse
-  Q * P read off the dense Smith form P * A * Q = I.
+- Integer linear algebra as it was before `intlin` had a Hermite form: the
+  dense minimal-pivot Smith form, lattice solves by rational row reduction
+  with `Fraction`, and the inverse Q * P read off the dense Smith form
+  P * A * Q = I.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, Sequence
 
 from braidkit.actions import n_graph, z_basis_words
 from braidkit.freesub import express
-from braidkit.intlin import IntMatrix, abelian_invariants, matrix, smith_normal_form
+from braidkit.intlin import IntMatrix, SnfResult, abelian_invariants, identity, matrix
 from braidkit.models import FreeAutomorphism
 from braidkit.presentations import Presentation
 from braidkit.series import AbelianInvariants
@@ -202,6 +203,93 @@ def det(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def smith_normal_form_dense(a: IntMatrix) -> SnfResult:
+    """P * A * Q = D by the dense minimal-pivot method: move the least
+    nonzero entry of the trailing block to the corner, clear its row and
+    column, and add a row whose entry it does not divide until it divides
+    them all.  Entries can grow without bound on unit-free matrices."""
+    nr, nc = a.nrows, a.ncols
+    m = [list(r) for r in a.rows]
+    p = [list(r) for r in identity(nr).rows]
+    q = [list(r) for r in identity(nc).rows]
+
+    def swap_rows(i, j):
+        m[i], m[j] = m[j], m[i]
+        p[i], p[j] = p[j], p[i]
+
+    def swap_cols(i, j):
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+        for row in q:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, c):
+        # row dst += c * row src
+        m[dst] = [x + c * y for x, y in zip(m[dst], m[src])]
+        p[dst] = [x + c * y for x, y in zip(p[dst], p[src])]
+
+    def add_col(dst, src, c):
+        for row in m:
+            row[dst] += c * row[src]
+        for row in q:
+            row[dst] += c * row[src]
+
+    def negate_row(i):
+        m[i] = [-x for x in m[i]]
+        p[i] = [-x for x in p[i]]
+
+    t = 0
+    while t < min(nr, nc):
+        # find pivot of minimal absolute value in the trailing submatrix
+        pivot = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        # clear row and column t
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, nr):
+                if m[i][t] % m[t][t] != 0:
+                    add_row(i, t, -(m[i][t] // m[t][t]))
+                    swap_rows(t, i)
+                    dirty = True
+                elif m[i][t] != 0:
+                    add_row(i, t, -(m[i][t] // m[t][t]))
+            for j in range(t + 1, nc):
+                if m[t][j] % m[t][t] != 0:
+                    add_col(j, t, -(m[t][j] // m[t][t]))
+                    swap_cols(t, j)
+                    dirty = True
+                elif m[t][j] != 0:
+                    add_col(j, t, -(m[t][j] // m[t][t]))
+        # enforce divisibility into the rest of the matrix
+        fixed = False
+        for i in range(t + 1, nr):
+            for j in range(t + 1, nc):
+                if m[i][j] % m[t][t] != 0:
+                    add_row(t, i, 1)
+                    fixed = True
+                    break
+            if fixed:
+                break
+        if fixed:
+            continue
+        if m[t][t] < 0:
+            negate_row(t)
+        t += 1
+
+    d = [[0] * nc for _ in range(nr)]
+    for i in range(min(nr, nc)):
+        d[i][i] = m[i][i]
+    return SnfResult(matrix(p), matrix(d), matrix(q))
+
+
 def solve_in_lattice_rational(b: IntMatrix, target: Sequence[int]):
     """Integer solution x of B x = target by rational row reduction, free
     variables 0, or None when that solution is not integral."""
@@ -238,7 +326,7 @@ def inv_unimodular_snf(a: IntMatrix) -> IntMatrix:
     P A Q = I gives A^-1 = Q P."""
     if a.nrows != a.ncols:
         raise ValueError("inverse of non-square matrix")
-    snf = smith_normal_form(a)
+    snf = smith_normal_form_dense(a)
     if any(snf.d[i, i] != 1 for i in range(a.nrows)):
         raise ValueError("matrix is not unimodular; invariant factors %s"
                          % (snf.invariant_factors(),))
@@ -279,7 +367,7 @@ def nilpotent_class2_gamma2(p: Presentation) -> AbelianInvariants:
     # commutator parts of relator products with trivial exponent sum
     if images:
         a_mat = matrix([a for a, _ in images])
-        snf = smith_normal_form(a_mat)
+        snf = smith_normal_form_dense(a_mat)
         rank = sum(1 for i in range(min(snf.d.nrows, snf.d.ncols))
                    if snf.d[i, i] != 0)
         for i in range(rank, len(images)):

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 import braidkit
 from braidkit.cli import main
+from braidkit.intlin import mat_mul, parse_matrix
 from braidkit.words import Gen
 
 runner = CliRunner()
@@ -64,12 +65,17 @@ def test_usage_error_exit_code():
 
 def test_snf(tmp_path):
     f = tmp_path / "m.txt"
-    f.write_text("2 2\n2 0\n0 3\n")
+    f.write_text("2 3\n2 4 6\n-1 3 5\n")
     res = run("snf", "--in", str(f))
     assert res.exit_code == 0
+    assert res.output == "2 3\n1 0 0\n0 2 0\n\n"
     res2 = run("snf", "--in", str(f), "--transforms")
     assert res2.exit_code == 0
-    assert len(res2.output) > len(res.output)
+    d_text, rest = res2.output.split("# P\n")
+    p_text, q_text = rest.split("# Q\n")
+    assert d_text == res.output
+    a, d, p, q = (parse_matrix(t) for t in (f.read_text(), d_text, p_text, q_text))
+    assert mat_mul(p, a, q) == d
 
 
 def test_braid_eq_exit_codes():

@@ -22,7 +22,7 @@ from braidkit.intlin import (
     smith_normal_form,
     solve_in_lattice,
 )
-from oracles import det, inv_unimodular_snf, solve_in_lattice_rational
+from oracles import det, inv_unimodular_snf, smith_normal_form_dense, solve_in_lattice_rational
 
 small_int = st.integers(-9, 9)
 
@@ -32,18 +32,68 @@ def matrices_3x3():
                     min_size=3, max_size=3).map(matrix)
 
 
-@settings(max_examples=60)
-@given(matrices_3x3())
-def test_snf_transforms(a):
+def dense_invariants(rows, num_generators):
+    """(free_rank, torsion) straight from the dense Smith form: the oracle."""
+    factors = smith_normal_form_dense(matrix(rows)).invariant_factors() if rows else ()
+    return (num_generators - sum(1 for d in factors if d != 0),
+            tuple(d for d in factors if d > 1))
+
+
+def sympy_factors(rows):
+    """Invariant factors from sympy over ZZ: the oracle where the dense
+    Smith form's entries explode."""
+    return tuple(int(d) for d in invariant_factors(Matrix(rows), domain=ZZ)) if rows else ()
+
+
+def sympy_invariants(rows, num_generators):
+    """(free_rank, torsion) from `sympy_factors`."""
+    factors = sympy_factors(rows)
+    return (num_generators - sum(1 for d in factors if d != 0),
+            tuple(d for d in factors if d > 1))
+
+
+# Matrices without a unit entry are where the dense Smith form's entries can
+# grow without bound (see test_smith_normal_form_finishes_on_a_unitless_7x7);
+# beyond 6x6 they are checked against sympy instead.
+MIXED = (0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3)
+NO_UNIT = (0, 0, 0, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6)
+DENSE_ORACLE_MAX = 6
+
+
+@st.composite
+def relation_matrices(draw, min_rows=0):
+    pool = draw(st.sampled_from((MIXED, NO_UNIT)))
+    ncols = draw(st.integers(1, 10))
+    nrows = draw(st.integers(min_rows, 10))
+    empty = draw(st.sets(st.integers(0, ncols - 1)))
+    zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0))))
+    rows = draw(st.lists(st.lists(st.sampled_from(pool), min_size=ncols,
+                                  max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    rows = [[0 if i in zero_rows or j in empty else x for j, x in enumerate(r)]
+            for i, r in enumerate(rows)]
+    dense = pool is MIXED or max(nrows, ncols) <= DENSE_ORACLE_MAX
+    return rows, ncols, dense
+
+
+@settings(max_examples=300, derandomize=True, deadline=500)
+@given(relation_matrices(min_rows=1))
+def test_snf_transforms(case):
+    rows, _, dense = case
+    a = matrix(rows)
     r = smith_normal_form(a)
     assert mat_mul(r.p, a, r.q) == r.d
     assert abs(det(r.p)) == 1
     assert abs(det(r.q)) == 1
-    diag = [r.d.rows[i][i] for i in range(3)]
-    assert all(r.d.rows[i][j] == 0 for i in range(3) for j in range(3) if i != j)
-    for x, y in zip(diag, diag[1:]):
-        if y != 0:
-            assert x != 0 and y % x == 0
+    assert all(x == 0 for i, row in enumerate(r.d.rows) for j, x in enumerate(row) if i != j)
+    factors = r.invariant_factors()
+    assert all(x >= 0 for x in factors)
+    for x, y in zip(factors, factors[1:]):
+        assert y % x == 0 if x else y == 0
+    if dense:
+        assert factors == smith_normal_form_dense(a).invariant_factors()
+    else:
+        assert factors == sympy_factors(rows)
 
 
 @settings(max_examples=60)
@@ -99,6 +149,16 @@ def test_lattice_restrict_names_the_vector_that_leaves():
         lattice_restrict(swap, [(1, 0)])
     assert str(e.value) == "sublattice not invariant: image of (1, 0) is not in the span"
     assert lattice_restrict(swap, [(1, 1)]) == matrix([[1]])
+
+
+def test_lattice_restrict_rejects_a_dependent_basis():
+    # the identity keeps every lattice, but (2,) and (1,) give no coordinates
+    with pytest.raises(ValueError) as e:
+        lattice_restrict(identity(1), [(2,), (1,)])
+    assert str(e.value) == "basis vectors are linearly dependent: rank 1 of 2 vectors"
+    with pytest.raises(ValueError) as e:
+        lattice_restrict(identity(3), [(1, 0, 1), (0, 1, 1), (1, 1, 2)])
+    assert str(e.value) == "basis vectors are linearly dependent: rank 2 of 3 vectors"
 
 
 @st.composite
@@ -209,45 +269,6 @@ def test_snf_rectangular():
     assert r.d.rows[1][1] == 0
 
 
-def dense_invariants(rows, num_generators):
-    """(free_rank, torsion) straight from the dense Smith form: the oracle."""
-    factors = smith_normal_form(matrix(rows)).invariant_factors() if rows else ()
-    return (num_generators - sum(1 for d in factors if d != 0),
-            tuple(d for d in factors if d > 1))
-
-
-def sympy_invariants(rows, num_generators):
-    """(free_rank, torsion) from sympy's invariant factors over ZZ: the
-    oracle where the dense Smith form's entries explode."""
-    factors = [int(d) for d in invariant_factors(Matrix(rows), domain=ZZ)] if rows else []
-    return (num_generators - sum(1 for d in factors if d != 0),
-            tuple(d for d in factors if d > 1))
-
-
-# Matrices without a unit entry are where the dense Smith form's entries can
-# grow without bound (see test_abelian_invariants_finish_on_a_unitless_block);
-# beyond 6x6 they are checked against sympy instead.
-MIXED = (0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3)
-NO_UNIT = (0, 0, 0, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6)
-DENSE_ORACLE_MAX = 6
-
-
-@st.composite
-def relation_matrices(draw):
-    pool = draw(st.sampled_from((MIXED, NO_UNIT)))
-    ncols = draw(st.integers(1, 10))
-    nrows = draw(st.integers(0, 10))
-    empty = draw(st.sets(st.integers(0, ncols - 1)))
-    zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0))))
-    rows = draw(st.lists(st.lists(st.sampled_from(pool), min_size=ncols,
-                                  max_size=ncols),
-                         min_size=nrows, max_size=nrows))
-    rows = [[0 if i in zero_rows or j in empty else x for j, x in enumerate(r)]
-            for i, r in enumerate(rows)]
-    dense = pool is MIXED or max(nrows, ncols) <= DENSE_ORACLE_MAX
-    return rows, ncols, dense
-
-
 @settings(max_examples=300, derandomize=True, deadline=500)
 @given(relation_matrices())
 def test_abelian_invariants_match_dense_oracle(case):
@@ -268,6 +289,19 @@ def test_abelian_invariants_finish_on_a_unitless_block():
     got = abelian_invariants(rows, 9)
     assert time.perf_counter() - start < 0.5
     assert got == (0, (2, 2, 2, 2, 4)) == sympy_invariants(rows, 9)
+
+
+def test_smith_normal_form_finishes_on_a_unitless_7x7():
+    # no +/-1 entry; the dense Smith form's entries explode here (about 7 s)
+    a = matrix([[2, -3, 0, 4, 3, 5, -4], [2, -4, -3, 4, 3, -3, 3],
+                [0, -4, -4, 5, -6, 5, 3], [4, 5, 0, -6, 2, -5, 0],
+                [-4, 5, 0, 0, -6, -4, -6], [-2, 0, -5, 0, 0, 0, 4],
+                [0, -6, -6, -2, 2, -2, 0]])
+    start = time.perf_counter()
+    r = smith_normal_form(a)
+    assert time.perf_counter() - start < 0.5
+    assert mat_mul(r.p, a, r.q) == r.d
+    assert r.invariant_factors() == (1, 1, 1, 1, 1, 1, 1189892) == sympy_factors(a.rows)
 
 
 def test_abelian_invariants_match_dense_oracle_on_presentations():
