@@ -53,9 +53,17 @@ def check_hom(p: Presentation, model: GroupModel, assignment: dict,
         r = p.relators[i]
         image = model.eval_word(assignment, r)
         checks.append(RelatorCheck(
-            i, r, str(image), image == model.identity(),
+            i, r, _image_text(image), image == model.identity(),
             "braidkit hom-check --relator %d ..." % i))
     return HomReport(p.name, tuple(checks))
+
+
+def _image_text(image) -> str:
+    """An element as text; a pair prints as its parts joined by ';', the
+    syntax hom-check's --assign reads."""
+    if isinstance(image, tuple):
+        return ";".join(str(part) for part in image)
+    return str(image)
 
 
 def image_order(model: GroupModel, values, budget: int = 20000) -> int:

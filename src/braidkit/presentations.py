@@ -10,7 +10,6 @@ are instantiated over a finite index window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .words import (Gen, Word, commutator, free_reduce, invert, letter,
                     multiply, parse_word, power, word_to_text)
@@ -109,6 +108,24 @@ def _braid_relator(a: Gen, b: Gen) -> Word:
     return free_reduce([(a, 1), (b, 1), (a, 1), (b, -1), (a, -1), (b, -1)])
 
 
+def _artin_relators(gens) -> list[Word]:
+    """Relators of the Artin group of the chain g1 - g2 - ... - gk: the
+    commutators of generators two or more apart, in (i, j) order, then the
+    braid relations of neighbours."""
+    gens = tuple(gens)
+    rels = [commutator(letter(a), letter(b))
+            for i, a in enumerate(gens) for b in gens[i + 2:]]
+    return rels + [_braid_relator(a, b) for a, b in zip(gens, gens[1:])]
+
+
+def _palindrome(gens) -> list:
+    """The runs g1 ... g_(k-1) g_k^2 g_(k-1) ... g1 of a chain (none when
+    the chain is empty)."""
+    gens = tuple(gens)
+    return ([(g, 1) for g in gens[:-1]] + [(g, 2) for g in gens[-1:]]
+            + [(g, 1) for g in reversed(gens[:-1])])
+
+
 # ---------------------------------------------------------------------------
 # classical and sphere braid groups
 
@@ -116,21 +133,12 @@ def artin_braid(n: int) -> Presentation:
     if n < 1:
         raise ValueError("need n >= 1")
     gens = tuple(s(i) for i in range(1, n))
-    rels = []
-    for i in range(1, n - 1):
-        for j in range(i + 2, n):
-            rels.append(commutator(letter(s(i)), letter(s(j))))
-    for i in range(1, n - 1):
-        rels.append(_braid_relator(s(i), s(i + 1)))
-    return Presentation("B%d" % n, gens, tuple(rels))
+    return Presentation("B%d" % n, gens, tuple(_artin_relators(gens)))
 
 
 def surface_relator(n: int) -> Word:
     # s1 s2 ... s_{n-2} s_{n-1}^2 s_{n-2} ... s1
-    runs = [(s(i), 1) for i in range(1, n - 1)]
-    runs.append((s(n - 1), 2))
-    runs += [(s(i), 1) for i in range(n - 2, 0, -1)]
-    return free_reduce(runs)
+    return free_reduce(_palindrome(s(i) for i in range(1, n)))
 
 
 def sphere_braid(n: int) -> Presentation:
@@ -188,12 +196,8 @@ def punctured_sphere(m: int, n: int) -> Presentation:
                                              invert(multiply(ail, ajl, invert(ail), invert(ajl), akl,
                                                              ajl, ail, invert(ajl), invert(ail)))))
     # surface relation
-    runs = [(_A(i, n + m), 1) for i in range(1, n + 1)]
-    if m >= 2:
-        runs += [(s(r), 1) for r in range(m - 1, 1, -1)]
-        runs.append((s(1), 2))
-        runs += [(s(r), 1) for r in range(2, m)]
-    rels.append(free_reduce(runs))
+    rels.append(free_reduce([(_A(i, n + m), 1) for i in range(1, n + 1)]
+                            + _palindrome(s(r) for r in range(m - 1, 0, -1))))
     # strand generator relations
     rels += artin_braid(m).relators
     for r in range(1, m):
@@ -248,25 +252,14 @@ def affine_C(m: int) -> Presentation:
     if m < 2:
         raise ValueError("need m >= 2")
     r1, rm = Gen("r", (1,)), Gen("r", (m,))
-    gens = (r1, rm) + tuple(s(i) for i in range(1, m))
-    rels: list[Word] = []
-    for i in range(1, m - 1):
-        for j in range(i + 2, m):
-            rels.append(commutator(letter(s(i)), letter(s(j))))
-    for i in range(1, m - 2):
-        rels.append(_braid_relator(s(i), s(i + 1)))
-    rels.append(commutator(letter(r1), letter(rm)))
-    for i in range(2, m):
-        rels.append(commutator(letter(r1), letter(s(i))))
-    for i in range(1, m - 1):
-        rels.append(commutator(letter(rm), letter(s(i))))
-    sr1 = multiply(letter(s(1)), letter(r1))
-    r1s = multiply(letter(r1), letter(s(1)))
-    rels.append(multiply(power(sr1, 2), power(r1s, -2)))
-    srm = multiply(letter(s(m - 1)), letter(rm))
-    rms = multiply(letter(rm), letter(s(m - 1)))
-    rels.append(multiply(power(srm, 2), power(rms, -2)))
-    return Presentation("affC%d" % m, gens, tuple(rels))
+    strands = tuple(s(i) for i in range(1, m))
+    # the diagram r1 =4= s1 - ... - s_(m-1) =4= rm: nodes not joined commute
+    rels = _artin_relators(strands) + [commutator(letter(r1), letter(rm))]
+    rels += [commutator(letter(r1), letter(g)) for g in strands[1:]]
+    rels += [commutator(letter(rm), letter(g)) for g in strands[:-1]]
+    for a, r in ((letter(strands[0]), letter(r1)), (letter(strands[-1]), letter(rm))):
+        rels.append(multiply(power(multiply(a, r), 2), power(multiply(r, a), -2)))
+    return Presentation("affC%d" % m, (r1, rm) + strands, tuple(rels))
 
 
 def b22_two_generator() -> Presentation:
@@ -292,10 +285,7 @@ _W = Gen("w")
 
 def _a_block(n: int) -> Word:
     # v1 ... v_{n-4} v_{n-3}^2 v_{n-4} ... v1
-    runs = [(_v(i), 1) for i in range(1, n - 3)]
-    runs.append((_v(n - 3), 2))
-    runs += [(_v(i), 1) for i in range(n - 4, 0, -1)]
-    return free_reduce(runs)
+    return free_reduce(_palindrome(_v(i) for i in range(1, n - 2)))
 
 
 def gamma2_b4() -> Presentation:
@@ -322,12 +312,7 @@ def fullpres(n: int) -> Presentation:
     u = {i: letter(_u(i)) for i in range(1, 2 * n - 1)}
     v = {j: letter(_v(j)) for j in range(1, n - 2)}
     a = _a_block(n)
-    rels: list[Word] = []
-    for i in range(1, n - 2):
-        for j in range(i + 2, n - 2):
-            rels.append(commutator(v[i], v[j]))                              # eq1
-    for i in range(1, n - 3):
-        rels.append(multiply(v[i], v[i + 1], v[i], invert(v[i + 1]), invert(v[i]), invert(v[i + 1])))  # eq2
+    rels = _artin_relators(_v(j) for j in range(1, n - 2))                 # eq1, eq2
     for i in range(1, n - 2):
         rels.append(commutator(w, v[i]))                                     # eq3
     for j in range(2, n - 2):
@@ -360,8 +345,7 @@ def gamma2_b5() -> Presentation:
     w = letter(_W)
     u = {i: letter(_u(i)) for i in range(1, 9)}
     v1, v2 = letter(_v(1)), letter(_v(2))
-    rels: list[Word] = [
-        multiply(v1, v2, v1, invert(v2), invert(v1), invert(v2)),
+    rels = _artin_relators((_v(1), _v(2))) + [
         commutator(w, v1),
         commutator(w, v2),
         multiply(u[1], v2, invert(u[2]), invert(v2)),
@@ -388,12 +372,7 @@ def gamma2_b6plus(n: int) -> Presentation:
     v = {j: letter(_v(j)) for j in range(1, n - 2)}
     y = multiply(invert(u2), u1, u2, invert(u1))
     a = _a_block(n)
-    rels: list[Word] = []
-    for i in range(1, n - 2):
-        for j in range(i + 2, n - 2):
-            rels.append(commutator(v[i], v[j]))
-    for i in range(1, n - 3):
-        rels.append(multiply(v[i], v[i + 1], v[i], invert(v[i + 1]), invert(v[i]), invert(v[i + 1])))
+    rels = _artin_relators(_v(j) for j in range(1, n - 2))
     rels.append(commutator(y, v[1]))
     for j in range(2, n - 2):
         rels.append(multiply(v[j], u2, invert(v[j]), invert(u1)))
@@ -445,7 +424,6 @@ class IndexedPresentation:
     families: tuple[str, ...]
     fixed_relators: tuple[Word, ...]
     relator_families: tuple[Word, ...]
-    window: int = 2
 
     def __post_init__(self):
         for n, w in enumerate(self.relator_families):
@@ -458,12 +436,11 @@ class IndexedPresentation:
                                      "is not a singly indexed family generator"
                                      % (n, self.name, g))
 
-    def instantiate(self, window: Optional[int] = None) -> Presentation:
-        k_max = self.window if window is None else window
-        if k_max < 1:
+    def instantiate(self, window: int) -> Presentation:
+        if window < 1:
             raise ValueError("window must be >= 1")
         gens = tuple(self.fixed_generators) + tuple(
-            Gen(f, (k,)) for f in self.families for k in range(-k_max, k_max + 1))
+            Gen(f, (k,)) for f in self.families for k in range(-window, window + 1))
         rels = list(self.fixed_relators)
         for w in self.relator_families:
             offsets = [g.indices[0] for g in w.generators() if g.name in self.families]
@@ -472,43 +449,34 @@ class IndexedPresentation:
                     rels.append(w)
                 continue
             # with offsets o, all indices k + o lie in [-K, K] exactly for these k
-            for k in range(-k_max - min(offsets), k_max - max(offsets) + 1):
+            for k in range(-window - min(offsets), window - max(offsets) + 1):
                 rels.append(shift_families(w, self.families, k))
-        return Presentation("%s[K=%d]" % (self.name, k_max), gens, tuple(rels))
+        return Presentation("%s[K=%d]" % (self.name, window), gens, tuple(rels))
 
 
-def gamma2_annulus(m: int, window: int = 2) -> IndexedPresentation:
+def gamma2_annulus(m: int) -> IndexedPresentation:
     """Commutator subgroup of the m-strand annular braid group: families
     p_k, r_k over Z plus fixed q_i, with the standard relator schema."""
     if m < 3:
         raise ValueError("need m >= 3")
-    if window < 2:
-        raise ValueError("need window >= 2")
     q = {i: Gen("q", (i,)) for i in range(3, m)}
     fams = [parse_word("p[1] p[2]^-1 p[0]^-1"), parse_word("r[1] r[2]^-1 r[0]^-1")]
     if m == 3:
         fams.append(parse_word("r[0] p[1] r[2] p[2]^-1 r[1]^-1 p[0]^-1"))
-        return IndexedPresentation("G2annulus3", (), ("p", "r"), (),
-                                   tuple(fams), window)
+        return IndexedPresentation("G2annulus3", (), ("p", "r"), (), tuple(fams))
     fams.append(parse_word("p[0] q[3] p[2] q[3]^-1 p[1]^-1 q[3]^-1"))
     for i in range(4, m):
         fams.append(parse_word("p[0] q[%d] p[1]^-1 q[%d]^-1" % (i, i)))
-    fixed_rels = []
-    for i in range(3, m - 1):
-        for j in range(i + 2, m):
-            fixed_rels.append(commutator(letter(q[i]), letter(q[j])))
-    for i in range(3, m - 1):
-        fixed_rels.append(_braid_relator(q[i], q[i + 1]))
     fams.append(parse_word("r[0] p[1] r[1]^-1 p[0]^-1"))
     for i in range(3, m - 1):
         fams.append(parse_word("r[0] q[%d] r[1]^-1 q[%d]^-1" % (i, i)))
     fams.append(parse_word("r[0] q[%d] r[2] q[%d]^-1 r[1]^-1 q[%d]^-1"
                            % (m - 1, m - 1, m - 1)))
     return IndexedPresentation("G2annulus%d" % m, tuple(q.values()), ("p", "r"),
-                               tuple(fixed_rels), tuple(fams), window)
+                               tuple(_artin_relators(q.values())), tuple(fams))
 
 
-def b3_punctured_gamma2_ab(window: int = 4) -> IndexedPresentation:
+def b3_punctured_gamma2_ab() -> IndexedPresentation:
     """Relator families for the abelianized commutator subgroup of the
     3-strand braid group of the twice-punctured disc: families alpha_i,
     beta_i plus two free generators u, v.  The relator families are the
@@ -520,4 +488,4 @@ def b3_punctured_gamma2_ab(window: int = 4) -> IndexedPresentation:
         "beta[-1] alpha[-2] alpha[-1]^-1 alpha[1]^-1 beta[2]^-1 alpha[2] "
         "beta[1] alpha[0]"))
     return IndexedPresentation("G2B3(D2-1pt)ab", (Gen("u"), Gen("v")),
-                               ("alpha", "beta"), (), fams, window)
+                               ("alpha", "beta"), (), fams)

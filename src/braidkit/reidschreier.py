@@ -267,7 +267,7 @@ def rs_z_window(p: Presentation, t: Gen, weights: Optional[dict] = None,
     moves = _weight_moves(p.generators, t, weights, 0, name, None)
     rel_fams = tuple(_rewrite(r, 0, moves)[0] for r in p.relators)
     ip = IndexedPresentation("%s/kerZ" % p.name, (), tuple(fam_name.values()),
-                             (), rel_fams, window)
+                             (), rel_fams)
     reach = window + _DICTIONARY_MARGIN
     dictionary = {name(x, k): _schreier_word(t, x, k, weights[x])
                   for x in fam_name for k in range(-reach, reach + 1)}
@@ -471,7 +471,7 @@ def _tietze_indexed(ip: IndexedPresentation) -> IndexedPresentation:
 
     return IndexedPresentation(ip.name, tuple(fixed_gens), tuple(live),
                                _distinct(fixed_rels, canonical_relator),
-                               _distinct(rel_fams, up_to_shift), ip.window)
+                               _distinct(rel_fams, up_to_shift))
 
 
 def tietze_eliminate(p):

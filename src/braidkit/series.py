@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .intlin import IntMatrix, abelian_invariants, mat_pow, matrix, smith_normal_form
 from .models import FiniteTable, act_on_finite, finite_closure
@@ -58,20 +58,17 @@ def gamma2_mod_gamma3(p: Presentation, t: Gen) -> AbelianInvariants:
     abelianization: Schreier-present the commutator subgroup over the
     transversal {t^j}, then abelianize together with the coinvariance
     relators identifying each Schreier generator with its t-conjugate."""
-    ab = abelianization(p)
+    rel_rows = exponent_rows(p.relators, p.generators)
+    snf = smith_normal_form(matrix(rel_rows) if rel_rows
+                            else IntMatrix(((0,) * len(p.generators),)))
+    diagonal = [snf.d[j, j] for j in range(min(snf.d.nrows, snf.d.ncols))]
+    ab = AbelianInvariants(len(p.generators) - sum(map(bool, diagonal)),
+                           tuple(d for d in diagonal if d > 1))
     if ab.free_rank != 0 or len(ab.torsion) != 1:
         raise ValueError("abelianization %s is not finite cyclic" % ab)
     m = ab.torsion[0]
     # generator weights: image coordinates in the cyclic invariant factor
-    rel_rows = exponent_rows(p.relators, p.generators)
-    snf = smith_normal_form(matrix(rel_rows) if rel_rows
-                            else IntMatrix(((0,) * len(p.generators),)))
-    target = None
-    for j in range(min(snf.d.nrows, snf.d.ncols)):
-        if snf.d[j, j] == m:
-            target = j
-    if target is None:
-        raise ValueError("no invariant factor of order %d" % m)
+    target = diagonal.index(m)
     raw = {g: snf.q[i, target] % m for i, g in enumerate(p.generators)}
     if t not in raw:
         raise ValueError("transversal %s is not a generator of %s" % (t, p.name))
@@ -109,20 +106,14 @@ class WindowedInvariants:
 
 
 def windowed_coinvariants(ip: IndexedPresentation,
-                          window: Optional[int] = None) -> WindowedInvariants:
-    """Abelian invariants of a windowed presentation.  Stable when windows
-    K and K+1 agree."""
-    k = ip.window if window is None else window
-    if k < 2:
+                          window: int) -> WindowedInvariants:
+    """Abelian invariants of the presentation instantiated over the window
+    [-K, K].  Stable when windows K and K+1 agree."""
+    if window < 2:
         raise ValueError("window must be >= 2")
-
-    def at(kk: int) -> AbelianInvariants:
-        pres = ip.instantiate(kk)
-        return _invariants(exponent_rows(pres.relators, pres.generators),
-                           len(pres.generators))
-
-    here, nxt = at(k), at(k + 1)
-    return WindowedInvariants(here, here == nxt, k)
+    here = abelianization(ip.instantiate(window))
+    nxt = abelianization(ip.instantiate(window + 1))
+    return WindowedInvariants(here, here == nxt, window)
 
 
 def shifted_z_family_system() -> IndexedPresentation:
@@ -131,7 +122,7 @@ def shifted_z_family_system() -> IndexedPresentation:
     the half-twist sends z_i to the inverse of z_{i-1} (abelianized)."""
     return IndexedPresentation("zshift", (), ("z",), (),
                                (parse_word("z[0] z[1]^-1"),
-                                parse_word("z[0] z[-1]")), 3)
+                                parse_word("z[0] z[-1]")))
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,36 @@ def test_hom_check_replay_hint_runs(tmp_path):
     assert run("hom-check", "--relator", str(len(checks)), *rest).exit_code == 1
 
 
+@pytest.mark.parametrize("target, pres, images", [
+    ("z2-z6", None, "s[1] = (0,0);1\ns[2] = (0,1);0\ns[3] = (0,0);1\n"),
+    ("q8-f2", "group P\ngens: a b\nrel: a^4\nrel: a b a^-1 b^-1\nrel: b^2 a\n",
+     "a = x;a\nb = 1;b^-1\n")], ids=["z2-z6", "q8-f2"])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_hom_check_images_parse_back_to_their_elements(tmp_path, target, pres,
+                                                       images, as_json):
+    from braidkit.cli import _make_target, _parse_gen, _parse_image
+    from braidkit.presentations import parse_presentation
+
+    pres = pres or run("present", "--family", "sphere", "--n", "4").output
+    pf = tmp_path / "p.txt"
+    pf.write_text(pres)
+    af = tmp_path / "assign.txt"
+    af.write_text(images)
+    res = run("hom-check", "--in", str(pf), "--target", target,
+              "--assign", str(af), *(["--json"] if as_json else []))
+    model = _make_target(target)
+    assignment = {}
+    for line in images.splitlines():
+        g, image = line.split("=")
+        assignment[_parse_gen(g.strip())] = _parse_image(model, image)
+    lines = res.output.splitlines()
+    relators = parse_presentation(pres).relators
+    assert len(lines) == len(relators)
+    for line, r in zip(lines, relators):
+        text = json.loads(line)["image"] if as_json else line.split(" -> ")[1]
+        assert _parse_image(model, text) == model.eval_word(assignment, r), text
+
+
 def test_hom_check_bad_braid_target_is_a_usage_error(tmp_path):
     pf = tmp_path / "p.txt"
     pf.write_text(run("present", "--family", "artin", "--n", "3").output)

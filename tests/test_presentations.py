@@ -98,7 +98,7 @@ def test_indexed_presentations_instantiate():
 def test_instantiate_keeps_every_instance_of_a_far_offset_family():
     # p[k+9] p[k+10]^-1 lies in the window [-2, 2] for k = -11, ..., -8
     far = parse_word("p[9] p[10]^-1")
-    ip = IndexedPresentation("far", (), ("p",), (), (far,), 2)
+    ip = IndexedPresentation("far", (), ("p",), (), (far,))
 
     def at(k):
         return parse_word("p[%d] p[%d]^-1" % (k + 9, k + 10))
@@ -109,17 +109,17 @@ def test_instantiate_keeps_every_instance_of_a_far_offset_family():
 def test_relator_families_must_be_words():
     with pytest.raises(TypeError, match="not a Word"):
         IndexedPresentation("closure", (), ("p",), (),
-                            (lambda k: parse_word("p[%d]" % k),), 2)
+                            (lambda k: parse_word("p[%d]" % k),))
 
 
 def test_family_letters_must_be_singly_indexed():
     for bad in ("p[1,2] p[0]^-1", "p q"):
         with pytest.raises(ValueError, match="not a singly indexed family generator"):
-            IndexedPresentation("bad", (Gen("q"),), ("p",), (), (parse_word(bad),), 2)
+            IndexedPresentation("bad", (Gen("q"),), ("p",), (), (parse_word(bad),))
 
 
 def test_instantiate_gives_a_family_without_family_letters_once():
-    ip = IndexedPresentation("fixed", (Gen("q"),), ("p",), (), (parse_word("q^2"),), 2)
+    ip = IndexedPresentation("fixed", (Gen("q"),), ("p",), (), (parse_word("q^2"),))
     assert ip.instantiate(3).relators == (parse_word("q^2"),)
 
 
@@ -138,3 +138,23 @@ def test_parse_errors():
 def test_serialize_round_trip_families():
     for p in (artin_braid(4), sphere_braid(5), gamma2_b4(), kent_peifer(3)):
         assert parse_presentation(serialize(p)) == p
+
+
+def test_gamma2_presentations_are_perfect_from_six_strands():
+    # the abstract: Gamma_2 of B_n(S^2) is perfect for n >= 5.  n = 6..12
+    # reaches every residue of 2n - 3 mod 6 in gamma2_b6plus and the chain
+    # commutators of both builders
+    for n in range(6, 13):
+        assert str(abelianization(fullpres(n))) == "1", n
+        assert str(abelianization(gamma2_b6plus(n))) == "1", n
+
+
+def test_abelianizations_agree_across_families():
+    # affine C~ is B_m(S^2 - 3 pts), the annular group B_m(S^2 - 2 pts),
+    # the classical braid group B_m(S^2 - 1 pt), and b22 is B_2(S^2 - 2 pts)
+    pairs = [(affine_C(m), punctured_sphere(m, 3)) for m in range(2, 7)]
+    pairs += [(kent_peifer(m), punctured_sphere(m, 2)) for m in range(3, 7)]
+    pairs += [(artin_braid(m), punctured_sphere(m, 1)) for m in range(2, 7)]
+    pairs.append((b22_two_generator(), punctured_sphere(2, 2)))
+    for a, b in pairs:
+        assert abelianization(a) == abelianization(b), (a.name, b.name)

@@ -330,10 +330,10 @@ def test_family_tietze_collapses_duplicates():
 
 def test_family_tietze_keeps_periodic_family():
     # z@k = z@(k+2) makes z periodic with two generators z@0, z@1, not constant
-    ip = IndexedPresentation("p2", (), ("z",), (), (parse_word("z[0] z[2]^-1"),), 3)
-    assert str(abelianization(ip.instantiate())) == "Z^2"
-    assert abelianization(tietze_eliminate(ip).instantiate()) == \
-        abelianization(ip.instantiate())
+    ip = IndexedPresentation("p2", (), ("z",), (), (parse_word("z[0] z[2]^-1"),))
+    assert str(abelianization(ip.instantiate(3))) == "Z^2"
+    assert abelianization(tietze_eliminate(ip).instantiate(3)) == \
+        abelianization(ip.instantiate(3))
 
 
 def test_family_tietze_drops_families_equal_up_to_a_shift():
@@ -362,12 +362,12 @@ def test_family_tietze_collapsed_generators_have_dictionary_entries():
     for p, collapsed in ((artin_braid(5), ("s3", "s4")), (affine_C(3), ("r3",))):
         out = tietze_eliminate(rs_z_window(p, S1))
         assert out.presentation.fixed_generators == tuple(Gen(f) for f in collapsed)
-        inst = out.presentation.instantiate()
+        inst = out.presentation.instantiate(2)
         for g in inst.generators:
             assert out.expand(letter(g)) == out.dictionary[g]
     # the entries make every B_5 kernel relator expand to a trivial braid
     out = tietze_eliminate(rs_z_window(artin_braid(5), S1))
-    for r in out.presentation.instantiate().relators:
+    for r in out.presentation.instantiate(2).relators:
         assert braid_equal(out.expand(r), IDENTITY, 5)
 
 
@@ -621,6 +621,11 @@ def _finite_case(name, gens, start, act, image):
             lambda c, w: number[image(cosets[c], w)])
 
 
+# the drawn words: a start coset in [-3, 3] (Z case) and at most 12 runs
+# of exponents in [-3, 3]
+_START, _RUNS, _EXPONENT = 3, 12, 3
+
+
 def _expansion_cases():
     """(name, generators, move map, dictionary, start cosets, rep(c), end
     coset of w from c) for weight maps onto Z/5 and Z and for the
@@ -628,6 +633,8 @@ def _expansion_cases():
     gens = (_T, _X, _Y)
     free = Presentation("F", gens, ())
     weights = {_T: 1, _X: 2, _Y: -1}
+    # every coset a drawn word visits from a start coset lies in [-K, K]
+    z_window = _START + _RUNS * _EXPONENT * max(map(abs, weights.values()))
 
     def weight(w):
         return sum(weights[x] * e for x, e in w.runs)
@@ -646,7 +653,8 @@ def _expansion_cases():
         ("Z", gens,
          reidschreier._weight_moves(gens, _T, weights, 0,
                                     lambda x, c: Gen(_FAM[x], (c,)), None),
-         rs_z_window(free, _T, weights, window=20).dictionary, range(-3, 4),
+         rs_z_window(free, _T, weights, window=z_window).dictionary,
+         range(-_START, _START + 1),
          t_power, lambda c, w: c + weight(w)),
         _finite_case("Klein four", (A, B), "e", _model_act(klein, klein_images),
                      lambda c, w: _model_image(klein, klein_images, c, w)),
@@ -668,12 +676,14 @@ def test_rewrite_expands_to_the_schreier_word(case, data):
     # expand(rewrite of w from c) = rep(c) w rep(c w)^-1, freely
     _, gens, moves, dictionary, starts, rep, end_of = case
     w = data.draw(st.lists(st.tuples(st.sampled_from(gens),
-                                     st.integers(-3, 3).filter(bool)),
-                           max_size=12).map(free_reduce))
+                                     st.integers(-_EXPONENT, _EXPONENT).filter(bool)),
+                           max_size=_RUNS).map(free_reduce))
     c = data.draw(st.sampled_from(starts))
     rewritten, end = reidschreier._rewrite(w, c, moves)
     assert end == end_of(c, w)
-    assert substitute(rewritten, dictionary) == \
+    # a letter the dictionary lacks is a KeyError, not kept by substitute
+    images = {g: dictionary[g] for g in rewritten.generators()}
+    assert substitute(rewritten, images) == \
         multiply(rep(c), w, invert(rep(end)))
 
 

@@ -189,6 +189,13 @@ def test_windowed_coinvariants_stability():
     assert res.invariants == AbelianInvariants(4, ())
 
 
+def test_annulus_commutator_subgroup_is_perfect_from_six_strands():
+    # the q chain's commutators first appear at m = 6
+    for m in (6, 7):
+        res = windowed_coinvariants(gamma2_annulus(m), window=4)
+        assert (str(res.invariants), res.stable) == ("1", True), m
+
+
 def test_shifted_z_system_gives_order_two():
     res = windowed_coinvariants(shifted_z_family_system(), window=4)
     assert res.stable
