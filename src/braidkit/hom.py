@@ -9,9 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .garside import BraidNF, nf_to_word
 from .models import GroupModel, finite_closure
 from .presentations import Presentation
-from .words import Word
+from .words import Word, word_to_text
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,11 @@ def check_hom(p: Presentation, model: GroupModel, assignment: dict,
 
 
 def _image_text(image) -> str:
-    """An element as text; a pair prints as its parts joined by ';', the
-    syntax hom-check's --assign reads."""
-    if isinstance(image, tuple):
-        return ";".join(str(part) for part in image)
-    return str(image)
+    """An element in the syntax hom-check's --assign reads: a pair as its
+    parts joined by ';', a braid as a word of its normal form."""
+    parts = image if isinstance(image, tuple) else (image,)
+    return ";".join(word_to_text(nf_to_word(x)) if isinstance(x, BraidNF)
+                    and not x.is_trivial() else str(x) for x in parts)
 
 
 def image_order(model: GroupModel, values, budget: int = 20000) -> int:

@@ -7,10 +7,10 @@ any number of targets), the unimodular inverse (U itself when H = I) and
 the Smith form, from Hermite forms of the matrix and of its transpose in
 turn (`_smith`), with the transforms P, Q or without them.
 
-Relation matrices of rewritten presentations are large (hundreds of rows),
-a few percent dense and almost all +/-1, so `abelian_invariants` eliminates
-unit pivots on sparse rows first and gives only the block left without a
-unit entry to `_smith`.  No floating point and no fractions anywhere.
+Rewritten presentations have thousands of relations, a few percent dense and
+almost all +/-1: `abelian_invariants` takes them as sparse rows {column:
+entry} (`words.relation_rows`), eliminates unit pivots and hands `_smith`
+only the block left without a unit entry.  No floating point, no fractions.
 """
 
 from __future__ import annotations
@@ -239,12 +239,13 @@ def inv_unimodular(a: IntMatrix) -> IntMatrix:
     return IntMatrix(tuple(map(tuple, u)))
 
 
-def abelian_invariants(relations: IntMatrix | Sequence[Sequence[int]],
+def abelian_invariants(relations: Sequence[dict[int, int]],
                        num_generators: int) -> tuple[int, tuple[int, ...]]:
-    """Invariants (free_rank, torsion) of Z^n modulo the row span of `relations`.
+    """Invariants (free_rank, torsion) of Z^n modulo the span of `relations`.
 
-    Rows are relation vectors over `num_generators` generators.  Torsion
-    factors are the invariant factors > 1, in divisibility order.
+    Each relation is a sparse row {column: entry} over `num_generators`
+    generators; it is copied, zero entries dropped, and left untouched.
+    Torsion factors are the invariant factors > 1, in divisibility order.
 
     A +/-1 entry splits off an invariant factor 1: clear its column with row
     operations, then its row with column operations, and drop both.  Pivots
@@ -253,13 +254,11 @@ def abelian_invariants(relations: IntMatrix | Sequence[Sequence[int]],
     presented Z-modules", 1993).  The block that has no unit entry left
     goes to `_smith`; columns no row touches are free.
     """
-    dense = relations.rows if isinstance(relations, IntMatrix) else relations
     rows: dict[int, dict[int, int]] = {}
-    for i, r in enumerate(dense):
-        if len(r) != num_generators:
-            raise ValueError("relation width %d != generator count %d"
-                             % (len(r), num_generators))
-        row = {j: int(x) for j, x in enumerate(r) if x}
+    for i, r in enumerate(relations):
+        row = {j: x for j, x in r.items() if x}
+        if any(not 0 <= j < num_generators for j in row):
+            raise ValueError("relation %d has a column outside 0..%d" % (i, num_generators - 1))
         if row:
             rows[i] = row
     pivots = _eliminate_unit_pivots(rows)

@@ -18,7 +18,7 @@ from .intlin import IntMatrix, abelian_invariants, mat_pow, matrix, smith_normal
 from .models import FiniteTable, act_on_finite, finite_closure
 from .presentations import IndexedPresentation, Presentation
 from .reidschreier import rs_finite_cyclic
-from .words import Gen, Word, exponent_rows, free_reduce, parse_word
+from .words import Gen, Word, exponent_vector, free_reduce, parse_word, relation_rows
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,10 @@ class AbelianInvariants:
         return " x ".join(parts) if parts else "1"
 
 
-def _invariants(relation_rows: Sequence[Sequence[int]], num_gens: int) -> AbelianInvariants:
-    free_rank, torsion = abelian_invariants(relation_rows, num_gens)
-    return AbelianInvariants(free_rank, torsion)
-
-
 def abelianization(p: Presentation) -> AbelianInvariants:
-    """Smith form of the relator exponent matrix."""
-    return _invariants(exponent_rows(p.relators, p.generators), len(p.generators))
+    """Abelian invariants of the relators' sparse relation rows."""
+    return AbelianInvariants(*abelian_invariants(
+        relation_rows(p.relators, p.generators), len(p.generators)))
 
 
 def gamma2_mod_gamma3(p: Presentation, t: Gen) -> AbelianInvariants:
@@ -58,9 +54,9 @@ def gamma2_mod_gamma3(p: Presentation, t: Gen) -> AbelianInvariants:
     abelianization: Schreier-present the commutator subgroup over the
     transversal {t^j}, then abelianize together with the coinvariance
     relators identifying each Schreier generator with its t-conjugate."""
-    rel_rows = exponent_rows(p.relators, p.generators)
-    snf = smith_normal_form(matrix(rel_rows) if rel_rows
-                            else IntMatrix(((0,) * len(p.generators),)))
+    # the transform Q gives the weights, so this Smith form stays dense
+    snf = smith_normal_form(matrix([exponent_vector(r, p.generators) for r in p.relators])
+                            if p.relators else IntMatrix(((0,) * len(p.generators),)))
     diagonal = [snf.d[j, j] for j in range(min(snf.d.nrows, snf.d.ncols))]
     ab = AbelianInvariants(len(p.generators) - sum(map(bool, diagonal)),
                            tuple(d for d in diagonal if d > 1))
@@ -91,7 +87,8 @@ def gamma2_mod_gamma3(p: Presentation, t: Gen) -> AbelianInvariants:
             *head, c = s.indices
             shifted = Gen(s.name, (*head, (c + 1) % m))
             relators.append(free_reduce([(shifted, 1), (s, -1)]))
-    return _invariants(exponent_rows(relators, sub.generators), len(sub.generators))
+    return AbelianInvariants(*abelian_invariants(
+        relation_rows(relators, sub.generators), len(sub.generators)))
 
 
 @dataclass(frozen=True)

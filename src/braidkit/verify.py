@@ -19,8 +19,8 @@ from typing import Callable
 
 from . import actions, garside, hom, models, series
 from .freesub import express
-from .intlin import (identity, inv_unimodular, lattice_restrict, mat_mul,
-                     mat_pow, matrix, smith_normal_form, solve_in_lattice)
+from .intlin import (abelian_invariants, identity, inv_unimodular, lattice_restrict,
+                     mat_mul, mat_pow, matrix, smith_normal_form, solve_in_lattice)
 from .presentations import (Presentation, affine_C, b3_punctured_gamma2_ab,
                             fullpres, gamma2_annulus, gamma2_b4, gamma2_b5,
                             punctured_sphere, sphere_braid)
@@ -297,8 +297,8 @@ _register("snf-18-18", "invariant factors of the 5x2 relation matrix",
           lambda: ("(18, 18)",
                    str(smith_normal_form(A_COLUMNS).invariant_factors())))
 _register("coker-rank3-18-18", "cokernel of the relation columns",
-          lambda: ("Z^3 x Z/18 x Z/18",
-                   str(series._invariants([COL_A1, COL_A2], 5))))
+          lambda: ("Z^3 x Z/18 x Z/18", str(series.AbelianInvariants(*abelian_invariants(
+              [dict(enumerate(c)) for c in (COL_A1, COL_A2)], 5)))))
 _register("mat-u-inverse", "printed inverse of the u matrix",
           lambda: (identity(5), mat_mul(M_U, M_U_INV)))
 _register("mat-v-inverse", "printed inverse of the v matrix",

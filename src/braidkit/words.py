@@ -4,7 +4,9 @@ Words are stored run-length encoded: a sequence of (symbol, exponent) runs
 with nonzero exponents and no two consecutive runs sharing a symbol.  All
 operations keep words freely reduced.  Substitution and cyclic reduction
 are run-level kernels (`substitute_runs`, `cyclic_reduce_runs`) that take
-letters of any hashable type, so interned int letters share them.
+letters of any hashable type, so interned int letters share them.  A
+relation row is sparse, {column: exponent sum} over a generator basis
+(`relation_rows`); `exponent_vector` is the dense view of one.
 """
 
 from __future__ import annotations
@@ -146,24 +148,27 @@ def exponent_sum(w: Word, g: Gen) -> int:
     return sum(e for h, e in w.runs if h == g)
 
 
-def exponent_rows(ws: Iterable[Word], gens: Sequence[Gen]) -> list[tuple[int, ...]]:
-    """Exponent-sum vectors of the words over one generator basis (the
-    relation matrix of a presentation), indexing the basis once."""
+def relation_rows(ws: Iterable[Word], gens: Sequence[Gen]) -> list[dict[int, int]]:
+    """Sparse exponent-sum rows {column: nonzero sum} of the words over one
+    generator basis (the relation rows of a presentation), indexing the
+    basis once."""
     idx = {g: i for i, g in enumerate(gens)}
     rows = []
     for w in ws:
-        out = [0] * len(gens)
+        row: dict[int, int] = {}
         for g, e in w.runs:
             i = idx.get(g)
             if i is None:
                 raise ValueError("word uses generator %s outside the given basis" % g)
-            out[i] += e
-        rows.append(tuple(out))
+            row[i] = row.get(i, 0) + e
+        rows.append({i: e for i, e in row.items() if e})
     return rows
 
 
 def exponent_vector(w: Word, gens: Sequence[Gen]) -> tuple[int, ...]:
-    return exponent_rows((w,), gens)[0]
+    """The dense view of one word's relation row."""
+    row = relation_rows((w,), gens)[0]
+    return tuple(row.get(i, 0) for i in range(len(gens)))
 
 
 def substitute_runs(runs: Iterable[tuple], images: dict) -> tuple:
@@ -188,7 +193,9 @@ def substitute_runs(runs: Iterable[tuple], images: dict) -> tuple:
 
 
 def substitute(w: Word, images: dict[Gen, Word]) -> Word:
-    """Replace each generator by its image word (identity for missing gens)."""
+    """Replace each generator that has an image by that word; a generator
+    without one stays as it is.  Callers that need every generator mapped
+    check that first, as `RsOutput.expand` does."""
     return Word(substitute_runs(w.runs, {g: images[g].runs for g, _ in w.runs
                                          if g in images}))
 

@@ -65,10 +65,25 @@ FILES = {
 }
 
 
+def _rs_runs():
+    """`rs` runs: the sphere kernels and the windowed Z kernels."""
+    runs = []
+    for n in range(3, 7):
+        for tietze in ([], ["--tietze"]):
+            runs.append(["rs", "--in", "sphere-n%d" % n, "--mod", str(2 * (n - 1)),
+                         "--transversal", "s[1]"] + tietze)
+    for path, t in Z_KERNELS:
+        for window in ("2", "3"):
+            for tietze in ([], ["--tietze"]):
+                runs.append(["rs", "--in", path, "--mod", "0", "--window", window,
+                             "--transversal", t] + tietze)
+    return runs
+
+
 def invocations():
-    """Yield argument lists in output order.  Each `present` run that
-    succeeds leaves its output in the file _name(FAMILY, OPTIONS...), such
-    as punctured-m3-n2, for later runs to read."""
+    """Yield argument lists in output order.  Each `present` or `rs` run
+    that succeeds leaves its output, a presentation, in the file
+    _saved(ARGS), such as punctured-m3-n2, for later runs to read."""
     for family, sizes in FAMILIES:
         for opts in sizes:
             yield ["present", "--family", family, *opts]
@@ -76,15 +91,11 @@ def invocations():
         for opts in sizes:
             if os.path.exists(_name(family, *opts)):
                 yield ["ab", "--in", _name(family, *opts)]
-    for n in range(3, 7):
-        for tietze in ([], ["--tietze"]):
-            yield ["rs", "--in", "sphere-n%d" % n, "--mod", str(2 * (n - 1)),
-                   "--transversal", "s[1]"] + tietze
-    for path, t in Z_KERNELS:
-        for window in ("2", "3"):
-            for tietze in ([], ["--tietze"]):
-                yield ["rs", "--in", path, "--mod", "0", "--window", window,
-                       "--transversal", t] + tietze
+    yield from _rs_runs()
+    # the kernels' abelianizations; the `# dict:` lines parse as comments
+    for args in _rs_runs():
+        if os.path.exists(_saved(args)):
+            yield ["ab", "--in", _saved(args)]
     for n in range(3, 9):
         yield ["g2g3", "--in", "sphere-n%d" % n, "--transversal", "s[1]"]
     yield ["g2g3", "--in", "g2b4", "--transversal", "g[1]"]
@@ -127,6 +138,15 @@ def _name(family, *opts):
                             for o, v in zip(opts[::2], opts[1::2]))
 
 
+def _saved(args):
+    """The file a successful run of `args` leaves its output in, or None."""
+    if args[0] == "present":
+        return _name(*args[2:])
+    if args[0] == "rs":
+        return "rs" + "".join("-" + a.lstrip("-") for a in args[2:])
+    return None
+
+
 def main(argv):
     if len(argv) != 2:
         sys.exit("usage: python tests/cli_snapshot.py SRC")
@@ -142,8 +162,8 @@ def main(argv):
                 fh.write(text)
         for args in invocations():
             res = runner.invoke(cli, args)
-            if args[0] == "present" and res.exit_code == 0:
-                with open(_name(*args[2:]), "w") as fh:
+            if _saved(args) and res.exit_code == 0:
+                with open(_saved(args), "w") as fh:
                     fh.write(res.output)
             print("$ braidkit %s" % " ".join(
                 "'%s'" % a if " " in a else a for a in args))

@@ -375,4 +375,5 @@ def nilpotent_class2_gamma2(p: Presentation) -> AbelianInvariants:
             row = [sum(m * images[r][1][n] for r, m in enumerate(combo))
                    for n in range(len(pairs))]
             rows.append(row)
-    return AbelianInvariants(*abelian_invariants(rows, len(pairs)))
+    return AbelianInvariants(*abelian_invariants(
+        [{n: x for n, x in enumerate(row) if x} for row in rows], len(pairs)))

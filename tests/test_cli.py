@@ -315,16 +315,21 @@ def test_hom_check_replay_hint_runs(tmp_path):
 
 
 @pytest.mark.parametrize("target, pres, images", [
-    ("z2-z6", None, "s[1] = (0,0);1\ns[2] = (0,1);0\ns[3] = (0,0);1\n"),
+    ("z2-z6", ("sphere", "4"), "s[1] = (0,0);1\ns[2] = (0,1);0\ns[3] = (0,0);1\n"),
     ("q8-f2", "group P\ngens: a b\nrel: a^4\nrel: a b a^-1 b^-1\nrel: b^2 a\n",
-     "a = x;a\nb = 1;b^-1\n")], ids=["z2-z6", "q8-f2"])
+     "a = x;a\nb = 1;b^-1\n"),
+    ("braid:3", ("artin", "3"), "s[1] = s[1]^2\ns[2] = s[2]^-1 s[1]\n"),
+    ("braid:3-x-z", ("artin", "3"), "s[1] = s[1]^2;1\ns[2] = s[2];0\n"),
+    ("braid:4", ("sphere", "4"), "s[1] = s[1]\ns[2] = s[2]\ns[3] = s[3]\n")],
+    ids=["z2-z6", "q8-f2", "braid:3", "braid:3-x-z", "braid:4"])
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_hom_check_images_parse_back_to_their_elements(tmp_path, target, pres,
                                                        images, as_json):
     from braidkit.cli import _make_target, _parse_gen, _parse_image
     from braidkit.presentations import parse_presentation
 
-    pres = pres or run("present", "--family", "sphere", "--n", "4").output
+    if isinstance(pres, tuple):
+        pres = run("present", "--family", pres[0], "--n", pres[1]).output
     pf = tmp_path / "p.txt"
     pf.write_text(pres)
     af = tmp_path / "assign.txt"

@@ -32,6 +32,11 @@ def matrices_3x3():
                     min_size=3, max_size=3).map(matrix)
 
 
+def sparse(rows):
+    """The sparse {column: entry} rows of dense rows."""
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
 def dense_invariants(rows, num_generators):
     """(free_rank, torsion) straight from the dense Smith form: the oracle."""
     factors = smith_normal_form_dense(matrix(rows)).invariant_factors() if rows else ()
@@ -124,17 +129,29 @@ def test_mat_pow():
 
 def test_abelian_invariants_basic():
     # Z^2 / <(2,0),(0,3)> = Z/2 x Z/3 = Z/6
-    assert abelian_invariants(matrix([[2, 0], [0, 3]]), 2) == (0, (6,))
+    assert abelian_invariants(sparse([[2, 0], [0, 3]]), 2) == (0, (6,))
     # no relators: free
-    assert abelian_invariants(matrix([[0, 0]]), 2) == (2, ())
+    assert abelian_invariants(sparse([[0, 0]]), 2) == (2, ())
     # unit invariant factors are dropped
-    assert abelian_invariants(matrix([[1, 0], [0, 4]]), 2) == (0, (4,))
+    assert abelian_invariants(sparse([[1, 0], [0, 4]]), 2) == (0, (4,))
     # columns no relation touches are free
-    assert abelian_invariants([[0, 1, 0, 0]], 4) == (3, ())
+    assert abelian_invariants(sparse([[0, 1, 0, 0]]), 4) == (3, ())
     # a unit pivot fills in: Z^3 / <(1,2,0), (3,0,4), (0,2,2)> = Z/2 x Z/10
-    assert abelian_invariants([[1, 2, 0], [3, 0, 4], [0, 2, 2]], 3) == (0, (2, 10))
-    with pytest.raises(ValueError):
-        abelian_invariants([[1, 2]], 3)
+    assert abelian_invariants(sparse([[1, 2, 0], [3, 0, 4], [0, 2, 2]]), 3) == (0, (2, 10))
+    # a column outside the generators; a zero entry names no column
+    for row in ({3: 1}, {-1: 1}, {0: 1, 7: -2}):
+        with pytest.raises(ValueError, match="relation 1 has a column outside 0..2"):
+            abelian_invariants([{0: 2}, row], 3)
+    assert abelian_invariants([{0: 2}, {5: 0}], 3) == (2, (2,))
+
+
+def test_abelian_invariants_leave_the_callers_rows_untouched():
+    # unit pivots fill in and clear rows in the eliminator's own copies;
+    # the zero entry is dropped from the copy only
+    rows = [{0: 1, 1: 2}, {0: 3, 2: 4}, {1: 2, 2: 2, 3: 0}]
+    before = [dict(r) for r in rows]
+    assert abelian_invariants(rows, 4) == (1, (2, 10))
+    assert rows == before
 
 
 def test_lattice_restrict_identity():
@@ -274,7 +291,7 @@ def test_snf_rectangular():
 def test_abelian_invariants_match_dense_oracle(case):
     rows, ncols, dense = case
     oracle = dense_invariants if dense else sympy_invariants
-    assert abelian_invariants(rows, ncols) == oracle(rows, ncols)
+    assert abelian_invariants(sparse(rows), ncols) == oracle(rows, ncols)
 
 
 def test_abelian_invariants_finish_on_a_unitless_block():
@@ -286,7 +303,7 @@ def test_abelian_invariants_finish_on_a_unitless_block():
             [2, 2, 2, 0, 0, 3, 3, 0, 0], [3, -2, 0, 0, 3, 0, 0, 4, 4],
             [0, -2, 0, 3, 4, -2, 0, -2, 0], [0, 0, 0, 0, 2, -2, -2, 4, 0]]
     start = time.perf_counter()
-    got = abelian_invariants(rows, 9)
+    got = abelian_invariants(sparse(rows), 9)
     assert time.perf_counter() - start < 0.5
     assert got == (0, (2, 2, 2, 2, 4)) == sympy_invariants(rows, 9)
 
@@ -307,7 +324,7 @@ def test_smith_normal_form_finishes_on_a_unitless_7x7():
 def test_abelian_invariants_match_dense_oracle_on_presentations():
     from braidkit.presentations import gamma2_annulus, punctured_sphere, sphere_braid
     from braidkit.reidschreier import rs_finite_cyclic
-    from braidkit.words import Gen, exponent_vector
+    from braidkit.words import Gen, exponent_vector, relation_rows
 
     cases = [sphere_braid(n) for n in range(3, 9)]
     cases += [punctured_sphere(m, n) for m in range(1, 5) for n in range(1, 5)]
@@ -316,5 +333,8 @@ def test_abelian_invariants_match_dense_oracle_on_presentations():
               for n in (4, 5, 6)]
     for p in cases:
         rows = [exponent_vector(r, p.generators) for r in p.relators]
+        sparse_rows = relation_rows(p.relators, p.generators)
+        # each sparse row is the nonzero entries of the dense one
+        assert sparse_rows == sparse(rows), p.name
         n = len(p.generators)
-        assert abelian_invariants(rows, n) == dense_invariants(rows, n), p.name
+        assert abelian_invariants(sparse_rows, n) == dense_invariants(rows, n), p.name

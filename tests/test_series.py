@@ -28,8 +28,8 @@ from braidkit.series import (
 )
 from braidkit import reidschreier, series
 from braidkit.reidschreier import rs_finite_cyclic
-from braidkit.words import (Gen, Word, exponent_rows, invert, letter, multiply,
-                            parse_word)
+from braidkit.words import (Gen, Word, invert, letter, multiply, parse_word,
+                            relation_rows)
 from oracles import nilpotent_class2_gamma2
 
 
@@ -100,7 +100,7 @@ def _rewriter_coinvariance_rows(p, modulus, t, weights):
             p.generators, t, weights, modulus,
             lambda x, c: Gen(x.name, x.indices + (c,)), Gen("w")))[0]
         relators.append(multiply(image, invert(letter(s))))
-    return exponent_rows(relators, rs.presentation.generators)
+    return relation_rows(relators, rs.presentation.generators)
 
 
 _G2G3_INPUTS = [(sphere_braid(n), Gen("s", (1,)), None) for n in range(3, 10)]
@@ -119,19 +119,20 @@ def test_gamma2_mod_gamma3_index_shift_rows_match_the_rewriter(monkeypatch, p, t
     real_rs = series.rs_finite_cyclic
     monkeypatch.setattr(series, "rs_finite_cyclic",
                         lambda *args: calls.append(args) or real_rs(*args))
-    real_invariants = series._invariants
-    monkeypatch.setattr(series, "_invariants", lambda relation_rows, n: (
-        matrices.append(relation_rows) or real_invariants(relation_rows, n)))
+    real_invariants = series.abelian_invariants
+    monkeypatch.setattr(series, "abelian_invariants", lambda rows, n: (
+        matrices.append(rows) or real_invariants(rows, n)))
     got = gamma2_mod_gamma3(p, t)
     (args,) = calls
     assert args[2:] == (t, weights or {g: 1 for g in p.generators})
     rows = matrices[-1]
     sub = real_rs(*args).presentation
     shift_rows = rows[len(sub.relators):]
-    oracle = [r for r in _rewriter_coinvariance_rows(*args) if any(r)]
-    assert sorted(shift_rows) == sorted(oracle)
-    assert got == real_invariants(rows[:len(sub.relators)] + oracle,
-                                  len(sub.generators))
+    oracle = [r for r in _rewriter_coinvariance_rows(*args) if r]
+    assert (sorted(tuple(sorted(r.items())) for r in shift_rows)
+            == sorted(tuple(sorted(r.items())) for r in oracle))
+    assert got == AbelianInvariants(*real_invariants(
+        rows[:len(sub.relators)] + oracle, len(sub.generators)))
     # Lambda^2 of a cyclic group is 0, so Gamma_2 = Gamma_3 both ways
     assert str(got) == "1"
     assert nilpotent_class2_gamma2(p) == got

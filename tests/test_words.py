@@ -1,5 +1,6 @@
 """Free-group word algebra: algebraic laws plus parser round trips."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidkit.words import (
@@ -17,6 +18,7 @@ from braidkit.words import (
     multiply,
     parse_word,
     power,
+    relation_rows,
     substitute,
     substitute_runs,
     word_to_text,
@@ -70,6 +72,14 @@ def test_conjugate_cyclically_reduces_alike(u, v):
     # conjugation never changes the cyclic reduction up to rotation, so at
     # minimum the exponent vectors agree
     assert exponent_vector(conjugate(u, v), ALPHABET) == exponent_vector(u, ALPHABET)
+
+
+def test_relation_rows_sum_repeats_and_drop_zero_sums():
+    # a b a^-1: the two a runs are not adjacent, and they cancel in the row
+    assert relation_rows([parse_word("a b a^-1"), parse_word("c^2 a c^-3 a^2"),
+                          IDENTITY], ALPHABET) == [{1: 1}, {0: 3, 2: -1}, {}]
+    with pytest.raises(ValueError, match="outside the given basis"):
+        relation_rows([parse_word("a d")], ALPHABET)
 
 
 def test_power():
