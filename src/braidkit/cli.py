@@ -271,43 +271,9 @@ def _make_target(spec: str):
         except ValueError:
             raise click.UsageError("target %r needs a strand count N >= 2" % spec)
         if times_z:
-            return models.DirectProduct((braids, models.CyclicZ(0)))
+            return models.Product(braids, models.CyclicZ(0))
         return braids
     raise click.UsageError("unknown target %r; known: %s" % (spec, ", ".join(_TARGETS)))
-
-
-def _split_pair(text: str) -> list[str]:
-    parts = text.split(";")
-    if len(parts) != 2:
-        raise ValueError("image %r needs exactly one ';'" % text)
-    return parts
-
-
-def _parse_image(model, text: str):
-    """Parse an element: a braid word, or finite;word / vector;k / braid;k
-    pairs for the composite targets.  Raises ValueError for a malformed
-    image."""
-    text = text.strip()
-    if isinstance(model, models.GarsideBraidGroup):
-        return model.from_word(parse_word(text))
-    if isinstance(model, models.SemidirectAbelianByCyclic):
-        vec, k = _split_pair(text)
-        entries = tuple(int(x) for x in vec.strip("() ").split(","))
-        if len(entries) != model.dim:
-            raise ValueError("vector %r needs %d entries, has %d"
-                             % (vec.strip(), model.dim, len(entries)))
-        return (entries, int(k))
-    if isinstance(model, models.SemidirectFiniteByFree):
-        finite, free = _split_pair(text)
-        finite = finite.strip()
-        if finite not in model.finite.elements:
-            raise ValueError("unknown element %r; known: %s"
-                             % (finite, " ".join(model.finite.elements)))
-        return (finite, parse_word(free))
-    if isinstance(model, models.DirectProduct):
-        braid, k = _split_pair(text)
-        return (model.factors[0].from_word(parse_word(braid)), int(k))
-    raise click.UsageError("no element syntax for this target")
 
 
 @main.command("hom-check")
@@ -329,7 +295,7 @@ def hom_check_cmd(path, target, assign_path, relator, as_json):
             if not line or line.startswith("#"):
                 continue
             gen_text, image_text = line.split("=", 1)
-            assignment[_parse_gen(gen_text.strip())] = _parse_image(model, image_text)
+            assignment[_parse_gen(gen_text.strip())] = model.parse(image_text.strip())
     with _exit_on(ValueError, "error", 1):
         report = hom.check_hom(p, model, assignment, relator)
     if as_json:

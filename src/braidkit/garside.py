@@ -237,28 +237,28 @@ def permutation(word: Word, n: int) -> tuple[int, ...]:
 
 
 def _perm_braid_word(p) -> list[tuple[Gen, int]]:
-    """Write a permutation braid as a positive word (bubble sort)."""
-    n = len(p)
+    """Write a permutation braid as a positive word: one insertion-sort
+    pass, swapping positions i-1 and i for the letter s_i, which always
+    swaps the leftmost descent."""
     q = list(p)
     word = []
-    while q != sorted(q):
-        for i in range(n - 1):
-            if q[i] > q[i + 1]:
-                word.append((Gen("s", (i + 1,)), 1))
-                q[i], q[i + 1] = q[i + 1], q[i]
-                break
+    for j in range(1, len(q)):
+        i = j
+        while i and q[i - 1] > q[i]:
+            word.append((Gen("s", (i,)), 1))
+            q[i - 1], q[i] = q[i], q[i - 1]
+            i -= 1
     return word
 
 
 def nf_to_word(nf: BraidNF) -> Word:
     """A braid word representing the normal form (Delta as a positive word)."""
     runs: list[tuple[Gen, int]] = []
-    delta_word = _perm_braid_word(_perm_delta(nf.n))
-    if nf.power >= 0:
-        runs.extend(delta_word * nf.power)
-    else:
-        inv = [(g, -e) for g, e in reversed(delta_word)]
-        runs.extend(inv * (-nf.power))
+    if nf.power:
+        delta_word = _perm_braid_word(_perm_delta(nf.n))
+        if nf.power < 0:
+            delta_word = [(g, -e) for g, e in reversed(delta_word)]
+        runs.extend(delta_word * abs(nf.power))
     for f in nf.factors:
         runs.extend(_perm_braid_word(f))
     return free_reduce(runs)

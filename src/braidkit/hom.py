@@ -9,10 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .garside import BraidNF, nf_to_word
 from .models import GroupModel, finite_closure
 from .presentations import Presentation
-from .words import Word, word_to_text
+from .words import Word
 
 
 @dataclass(frozen=True)
@@ -54,17 +53,9 @@ def check_hom(p: Presentation, model: GroupModel, assignment: dict,
         r = p.relators[i]
         image = model.eval_word(assignment, r)
         checks.append(RelatorCheck(
-            i, r, _image_text(image), image == model.identity(),
+            i, r, model.text(image), image == model.identity(),
             "braidkit hom-check --relator %d ..." % i))
     return HomReport(p.name, tuple(checks))
-
-
-def _image_text(image) -> str:
-    """An element in the syntax hom-check's --assign reads: a pair as its
-    parts joined by ';', a braid as a word of its normal form."""
-    parts = image if isinstance(image, tuple) else (image,)
-    return ";".join(word_to_text(nf_to_word(x)) if isinstance(x, BraidNF)
-                    and not x.is_trivial() else str(x) for x in parts)
 
 
 def image_order(model: GroupModel, values, budget: int = 20000) -> int:

@@ -2,18 +2,22 @@
 
 Each model knows how to multiply, invert, and produce its identity; elements
 are plain values (ints, tuples, words, ...) whose equality is normal-form
-equality.  Words in presentation generators are evaluated into a model via an
-assignment of generator images.
+equality.  Each model also reads and writes its elements as text (`parse`,
+`text`), in the syntax of hom-check's `--assign` files.  Words in
+presentation generators are evaluated into a model via an assignment of
+generator images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from . import garside
-from .intlin import IntMatrix, mat_pow, matrix
-from .words import IDENTITY, Gen, Word, invert, multiply, substitute
+from .garside import nf_to_word
+from .intlin import mat_pow, matrix
+from .words import IDENTITY, Gen, Word, invert, multiply, parse_word, substitute, word_to_text
 
 
 class GroupModel:
@@ -25,6 +29,14 @@ class GroupModel:
 
     def inv(self, a):
         raise NotImplementedError
+
+    def parse(self, text: str):
+        """The element that `text` writes; ValueError if it writes none."""
+        raise NotImplementedError
+
+    def text(self, a) -> str:
+        """`a` in the syntax that `parse` reads."""
+        return str(a)
 
     def pow(self, a, k: int):
         if k < 0:
@@ -60,6 +72,52 @@ class CyclicZ(GroupModel):
     def inv(self, a):
         return (-a) % self.modulus if self.modulus else -a
 
+    def parse(self, text):
+        return self.mul(0, int(text))
+
+
+@dataclass(frozen=True)
+class FreeAbelian(GroupModel):
+    """Z^dim, elements as integer tuples written (a, b, ...)."""
+
+    dim: int
+
+    def identity(self):
+        return (0,) * self.dim
+
+    def mul(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def inv(self, a):
+        return tuple(-x for x in a)
+
+    def parse(self, text):
+        entries = tuple(int(x) for x in text.strip("() ").split(","))
+        if len(entries) != self.dim:
+            raise ValueError("vector %r needs %d entries, has %d"
+                             % (text.strip(), self.dim, len(entries)))
+        return entries
+
+    def text(self, a):
+        return "(%s)" % ", ".join(map(str, a))
+
+
+@dataclass(frozen=True)
+class FreeGroup(GroupModel):
+    """The free group on the generators its words use."""
+
+    def identity(self):
+        return IDENTITY
+
+    def mul(self, a, b):
+        return multiply(a, b)
+
+    def inv(self, a):
+        return invert(a)
+
+    def parse(self, text):
+        return parse_word(text)
+
 
 @dataclass(frozen=True)
 class FiniteTable(GroupModel):
@@ -73,6 +131,13 @@ class FiniteTable(GroupModel):
 
     def _idx(self, a: str) -> int:
         return self.elements.index(a)
+
+    def parse(self, text):
+        name = text.strip()
+        if name not in self.elements:
+            raise ValueError("unknown element %r; known: %s"
+                             % (name, " ".join(self.elements)))
+        return name
 
     def identity(self):
         for i, e in enumerate(self.elements):
@@ -111,51 +176,6 @@ class FiniteTable(GroupModel):
 
 
 @dataclass(frozen=True)
-class DirectProduct(GroupModel):
-    factors: tuple[GroupModel, ...]
-
-    def identity(self):
-        return tuple(f.identity() for f in self.factors)
-
-    def mul(self, a, b):
-        return tuple(f.mul(x, y) for f, x, y in zip(self.factors, a, b))
-
-    def inv(self, a):
-        return tuple(f.inv(x) for f, x in zip(self.factors, a))
-
-
-@dataclass(frozen=True)
-class SemidirectAbelianByCyclic(GroupModel):
-    """Z^dim semidirect a cyclic group, the cyclic generator acting by `action`.
-
-    Elements (v, k); (v1,k1)(v2,k2) = (v1 + action^k1 v2, k1+k2).
-    """
-
-    dim: int
-    modulus: int
-    action: IntMatrix
-
-    def identity(self):
-        return ((0,) * self.dim, 0)
-
-    def _act(self, k, v):
-        m = mat_pow(self.action, k % self.modulus if self.modulus else k)
-        return tuple(sum(m[i, j] * v[j] for j in range(self.dim)) for i in range(self.dim))
-
-    def mul(self, a, b):
-        (v1, k1), (v2, k2) = a, b
-        k = k1 + k2
-        if self.modulus:
-            k %= self.modulus
-        return (tuple(x + y for x, y in zip(v1, self._act(k1, v2))), k)
-
-    def inv(self, a):
-        v, k = a
-        ki = (-k) % self.modulus if self.modulus else -k
-        return (tuple(-x for x in self._act(ki, v)), ki)
-
-
-@dataclass(frozen=True)
 class FreeAutomorphism:
     """An automorphism of a free group, by generator images (plus, optionally,
     the images under the inverse automorphism)."""
@@ -185,29 +205,6 @@ def act_on_finite(actions: dict[Gen, dict[str, str]], w: Word, h: str) -> str:
 
 
 @dataclass(frozen=True)
-class SemidirectFiniteByFree(GroupModel):
-    """A finite group semidirect a free group; the action maps each free
-    generator to a permutation (dict) of the finite group's elements."""
-
-    finite: FiniteTable
-    g_gens: tuple[Gen, ...]
-    actions: dict[Gen, dict[str, str]] = field(hash=False)
-
-    def identity(self):
-        return (self.finite.identity(), IDENTITY)
-
-    def mul(self, a, b):
-        (h1, g1), (h2, g2) = a, b
-        return (self.finite.mul(h1, act_on_finite(self.actions, g1, h2)),
-                multiply(g1, g2))
-
-    def inv(self, a):
-        h, g = a
-        gi = invert(g)
-        return (self.finite.inv(act_on_finite(self.actions, gi, h)), gi)
-
-
-@dataclass(frozen=True)
 class GarsideBraidGroup(GroupModel):
     """Braid group B_n with elements in Garside normal form; products and
     inverses are computed on normal forms, never through words."""
@@ -230,21 +227,69 @@ class GarsideBraidGroup(GroupModel):
     def from_word(self, w: Word):
         return garside.normal_form(w, self.n)
 
+    def parse(self, text):
+        return self.from_word(parse_word(text))
 
-def finite_closure(model: GroupModel, seeds, budget: int = 20000) -> set:
-    """Closure of the seeds under multiplication and inversion."""
-    todo = list(seeds) + [model.identity()]
-    seen = set(todo)
-    while todo:
-        a = todo.pop()
-        for b in [model.inv(a)] + [model.mul(a, c) for c in list(seen)] \
-                + [model.mul(c, a) for c in list(seen)]:
-            if b not in seen:
-                seen.add(b)
-                todo.append(b)
-                if len(seen) > budget:
+    def text(self, a):
+        return word_to_text(nf_to_word(a))
+
+
+@dataclass(frozen=True)
+class Product(GroupModel):
+    """The product of a normal subgroup model and a quotient model, written
+    NORMAL;QUOTIENT.  The quotient acts on the normal part by `act(q, n)`,
+    a left action by automorphisms, so
+
+        (n1, q1)(n2, q2) = (n1 act(q1, n2), q1 q2);
+
+    with no action the product is direct."""
+
+    normal: GroupModel
+    quotient: GroupModel
+    act: Optional[Callable] = field(default=None, compare=False)
+
+    def identity(self):
+        return (self.normal.identity(), self.quotient.identity())
+
+    def mul(self, a, b):
+        (n1, q1), (n2, q2) = a, b
+        if self.act is not None:
+            n2 = self.act(q1, n2)
+        return (self.normal.mul(n1, n2), self.quotient.mul(q1, q2))
+
+    def inv(self, a):
+        n, q = a
+        qi = self.quotient.inv(q)
+        ni = self.normal.inv(n)
+        return (ni if self.act is None else self.act(qi, ni), qi)
+
+    def parse(self, text):
+        parts = text.split(";")
+        if len(parts) != 2:
+            raise ValueError("image %r needs exactly one ';'" % text)
+        return (self.normal.parse(parts[0]), self.quotient.parse(parts[1]))
+
+    def text(self, a):
+        return "%s;%s" % (self.normal.text(a[0]), self.quotient.text(a[1]))
+
+
+def finite_closure(model: GroupModel, seeds, budget: int = 20000) -> dict:
+    """The subgroup generated by the seeds, as {element: a shortest word of
+    seed indices whose product it is}: a breadth-first walk from the
+    identity by right multiplication by each seed.  In a finite group this
+    reaches the whole subgroup, since each inverse is a positive power."""
+    seeds = list(seeds)
+    words = {model.identity(): ()}
+    order = list(words)
+    for a in order:
+        for i, s in enumerate(seeds):
+            b = model.mul(a, s)
+            if b not in words:
+                words[b] = words[a] + (i,)
+                order.append(b)
+                if len(words) > budget:
                     raise ValueError("closure exceeded budget %d" % budget)
-    return seen
+    return words
 
 
 # ---------------------------------------------------------------------------
@@ -281,26 +326,15 @@ def automorphism_from_images(table: FiniteTable, gen_images: dict[str, str]) -> 
     """Extend images of a generating set multiplicatively to a permutation of
     the whole finite group.  Each element is first expressed as a word in the
     generators (breadth-first), then mapped."""
-    gens = list(gen_images)
-    ident = table.identity()
-    expr = {ident: []}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = table.mul(a, g)
-                if b not in expr:
-                    expr[b] = expr[a] + [g]
-                    nxt.append(b)
-        frontier = nxt
+    images = list(gen_images.values())
+    expr = finite_closure(table, gen_images)
     if len(expr) != len(table.elements):
         raise ValueError("images do not generate the group")
     out = {}
     for a, word in expr.items():
-        img = ident
-        for g in word:
-            img = table.mul(img, gen_images[g])
+        img = table.identity()
+        for i in word:
+            img = table.mul(img, images[i])
         out[a] = img
     if len(set(out.values())) != len(out):
         raise ValueError("generator images do not define a bijection")
@@ -311,16 +345,23 @@ def automorphism_from_images(table: FiniteTable, gen_images: dict[str, str]) -> 
     return out
 
 
-def z2z6_model() -> SemidirectAbelianByCyclic:
-    return SemidirectAbelianByCyclic(2, 6, matrix([[0, 1], [-1, 1]]))
+def z2z6_model() -> Product:
+    """Z^2 semidirect Z/6, k in Z/6 acting on vectors by M^k for a matrix M
+    of order 6."""
+    m = matrix([[0, 1], [-1, 1]])
+
+    def act(k, v):
+        mk = mat_pow(m, k % 6)
+        return tuple(sum(mk[i, j] * x for j, x in enumerate(v)) for i in range(2))
+    return Product(FreeAbelian(2), CyclicZ(6), act)
 
 
-def q8_semidirect_f2() -> SemidirectFiniteByFree:
+def q8_semidirect_f2() -> Product:
     """Q8 semidirect the free group on a, b; a and b act by the automorphisms
     x -> y, y -> xy and x -> yx, y -> x respectively."""
     t = q8()
     yx = t.mul("y", "x")
     act_a = automorphism_from_images(t, {"x": "y", "y": "xy"})
     act_b = automorphism_from_images(t, {"x": yx, "y": "x"})
-    a, b = Gen("a"), Gen("b")
-    return SemidirectFiniteByFree(t, (a, b), {a: act_a, b: act_b})
+    return Product(t, FreeGroup(),
+                   partial(act_on_finite, {Gen("a"): act_a, Gen("b"): act_b}))

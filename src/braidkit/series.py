@@ -129,7 +129,6 @@ def shifted_z_family_system() -> IndexedPresentation:
 class RankReport:
     i: int
     rank: int
-    alpha: tuple[tuple[int, Fraction], ...]
 
 
 _M = matrix([[0, -1], [-1, 1]])
@@ -170,23 +169,14 @@ def _divisor_sum(n: int, k_alpha) -> Fraction:
 
 def _lcs_rank(i: int, first_j: int,
               k_alpha: Callable[[int], Fraction]) -> RankReport:
-    """The rank sum over j = first_j .. i-2 of the divisor sums of i - j,
-    with the alpha_k = k_alpha(k) / k it used."""
+    """The rank sum over j = first_j .. i-2 of the divisor sums of i - j."""
     if i < 2:
         raise ValueError("need i >= 2")
-    k_alphas = {}
-
-    def cached(k: int) -> Fraction:
-        if k not in k_alphas:
-            k_alphas[k] = Fraction(k_alpha(k))
-        return k_alphas[k]
-
-    total = sum((_divisor_sum(i - j, cached) for j in range(first_j, i - 1)),
+    total = sum((_divisor_sum(i - j, k_alpha) for j in range(first_j, i - 1)),
                 Fraction(0))
     if total.denominator != 1:
         raise ValueError("non-integral rank at i=%d: %s" % (i, total))
-    return RankReport(i, int(total),
-                      tuple((k, k_alphas[k] / k) for k in sorted(k_alphas)))
+    return RankReport(i, int(total))
 
 
 def lcs_rank_z2_free(i: int) -> RankReport:

@@ -218,7 +218,7 @@ def _hom_punctured_4_2():
             assign[g] = (b3.identity(), 1)
         else:
             assign[g] = (delta_m2, -1)
-    b3z = models.DirectProduct((b3, models.CyclicZ(0)))
+    b3z = models.Product(b3, models.CyclicZ(0))
     return True, hom.check_hom(p, b3z, assign).all_trivial
 
 

@@ -62,7 +62,21 @@ FILES = {
     "braid-z-bad.txt": "s[1] = s[1]^2;1\ns[2] = s[2];0\n",
     "basis.txt": "a^2\nb^2\na b a b\nb a^2 b^-1\na b^2 a^-1\n",
     "z6.txt": "group Z6\ngens: a b\nrel: a^6\nrel: b a^-4\n",
+    "f2.txt": "group F2\ngens: a b\nrel: a b a^-1 b^-1\n",
 }
+
+# (presentation file, target, assignment) of hom-check runs whose images do
+# not parse; each assignment is also written to a file of its own
+MALFORMED_IMAGES = (
+    [("sphere-n4", "z2-z6", a) for a in (
+        "s[1] = (0,0,7);1\n", "s[1] = (0);1\n", "s[1] = (0,0)\n",
+        "s[1] = (0,0);1;1\n")]
+    + [("f2.txt", "q8-f2", a) for a in ("a = zz;a\n", "a = x\n")]
+    + [("artin-n3", "braid:3-x-z", a) for a in (
+        "s[1] = s[1]\ns[2] = s[2]\n", "s[1] = s[1];0;1\ns[2] = s[2];0\n",
+        "s[1] = s[1];x\ns[2] = s[2];0\n")])
+FILES.update(("malformed-%d.txt" % i, assign)
+             for i, (_pres, _target, assign) in enumerate(MALFORMED_IMAGES))
 
 
 def _rs_runs():
@@ -125,6 +139,9 @@ def invocations():
                 ("artin-n3", "braid:3-x-z", "braid-z-bad.txt")):
             yield ["hom-check", "--in", pres, "--target", target,
                    "--assign", assign] + as_json
+    for i, (pres, target, _assign) in enumerate(MALFORMED_IMAGES):
+        yield ["hom-check", "--in", pres, "--target", target,
+               "--assign", "malformed-%d.txt" % i]
     for family in ("z2-free", "torus"):
         for as_json in ([], ["--json"]):
             yield ["lcs-ranks", "--family", family, "--max-i", "8"] + as_json

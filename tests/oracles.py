@@ -72,6 +72,26 @@ def canonical_relator_all_rotations(w: Word) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# braid words
+
+
+def perm_braid_word_by_restarts(p) -> list:
+    """A positive word for a permutation braid by bubble sort, restarting
+    the scan after every swap: each letter s_(i+1) swaps the leftmost pair
+    i, i+1 out of order."""
+    n = len(p)
+    q = list(p)
+    word = []
+    while q != sorted(q):
+        for i in range(n - 1):
+            if q[i] > q[i + 1]:
+                word.append((Gen("s", (i + 1,)), 1))
+                q[i], q[i + 1] = q[i + 1], q[i]
+                break
+    return word
+
+
+# ---------------------------------------------------------------------------
 # free-group automorphisms
 
 

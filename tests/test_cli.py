@@ -325,7 +325,7 @@ def test_hom_check_replay_hint_runs(tmp_path):
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_hom_check_images_parse_back_to_their_elements(tmp_path, target, pres,
                                                        images, as_json):
-    from braidkit.cli import _make_target, _parse_gen, _parse_image
+    from braidkit.cli import _make_target, _parse_gen
     from braidkit.presentations import parse_presentation
 
     if isinstance(pres, tuple):
@@ -340,13 +340,13 @@ def test_hom_check_images_parse_back_to_their_elements(tmp_path, target, pres,
     assignment = {}
     for line in images.splitlines():
         g, image = line.split("=")
-        assignment[_parse_gen(g.strip())] = _parse_image(model, image)
+        assignment[_parse_gen(g.strip())] = model.parse(image)
     lines = res.output.splitlines()
     relators = parse_presentation(pres).relators
     assert len(lines) == len(relators)
     for line, r in zip(lines, relators):
         text = json.loads(line)["image"] if as_json else line.split(" -> ")[1]
-        assert _parse_image(model, text) == model.eval_word(assignment, r), text
+        assert model.parse(text) == model.eval_word(assignment, r), text
 
 
 def test_hom_check_bad_braid_target_is_a_usage_error(tmp_path):

@@ -5,6 +5,8 @@ action of B_n on the free group F_n, which is faithful, and the former
 implementation (one factor per letter, eager tau, a global sweep), kept
 here as `sweep_normal_form`."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,7 @@ from braidkit.hom import check_hom
 from braidkit.models import GarsideBraidGroup
 from braidkit.presentations import artin_braid
 from braidkit.words import Gen, free_reduce, invert, letter, multiply, parse_word
-from oracles import action_of_word, artin_action
+from oracles import action_of_word, artin_action, perm_braid_word_by_restarts
 
 IDENT = parse_word("1")
 
@@ -283,3 +285,10 @@ def test_model_mul_and_inv_never_pass_through_words(monkeypatch):
     report = check_hom(p, model, squared)
     # s[1]^2 still commutes with s[3]; only the braid relation on s[1] fails
     assert [c.index for c in report.failures()] == [1]
+
+
+def test_permutation_braid_words_match_the_restarting_bubble_sort():
+    for n in range(1, 7):
+        for p in permutations(range(n)):
+            assert garside._perm_braid_word(p) == perm_braid_word_by_restarts(p), p
+

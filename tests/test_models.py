@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidkit.cli import _TARGETS, _make_target
 from braidkit.models import (
     FreeAutomorphism,
     GarsideBraidGroup,
@@ -31,6 +32,19 @@ def test_q8_subgroup_closure():
     t = q8()
     centre = finite_closure(t, [t.mul("x", "x")])
     assert sorted(centre) == ["-1", "1"]
+
+
+def test_finite_closure_words_spell_their_elements():
+    t = q8()
+    seeds = ["x", t.mul("x", "y")]
+    words = finite_closure(t, seeds)
+    assert sorted(words) == sorted(t.elements)
+    assert words[t.identity()] == ()
+    for element, word in words.items():
+        product = t.identity()
+        for i in word:
+            product = t.mul(product, seeds[i])
+        assert product == element
 
 
 def test_z2z6_model_order_six_quotient():
@@ -105,3 +119,48 @@ def test_semidirect_finite_by_free():
     ga = ("1", letter(a))
     conj = qf.mul(qf.mul(ga, x), qf.inv(ga))
     assert conj == ("y", Word(()))  # the declared action of a sends x to y
+
+
+# generator images, in the --assign syntax, of each hom-check target
+TARGET_GENERATORS = {
+    "z2-z6": ("(1, 0);0", "(0, 1);0", "(0, 0);1"),
+    "q8-f2": ("x;1", "y;1", "1;a", "1;b"),
+    "braid:N": ("s[1]", "s[2]", "s[3]"),
+    "braid:N-x-z": ("s[1];0", "s[2];0", "s[3];0", "1;1"),
+}
+
+
+def test_every_target_has_generator_images():
+    assert set(TARGET_GENERATORS) == set(_TARGETS)
+
+
+@pytest.mark.parametrize("target", _TARGETS)
+@settings(max_examples=40)
+@given(st.data())
+def test_element_text_parses_back(target, data):
+    model = _make_target(target.replace("N", "4"))
+    gens = [model.parse(g) for g in TARGET_GENERATORS[target]]
+    runs = data.draw(st.lists(st.tuples(st.integers(0, len(gens) - 1),
+                                        st.integers(-3, 3).filter(bool)),
+                              max_size=8))
+    x = model.identity()
+    for i, e in runs:
+        x = model.mul(x, model.pow(gens[i], e))
+    assert model.parse(model.text(x)) == x
+
+
+@pytest.mark.parametrize("target, make, text", [
+    ("z2-z6", lambda m: ((-3, 5), 4), "(-3, 5);4"),
+    ("q8-f2", lambda m: ("-xy", parse_word("a^3 b^-2 a")), "-xy;a^3 b^-2 a"),
+    ("braid:4", lambda m: m.from_word(parse_word("s[1]^-3 s[2]")), None),
+    ("braid:4-x-z", lambda m: (m.normal.from_word(parse_word("s[3]^-1 s[1]^-1")), -7),
+     None)])
+def test_negative_entries_and_delta_powers_parse_back(target, make, text):
+    model = _make_target(target)
+    x = make(model)
+    if text is not None:
+        assert model.text(x) == text
+    else:
+        braid = x[0] if isinstance(x, tuple) else x
+        assert braid.power < 0
+    assert model.parse(model.text(x)) == x

@@ -218,5 +218,5 @@ def test_hat_subgroup_budget_bounds_the_closure_size():
     t = q8()
     acts = {Gen("a"): automorphism_from_images(t, {"x": "y", "y": "xy"})}
     assert len(hat_subgroup(t, acts, [parse_word("a")], budget=8)) == 8
-    with pytest.raises(ValueError, match="budget"):
+    with pytest.raises(ValueError, match="closure exceeded budget 4"):
         hat_subgroup(t, acts, [parse_word("a")], budget=4)
