@@ -290,12 +290,17 @@ def hom_check_cmd(path, target, assign_path, relator, as_json):
     model = _make_target(target)
     assignment = {}
     with _exit_on(ValueError, "parse error", 3):
-        for line in _read_text(assign_path).splitlines():
+        for lineno, line in enumerate(_read_text(assign_path).splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            gen_text, image_text = line.split("=", 1)
-            assignment[_parse_gen(gen_text.strip())] = model.parse(image_text.strip())
+            gen_text, eq, image_text = line.partition("=")
+            if not eq:
+                raise ValueError("line %d: expected GEN = IMAGE, got %r" % (lineno, line))
+            try:
+                assignment[_parse_gen(gen_text.strip())] = model.parse(image_text.strip())
+            except ValueError as exc:
+                raise ValueError("line %d: %s" % (lineno, exc)) from None
     with _exit_on(ValueError, "error", 1):
         report = hom.check_hom(p, model, assignment, relator)
     if as_json:

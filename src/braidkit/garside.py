@@ -12,13 +12,13 @@ The form is built incrementally, by left-greedy multiplication (Epstein et
 al., *Word Processing in Groups*, ch. 9; El-Rifai and Morton, "Algorithms
 for positive braids", 1994).  Multiplying on the right by a simple element X
 appends X and repairs adjacent pairs from right to left.  A pair (A, B) is
-repaired by moving the meet of the right complement A^-1 Delta and B out of
-B into A, a whole parabolic half twist at a time.  The pass stops at the
-first pair that does not change, since every pair left of it is unchanged
-and still left-weighted; by the domino rule the pairs it did repair are
-left-weighted too.  A Delta factor can only arise at the front, where it
-joins the power, and an identity factor only at the end, where it is
-dropped.
+repaired in one step: the left meet M of the right complement A^-1 Delta
+and B, read off the strand crossings, moves from B to A as (A M, M^-1 B).
+The pass stops at the first pair that does not change, since every pair
+left of it is unchanged and still left-weighted; by the domino rule the
+pairs it did repair are left-weighted too.  A Delta factor can only arise
+at the front, where it joins the power, and an identity factor only at the
+end, where it is dropped.
 
 A negative letter is s_i^-1 = Delta^-1 (Delta s_i^-1), whose second part is
 simple.  Moving Delta^-1 to the front conjugates every factor before it by
@@ -90,34 +90,33 @@ def _descents(p) -> int:
     return mask
 
 
-def _half_twists(mask: int, n: int) -> tuple[int, ...]:
-    """The lcm of the generators s_i with bit i in mask: a half twist on the
-    positions i-1..j of each run s_i..s_j of consecutive generators."""
-    p = list(range(n))
-    i = 1
-    while i < n:
-        if mask >> i & 1:
-            j = i
-            while mask >> (j + 1) & 1:
-                j += 1
-            p[i - 1:j + 1] = range(j, i - 2, -1)
-            i = j + 1
-        else:
-            i += 1
-    return tuple(p)
+def _meet(a, b):
+    """Left meet (gcd) of two permutation braids.  Its uncrossed strand pairs
+    are the transitive closure of those that a or b leaves uncrossed, so
+    each strand, inserted from the right into the list of strands by final
+    position, goes in front of the first one a or b leaves uncrossed with it."""
+    order: list[int] = []
+    for j in range(len(a) - 1, -1, -1):
+        aj, bj = a[j], b[j]
+        pos = 0
+        for k in order:
+            if aj < a[k] or bj < b[k]:
+                break
+            pos += 1
+        order.insert(pos, j)
+    return _perm_inv(order)
 
 
 def _weight_pair(a, b):
     """A B as a left-weighted pair A' B' (the same objects if it is one).
-
-    Each generator of S(B) outside F(A) left-divides both B and the right
-    complement of A, so their lcm does too and moves from B to A."""
-    while True:
-        move = _descents(b) & ~_descents(_perm_inv(a))
-        if not move:
-            return a, b
-        d = _half_twists(move, len(a))
-        a, b = _perm_mul(a, d), _perm_mul(d, b)
+    S(B) ⊆ F(A) fails iff B and C = A^-1 Delta share a generator left
+    divisor; then their meet M moves from B to A, and A M is the greatest
+    simple left divisor of A B."""
+    c = _complement(a)
+    if not _descents(b) & _descents(c):
+        return a, b
+    m = _meet(c, b)
+    return _perm_mul(a, m), _perm_mul(_perm_inv(m), b)
 
 
 def _append(factors: list, x, ident) -> None:

@@ -65,8 +65,8 @@ FILES = {
     "f2.txt": "group F2\ngens: a b\nrel: a b a^-1 b^-1\n",
 }
 
-# (presentation file, target, assignment) of hom-check runs whose images do
-# not parse; each assignment is also written to a file of its own
+# (presentation file, target, assignment) of hom-check runs whose images or
+# lines do not parse; each assignment is also written to a file of its own
 MALFORMED_IMAGES = (
     [("sphere-n4", "z2-z6", a) for a in (
         "s[1] = (0,0,7);1\n", "s[1] = (0);1\n", "s[1] = (0,0)\n",
@@ -74,7 +74,8 @@ MALFORMED_IMAGES = (
     + [("f2.txt", "q8-f2", a) for a in ("a = zz;a\n", "a = x\n")]
     + [("artin-n3", "braid:3-x-z", a) for a in (
         "s[1] = s[1]\ns[2] = s[2]\n", "s[1] = s[1];0;1\ns[2] = s[2];0\n",
-        "s[1] = s[1];x\ns[2] = s[2];0\n")])
+        "s[1] = s[1];x\ns[2] = s[2];0\n")]
+    + [("f2.txt", "q8-f2", "# GEN = IMAGE lines\na x;a\n")])
 FILES.update(("malformed-%d.txt" % i, assign)
              for i, (_pres, _target, assign) in enumerate(MALFORMED_IMAGES))
 

@@ -13,11 +13,14 @@ against, and the free-group actions only the tests use.
   dense minimal-pivot Smith form, lattice solves by rational row reduction
   with `Fraction`, and the inverse Q * P read off the dense Smith form
   P * A * Q = I.
+- The left meet of two permutation braids by search over all permutations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
 from braidkit.actions import n_graph, z_basis_words
@@ -89,6 +92,29 @@ def perm_braid_word_by_restarts(p) -> list:
                 q[i], q[i + 1] = q[i + 1], q[i]
                 break
     return word
+
+
+def _crossings(p) -> int:
+    """Inversion set as a bitmask: bit i*n + j for each pair i < j of
+    starting positions whose strands cross, p[i] > p[j]."""
+    n = len(p)
+    return sum(1 << (i * n + j) for i, j in combinations(range(n), 2)
+               if p[i] > p[j])
+
+
+@lru_cache(maxsize=None)
+def _all_crossings(n: int) -> tuple:
+    return tuple((_crossings(p), p) for p in permutations(range(n)))
+
+
+def perm_braid_meet_by_search(a, b) -> tuple:
+    """Left meet of permutation braids a and b: X left-divides a iff the
+    inversion set of X lies in that of a, so the meet is the permutation
+    with the most inversions among those whose inversion set lies in
+    Inv(a) ∩ Inv(b)."""
+    common = _crossings(a) & _crossings(b)
+    return max((c for c in _all_crossings(len(a)) if not c[0] & ~common),
+               key=lambda c: c[0].bit_count())[1]
 
 
 # ---------------------------------------------------------------------------

@@ -272,18 +272,19 @@ def test_hom_check_z2z6(tmp_path):
     ("z2-z6", "s[1] = (0,0)", "image '(0,0)' needs exactly one ';'"),
     ("z2-z6", "s[1] = (0,0);1;1", "image '(0,0);1;1' needs exactly one ';'"),
     ("q8-f2", "a = zz;a", "unknown element 'zz'; known: 1 -1 x -x y -y xy -xy"),
-    ("q8-f2", "a = x", "image 'x' needs exactly one ';'")])
+    ("q8-f2", "a = x", "image 'x' needs exactly one ';'"),
+    ("q8-f2", "a x;a", "expected GEN = IMAGE, got 'a x;a'")])
 def test_hom_check_malformed_image_is_a_parse_error(tmp_path, target, images,
                                                     message):
     pf = tmp_path / "p.txt"
     pf.write_text(run("present", "--family", "sphere", "--n", "4").output
                   if target == "z2-z6" else "group F2\ngens: a b\nrel: a b a^-1 b^-1\n")
     af = tmp_path / "assign.txt"
-    af.write_text(images + "\n")
+    af.write_text("# the comment is line 1\n" + images + "\n")
     res = run("hom-check", "--in", str(pf), "--target", target,
               "--assign", str(af))
     assert res.exit_code == 3
-    assert res.stderr == "parse error: %s\n" % message
+    assert res.stderr == "parse error: line 2: %s\n" % message
 
 
 def test_hom_check_replay_hint_runs(tmp_path):

@@ -3,8 +3,10 @@
 The incremental normal form is checked against two slow oracles: the Artin
 action of B_n on the free group F_n, which is faithful, and the former
 implementation (one factor per letter, eager tau, a global sweep), kept
-here as `sweep_normal_form`."""
+here as `sweep_normal_form`.  The left meet that repairs each pair is
+checked against a search over all permutations."""
 
+import random
 from itertools import permutations
 
 import pytest
@@ -16,7 +18,8 @@ from braidkit.hom import check_hom
 from braidkit.models import GarsideBraidGroup
 from braidkit.presentations import artin_braid
 from braidkit.words import Gen, free_reduce, invert, letter, multiply, parse_word
-from oracles import action_of_word, artin_action, perm_braid_word_by_restarts
+from oracles import (action_of_word, artin_action, perm_braid_meet_by_search,
+                     perm_braid_word_by_restarts)
 
 IDENT = parse_word("1")
 
@@ -104,6 +107,19 @@ def sweep_normal_form(word, n):
         power += 1
         factors = [_ptau(f) for f in factors[:idx]] + factors[idx + 1:]
     return garside.BraidNF(n, power, tuple(factors))
+
+
+def grow(p, rng, steps):
+    """p times up to `steps` random generators, each crossing two strands
+    that are not yet crossed, so the result is a permutation braid that p
+    left-divides."""
+    for _ in range(steps):
+        q = _pinv(p)
+        ups = [k for k in range(1, len(p)) if q[k - 1] < q[k]]
+        if not ups:
+            break
+        p = _pmul(p, _ps(rng.choice(ups), len(p)))
+    return p
 
 
 def assert_left_weighted(nf):
@@ -292,3 +308,42 @@ def test_permutation_braid_words_match_the_restarting_bubble_sort():
         for p in permutations(range(n)):
             assert garside._perm_braid_word(p) == perm_braid_word_by_restarts(p), p
 
+
+def test_meet_matches_the_search_oracle_on_every_pair_up_to_five_strands():
+    for n in range(1, 6):
+        perms = list(permutations(range(n)))
+        for a in perms:
+            for b in perms:
+                assert garside._meet(a, b) == perm_braid_meet_by_search(a, b), (a, b)
+
+
+def test_meet_matches_the_search_oracle_on_sampled_pairs():
+    """Pairs above a common left divisor x, so the meet is at least x."""
+    rng = random.Random(18)
+    for n in (6, 7, 8):
+        top = n * (n - 1) // 2
+        for _ in range(30):
+            x = grow(tuple(range(n)), rng, rng.randint(0, top // 2))
+            a, b = (grow(x, rng, rng.randint(0, top)) for _ in range(2))
+            assert garside._meet(a, b) == perm_braid_meet_by_search(a, b), (a, b)
+
+
+def test_weight_pair_returns_a_left_weighted_pair_as_the_same_objects():
+    nf = normal_form(parse_word("s[1] s[2]^-1 s[3] s[1]^2 s[2] s[3]^-1 s[2]"), 4)
+    assert len(nf.factors) >= 3
+    for a, b in zip(nf.factors, nf.factors[1:]):
+        got = garside._weight_pair(a, b)
+        assert got[0] is a and got[1] is b
+
+
+@settings(max_examples=20, deadline=None)
+@given(with_strands(12, 32, words=2, max_runs=6))
+def test_deep_meets_match_the_sweep_oracle(case):
+    """At n = 12..32 a negative letter brings in a factor Delta s_i^-1 with
+    all but one crossing, so pair repairs move larger meets than the n <= 8
+    tests reach."""
+    n, u, v = case
+    a, b = normal_form(u, n), normal_form(v, n)
+    assert a == sweep_normal_form(u, n)
+    assert garside.nf_mul(a, b) == sweep_normal_form(multiply(u, v), n)
+    assert garside.nf_inv(a) == sweep_normal_form(invert(u), n)
