@@ -2,9 +2,10 @@
 
 Subgroups are represented by their folded core graph, built by the worklist
 folding of Touikan, "A fast algorithm for Stallings' folding process" (IJAC
-2006).  A graph keeps one two-way map vertex -> {(gen, +-1): neighbour}, and
-one walk over it serves membership and rewriting.  `express` rewrites a
-member word in a chosen basis of the subgroup, via the graph's own
+2006).  The graph is the one two-way map vertex -> {(gen, +-1): neighbour}
+that folding builds, and one walk over it serves membership and rewriting;
+the sorted positive edges are derived from it on demand.  `express` rewrites
+a member word in a chosen basis of the subgroup, via the graph's own
 spanning-tree generators and a Nielsen change of basis.  Schreier generators
 of finite-index subgroups come from `reidschreier.rs_coset_table`.
 """
@@ -34,25 +35,20 @@ def _walk(links: dict, v, w: Word, crossed: Optional[list] = None):
 
 @dataclass
 class SubgroupGraph:
-    """Folded core graph of a subgroup; vertex 0 is the basepoint."""
+    """Folded core graph of a subgroup, as the two-way map
+    vertex -> {(gen, +-1): neighbour} that `fold` builds; every vertex has
+    an entry, and vertex 0 is the basepoint."""
 
-    basepoint: int
-    edges: dict[tuple[int, Gen], int]     # (vertex, gen) -> vertex, positive direction
-    generator_words: tuple[Word, ...]
+    links: dict[int, dict[tuple[Gen, int], int]]
     _tree: Optional[dict] = field(default=None, repr=False)
     _basis_cache: dict = field(default_factory=dict, repr=False)
-    _links: dict = field(init=False, repr=False, compare=False)
+    basepoint = 0   # fold starts and ends every bouquet word here
 
-    def __post_init__(self):
-        # the two-way map vertex -> {(gen, +-1): neighbour}
-        self._links = {self.basepoint: {}}
-        for (u, g), v in self.edges.items():
-            self._links.setdefault(u, {})[(g, 1)] = v
-            self._links.setdefault(v, {})[(g, -1)] = u
-
-    def step(self, v: int, g: Gen, sign: int) -> Optional[int]:
-        """Neighbour of v along g^sign, or None: one two-way map lookup."""
-        return self._links.get(v, {}).get((g, sign))
+    @property
+    def edges(self) -> dict[tuple[int, Gen], int]:
+        """(vertex, gen) -> vertex for each positive edge, in sorted order."""
+        return dict(sorted(((u, g), v) for u, out in self.links.items()
+                           for (g, sign), v in out.items() if sign > 0))
 
 
 def fold(generator_words: Sequence[Word]) -> SubgroupGraph:
@@ -62,7 +58,7 @@ def fold(generator_words: Sequence[Word]) -> SubgroupGraph:
     taken at either end is dropped and the vertices it would identify merge
     at once: the lower id keeps the edges of both, and each new clash joins
     a worklist.  So every vertex is the least bouquet vertex folding onto
-    it, whatever order the merges take."""
+    it, whatever order the merges take.  The graph returned is that map."""
     links: dict[int, dict[tuple[Gen, int], int]] = {0: {}}
     merged: dict[int, int] = {}   # merged-away vertex -> vertex it went into
     clashes: list[tuple[int, int]] = []   # vertices still to merge
@@ -106,9 +102,7 @@ def fold(generator_words: Sequence[Word]) -> SubgroupGraph:
                         del links[v][(g, -sign)]
                     attach(keep, (g, sign), v)
             prev = tgt
-    edges = sorted(((u, g), v) for u, out in links.items()
-                   for (g, sign), v in out.items() if sign > 0)
-    return SubgroupGraph(0, dict(edges), tuple(generator_words))
+    return SubgroupGraph(links)
 
 
 def _native_index(graph: SubgroupGraph) -> dict:
@@ -118,12 +112,12 @@ def _native_index(graph: SubgroupGraph) -> dict:
     if graph._tree is None:
         queue, seen, tree_edges = [graph.basepoint], {graph.basepoint}, set()
         for u in queue:
-            for (g, sign), v in sorted(graph._links[u].items()):
+            for (g, sign), v in sorted(graph.links[u].items()):
                 if v not in seen:
                     seen.add(v)
                     tree_edges.add((u, g) if sign > 0 else (v, g))
                     queue.append(v)
-        nontree = sorted(e for e in graph.edges if e not in tree_edges)
+        nontree = [e for e in graph.edges if e not in tree_edges]
         graph._tree = {e: i + 1 for i, e in enumerate(nontree)}
     return graph._tree
 
@@ -133,7 +127,7 @@ def rank(graph: SubgroupGraph) -> int:
 
 
 def contains(graph: SubgroupGraph, w: Word) -> bool:
-    return _walk(graph._links, graph.basepoint, w) == graph.basepoint
+    return _walk(graph.links, graph.basepoint, w) == graph.basepoint
 
 
 membership = contains
@@ -144,7 +138,7 @@ def _trace_native(graph: SubgroupGraph, w: Word) -> Word:
     n[1], n[2], ...."""
     index = _native_index(graph)
     crossed: list = []
-    end = _walk(graph._links, graph.basepoint, w, crossed)
+    end = _walk(graph.links, graph.basepoint, w, crossed)
     if end is None:
         g, _ = list(w.letters())[len(crossed)]
         raise ValueError("word leaves the subgroup graph at %s" % g)
@@ -194,8 +188,6 @@ def _basis_change(graph: SubgroupGraph, basis: Sequence[Word]) -> dict:
                              "(Nielsen reduction stalled at %s)" % u)
         (g, exp), = u.runs
         table[g] = (e if exp == 1 else invert(e)).runs
-    if len(table) != n_rank:
-        raise ValueError("given words do not span the subgroup")
     return table
 
 

@@ -20,6 +20,13 @@ from .intlin import mat_pow, matrix
 from .words import IDENTITY, Gen, Word, invert, multiply, parse_word, substitute, word_to_text
 
 
+def _integer(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("%s %r is not an integer" % (what, text.strip())) from None
+
+
 class GroupModel:
     def identity(self):
         raise NotImplementedError
@@ -73,7 +80,8 @@ class CyclicZ(GroupModel):
         return (-a) % self.modulus if self.modulus else -a
 
     def parse(self, text):
-        return self.mul(0, int(text))
+        name = "Z/%d" % self.modulus if self.modulus else "Z"
+        return self.mul(0, _integer(text, "%s element" % name))
 
 
 @dataclass(frozen=True)
@@ -92,7 +100,8 @@ class FreeAbelian(GroupModel):
         return tuple(-x for x in a)
 
     def parse(self, text):
-        entries = tuple(int(x) for x in text.strip("() ").split(","))
+        entries = tuple(_integer(x, "vector %r entry" % text.strip())
+                        for x in text.strip("() ").split(","))
         if len(entries) != self.dim:
             raise ValueError("vector %r needs %d entries, has %d"
                              % (text.strip(), self.dim, len(entries)))

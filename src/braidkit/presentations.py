@@ -157,10 +157,8 @@ def _A(i: int, j: int) -> Gen:
 
 
 def _a_word(j: int, l: int, n: int) -> Word:
-    """A_{j,l} as a word: a declared generator when j <= n, otherwise the
-    band word in the strand generators."""
-    if j <= n:
-        return letter(_A(j, l))
+    """A_{j,l} for strands n < j < l, as the band word in the strand
+    generators."""
     runs = [(s(r - n), 1) for r in range(l - 1, j, -1)]
     runs.append((s(j - n), 2))
     runs += [(s(r - n), -1) for r in range(j + 1, l)]

@@ -30,9 +30,6 @@ class AbelianInvariants:
         if any(t < 2 for t in self.torsion):
             raise ValueError("torsion entries must exceed 1")
 
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:
@@ -80,8 +77,8 @@ def gamma2_mod_gamma3(p: Presentation, t: Gen) -> AbelianInvariants:
     relators = list(sub.relators)
     # t x_c t^-1 is x_(c+1), or w x_0 w^-1 when c + 1 = m, and t w t^-1 is w:
     # abelianized, conjugation by t shifts the coset index c (the last index
-    # of every Schreier generator but w) mod m.  These are the finite form of
-    # the (1 - t) e_x rows of windowed_coinvariants.
+    # of every Schreier generator but w) mod m.  One relator x_(c+1) x_c^-1
+    # per such generator makes this the abelianization of the t-coinvariants.
     for s in sub.generators:
         if s.indices:
             *head, c = s.indices
@@ -96,10 +93,6 @@ class WindowedInvariants:
     invariants: AbelianInvariants
     stable: bool
     window: int
-
-    def __str__(self) -> str:
-        return "%s [K=%d%s]" % (self.invariants, self.window,
-                                ", stable" if self.stable else ", UNSTABLE")
 
 
 def windowed_coinvariants(ip: IndexedPresentation,

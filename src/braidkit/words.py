@@ -50,15 +50,6 @@ class Word:
     def __bool__(self) -> bool:
         return bool(self.runs)
 
-    def __mul__(self, other: "Word") -> "Word":
-        return multiply(self, other)
-
-    def __invert__(self) -> "Word":
-        return invert(self)
-
-    def __pow__(self, k: int) -> "Word":
-        return power(self, k)
-
     def __str__(self) -> str:
         return word_to_text(self)
 
@@ -219,13 +210,12 @@ def parse_word(text: str) -> Word:
             break
         if m.group("bad"):
             raise ValueError("unexpected character %r at position %d" % (m.group("bad"), m.start("bad")))
-        name = m.group("name")
         idx = m.group("idx")
-        indices = tuple(int(p) for p in idx.split(",")) if idx else ()
+        gen = Gen(m.group("name"), tuple(int(p) for p in idx.split(",")) if idx else ())
         exp = int(m.group("exp")) if m.group("exp") is not None else 1
         if exp == 0:
-            raise ValueError("zero exponent for %s at position %d" % (name, m.start()))
-        runs.append((Gen(name, indices), exp))
+            raise ValueError("zero exponent for %s at position %d" % (gen, m.start()))
+        runs.append((gen, exp))
         pos = m.end()
     if text[pos:].strip():
         raise ValueError("trailing garbage in word: %r" % text[pos:])

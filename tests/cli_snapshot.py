@@ -61,6 +61,7 @@ FILES = {
     "braid-z-assign.txt": "s[1] = s[1];1\ns[2] = s[2];1\n",
     "braid-z-bad.txt": "s[1] = s[1]^2;1\ns[2] = s[2];0\n",
     "basis.txt": "a^2\nb^2\na b a b\nb a^2 b^-1\na b^2 a^-1\n",
+    "basis-dependent.txt": "a\nb\na b\n",
     "z6.txt": "group Z6\ngens: a b\nrel: a^6\nrel: b a^-4\n",
     "f2.txt": "group F2\ngens: a b\nrel: a b a^-1 b^-1\n",
 }
@@ -70,11 +71,11 @@ FILES = {
 MALFORMED_IMAGES = (
     [("sphere-n4", "z2-z6", a) for a in (
         "s[1] = (0,0,7);1\n", "s[1] = (0);1\n", "s[1] = (0,0)\n",
-        "s[1] = (0,0);1;1\n")]
+        "s[1] = (0,0);1;1\n", "s[1] = (1, x);0\n")]
     + [("f2.txt", "q8-f2", a) for a in ("a = zz;a\n", "a = x\n")]
     + [("artin-n3", "braid:3-x-z", a) for a in (
         "s[1] = s[1]\ns[2] = s[2]\n", "s[1] = s[1];0;1\ns[2] = s[2];0\n",
-        "s[1] = s[1];x\ns[2] = s[2];0\n")]
+        "s[1] = s[1];x\ns[2] = s[2];0\n", "s[1] = s[1];\ns[2] = s[2];0\n")]
     + [("f2.txt", "q8-f2", "# GEN = IMAGE lines\na x;a\n")])
 FILES.update(("malformed-%d.txt" % i, assign)
              for i, (_pres, _target, assign) in enumerate(MALFORMED_IMAGES))
@@ -129,6 +130,7 @@ def invocations():
     yield ["subgroup", "member", "--basis", "basis.txt", "--word", "a"]
     yield ["subgroup", "express", "--basis", "basis.txt", "--word", "a^2 b^2"]
     yield ["subgroup", "express", "--basis", "basis.txt", "--word", "a"]
+    yield ["subgroup", "express", "--basis", "basis-dependent.txt", "--word", "a b"]
     for as_json in ([], ["--json"]):
         for pres, target, assign in (
                 ("sphere-n4", "z2-z6", "z2z6-good.txt"),

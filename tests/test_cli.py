@@ -271,6 +271,9 @@ def test_hom_check_z2z6(tmp_path):
     ("z2-z6", "s[1] = (0);1", "vector '(0)' needs 2 entries, has 1"),
     ("z2-z6", "s[1] = (0,0)", "image '(0,0)' needs exactly one ';'"),
     ("z2-z6", "s[1] = (0,0);1;1", "image '(0,0);1;1' needs exactly one ';'"),
+    ("z2-z6", "s[1] = (1, x);0", "vector '(1, x)' entry 'x' is not an integer"),
+    ("z2-z6", "s[1] = (0,0);y", "Z/6 element 'y' is not an integer"),
+    ("braid:3-x-z", "s[1] = s[1];x", "Z element 'x' is not an integer"),
     ("q8-f2", "a = zz;a", "unknown element 'zz'; known: 1 -1 x -x y -y xy -xy"),
     ("q8-f2", "a = x", "image 'x' needs exactly one ';'"),
     ("q8-f2", "a x;a", "expected GEN = IMAGE, got 'a x;a'")])

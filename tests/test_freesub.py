@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidkit.freesub import (
+    SubgroupGraph,
     contains,
     express,
     fold,
@@ -204,7 +205,8 @@ def test_fold_matches_the_sweep_oracle(drawn, rng):
     for v in range(len(edges) + 2):
         for gen in alphabet:
             for sign in (1, -1):
-                assert g.step(v, gen, sign) == sweep_step(edges, v, gen, sign)
+                assert (g.links.get(v, {}).get((gen, sign))
+                        == sweep_step(edges, v, gen, sign))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -229,16 +231,32 @@ def test_fold_matches_the_sweep_oracle_on_benchmark_sized_bases(seed):
         assert express(g, basis, member) == expr
 
 
-class _NoScan(dict):
-    def items(self):
+def test_backward_step_never_scans_the_edges(monkeypatch):
+    gens = [parse_word(t) for t in ("a^2", "b^2", "a b a b")]
+    g = fold(gens)
+    _, edges = sweep_fold(gens)
+
+    def scanned(_graph):
         raise AssertionError("scanned every edge")
 
-
-def test_backward_step_never_scans_the_edges():
-    g = fold([parse_word(t) for t in ("a^2", "b^2", "a b a b")])
-    basepoint, edges = sweep_fold(g.generator_words)
-    g.edges = _NoScan(g.edges)
+    monkeypatch.setattr(SubgroupGraph, "edges", property(scanned))
     for v in range(len(edges) + 1):
         for gen in (A, B):
-            assert g.step(v, gen, -1) == sweep_step(edges, v, gen, -1)
+            assert (g.links.get(v, {}).get((gen, -1))
+                    == sweep_step(edges, v, gen, -1))
     assert contains(g, parse_word("b^-2 a^-2 b^-1 a^-1 b^-1 a^-1"))
+    assert not contains(g, parse_word("b^-2 a^-1"))
+
+
+@pytest.mark.parametrize("graph_words, basis, word, message", [
+    (["a^2"], ["a^2"], "b", "word leaves the subgroup graph at b"),
+    (["a^2"], ["a^2"], "a", r"word is not in the subgroup \(open path\)"),
+    (["a^2"], ["a^2", "a^4"], "a^2", "basis size 2 != subgroup rank 1"),
+    (["a", "b"], ["a^2", "b"], "a",
+     r"given words are not a free basis of the subgroup "
+     r"\(Nielsen reduction stalled at n\[1\]\^2\)"),
+])
+def test_express_error_paths(graph_words, basis, word, message):
+    g = fold([parse_word(t) for t in graph_words])
+    with pytest.raises(ValueError, match=message):
+        express(g, [parse_word(t) for t in basis], parse_word(word))

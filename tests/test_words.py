@@ -115,6 +115,16 @@ def test_parse_identity_and_indices():
     assert w == multiply(invert(letter(Gen("A", (2, 3)))), letter(Gen("s", (1,))))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("s[1]^0", r"zero exponent for s\[1\] at position 0"),
+    ("A[1,3]^0", r"zero exponent for A\[1,3\] at position 0"),
+    ("t^0", "zero exponent for t at position 0"),
+])
+def test_zero_exponent_names_the_whole_generator(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_word(text)
+
+
 @settings(max_examples=300)
 @given(words(8), words(4))
 def test_cyclic_reduce_matches_the_letter_oracle(w, c):
