@@ -42,14 +42,9 @@ def z_basis_words() -> tuple[Word, ...]:
             parse_word("b a^2 b^-1"), parse_word("a b^2 a^-1"))
 
 
-_N_GRAPH: Optional[SubgroupGraph] = None
-
-
 def n_graph() -> SubgroupGraph:
-    global _N_GRAPH
-    if _N_GRAPH is None:
-        _N_GRAPH = fold(z_basis_words())
-    return _N_GRAPH
+    """The Stallings graph of N, folded from the z-basis."""
+    return fold(z_basis_words())
 
 
 def z_weights() -> dict[Gen, int]:

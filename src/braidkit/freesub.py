@@ -187,14 +187,21 @@ def _basis_change(graph: SubgroupGraph, basis: Sequence[Word]) -> dict:
             raise ValueError("given words are not a free basis of the subgroup "
                              "(Nielsen reduction stalled at %s)" % u)
         (g, exp), = u.runs
+        if g in table:
+            raise ValueError("given words are not a free basis of the subgroup "
+                             "(native generator %s appears twice)" % g)
         table[g] = (e if exp == 1 else invert(e)).runs
     return table
 
 
 def _shortening(pairs):
     """The first (i, j, su, sj, u_i^su u_j^sj), in that loop order, whose
-    product is shorter than u_i; None when the u's are Nielsen reduced."""
+    product is shorter than u_i; None when the u's are Nielsen reduced.  A
+    u_i of one letter is skipped: it could only shrink to the empty word,
+    by a u_j equal to it or its inverse, which `_basis_change` reports."""
     for i, (ui, _) in enumerate(pairs):
+        if len(ui) == 1:
+            continue
         for j, (uj, _) in enumerate(pairs):
             if i == j:
                 continue

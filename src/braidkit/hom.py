@@ -25,15 +25,11 @@ class RelatorCheck:
 
 @dataclass(frozen=True)
 class HomReport:
-    presentation: str
     checks: tuple[RelatorCheck, ...]
 
     @property
     def all_trivial(self) -> bool:
         return all(c.trivial for c in self.checks)
-
-    def failures(self) -> tuple[RelatorCheck, ...]:
-        return tuple(c for c in self.checks if not c.trivial)
 
 
 def check_hom(p: Presentation, model: GroupModel, assignment: dict,
@@ -55,9 +51,10 @@ def check_hom(p: Presentation, model: GroupModel, assignment: dict,
         checks.append(RelatorCheck(
             i, r, model.text(image), image == model.identity(),
             "braidkit hom-check --relator %d ..." % i))
-    return HomReport(p.name, tuple(checks))
+    return HomReport(tuple(checks))
 
 
-def image_order(model: GroupModel, values, budget: int = 20000) -> int:
-    """Order of the subgroup generated by the given element values."""
-    return len(finite_closure(model, list(values), budget))
+def image_order(model: GroupModel, values) -> int:
+    """Order of the subgroup generated by the given element values, by
+    `finite_closure`, which raises ValueError past its budget."""
+    return len(finite_closure(model, list(values)))

@@ -53,9 +53,6 @@ class IntMatrix:
         return IntMatrix(tuple(tuple(a - b for a, b in zip(r1, r2))
                                for r1, r2 in zip(self.rows, other.rows)))
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.rows)
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.rows))) if self.rows else IntMatrix(())
 

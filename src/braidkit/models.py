@@ -45,21 +45,16 @@ class GroupModel:
         """`a` in the syntax that `parse` reads."""
         return str(a)
 
-    def pow(self, a, k: int):
-        if k < 0:
-            return self.pow(self.inv(a), -k)
-        out = self.identity()
-        while k:
-            out = self.mul(out, a)
-            k -= 1
-        return out
-
     def eval_word(self, assignment: dict[Gen, object], w: Word):
+        """The product of the letters' images: each letter multiplies by its
+        generator's image, or by that image's inverse, taken once per run."""
         out = self.identity()
         for g, e in w.runs:
             if g not in assignment:
                 raise ValueError("no image assigned for generator %s" % g)
-            out = self.mul(out, self.pow(assignment[g], e))
+            image = assignment[g] if e > 0 else self.inv(assignment[g])
+            for _ in range(abs(e)):
+                out = self.mul(out, image)
         return out
 
 
@@ -136,7 +131,22 @@ class FiniteTable(GroupModel):
     table: tuple[tuple[str, ...], ...]  # table[i][j] = elements[i] * elements[j]
 
     def __post_init__(self):
-        self.validate()
+        elems = set(self.elements)
+        if len(elems) != len(self.elements):
+            raise ValueError("duplicate element names")
+        for row in self.table:
+            for x in row:
+                if x not in elems:
+                    raise ValueError("table entry %r not an element" % x)
+        self.identity()
+        for a in self.elements:
+            self.inv(a)
+        if len(self.elements) <= 24:
+            for a in self.elements:
+                for b in self.elements:
+                    for c in self.elements:
+                        if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
+                            raise ValueError("non-associative at (%s,%s,%s)" % (a, b, c))
 
     def _idx(self, a: str) -> int:
         return self.elements.index(a)
@@ -164,24 +174,6 @@ class FiniteTable(GroupModel):
             if self.table[i][j] == e:
                 return b
         raise ValueError("no inverse for %s" % a)
-
-    def validate(self):
-        elems = set(self.elements)
-        if len(elems) != len(self.elements):
-            raise ValueError("duplicate element names")
-        for row in self.table:
-            for x in row:
-                if x not in elems:
-                    raise ValueError("table entry %r not an element" % x)
-        self.identity()
-        for a in self.elements:
-            self.inv(a)
-        if len(self.elements) <= 24:
-            for a in self.elements:
-                for b in self.elements:
-                    for c in self.elements:
-                        if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                            raise ValueError("non-associative at (%s,%s,%s)" % (a, b, c))
 
 
 @dataclass(frozen=True)
@@ -282,11 +274,15 @@ class Product(GroupModel):
         return "%s;%s" % (self.normal.text(a[0]), self.quotient.text(a[1]))
 
 
-def finite_closure(model: GroupModel, seeds, budget: int = 20000) -> dict:
+_CLOSURE_BUDGET = 20000  # elements finite_closure enumerates before it gives up
+
+
+def finite_closure(model: GroupModel, seeds) -> dict:
     """The subgroup generated by the seeds, as {element: a shortest word of
     seed indices whose product it is}: a breadth-first walk from the
     identity by right multiplication by each seed.  In a finite group this
-    reaches the whole subgroup, since each inverse is a positive power."""
+    reaches the whole subgroup, since each inverse is a positive power.
+    Raises ValueError once the walk passes _CLOSURE_BUDGET elements."""
     seeds = list(seeds)
     words = {model.identity(): ()}
     order = list(words)
@@ -296,8 +292,9 @@ def finite_closure(model: GroupModel, seeds, budget: int = 20000) -> dict:
             if b not in words:
                 words[b] = words[a] + (i,)
                 order.append(b)
-                if len(words) > budget:
-                    raise ValueError("closure exceeded budget %d" % budget)
+                if len(words) > _CLOSURE_BUDGET:
+                    raise ValueError("closure exceeded budget %d"
+                                     % _CLOSURE_BUDGET)
     return words
 
 

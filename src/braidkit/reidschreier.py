@@ -12,19 +12,21 @@ generator x[..., i] = rep(i) x rep(i x)^-1 on each non-tree edge.
 {t^c}, with x[..., c] = t^c x t^-(c+omega(x)) and w = t^m emitted at each
 wrap past m.  `rs_z_window` fills the weight map onto Z on demand and
 returns an indexed presentation, one generator family per ambient
-generator.
+generator, whose dictionary spells x@k for exactly the indices |k| <= K of
+its window K.
 
 A deliberately limited Tietze eliminator removes duplicate-generator
 relators only.  On a finite presentation it follows the occurrence-indexed
 design of Havas, Kenne, Richardson and Robertson, "A Tietze transformation
 program" (1984).  Generators are interned as small ints in (name, indices)
-order; each relator carries its canonical key, computed once per rewrite;
-and an index from each generator to the relators holding it means an
-elimination rewrites and re-keys only those relators.  Rewriting is the
-run-level `words.substitute_runs`.  There is one canonical key,
-`_cyclic_key` on interned runs (after `words.cyclic_reduce_runs`);
-`canonical_relator` interns a word's generators in sorted order, keys it
-and decodes the letters.
+order; eliminated ones are recorded by that int, and the kept generator
+tuple is built once at the end.  Each relator carries its canonical key,
+computed once per rewrite, and an index from each generator to the
+relators holding it means an elimination rewrites and re-keys only those
+relators.  Rewriting is the run-level `words.substitute_runs`.  There is
+one canonical key, `_cyclic_key` on interned runs (after
+`words.cyclic_reduce_runs`); `canonical_relator` interns a word's
+generators in sorted order, keys it and decodes the letters.
 """
 
 from __future__ import annotations
@@ -241,10 +243,6 @@ def rs_coset_table(p: Presentation, start, act: Callable,
     return RsOutput(sub, dictionary, reps)
 
 
-# how far beyond the window the dictionary of rs_z_window spells out x@k
-_DICTIONARY_MARGIN = 8
-
-
 def rs_z_window(p: Presentation, t: Gen, weights: Optional[dict] = None,
                 window: int = 2) -> RsOutput:
     """Present the kernel of the weight map onto Z, windowed.
@@ -253,8 +251,12 @@ def rs_z_window(p: Presentation, t: Gen, weights: Optional[dict] = None,
     each ambient relator r is its rewrite from coset 0, whose instance at k
     is the rewrite of r conjugated by t^k.  Family names encode
     the ambient generator (e.g. s[2] -> family "s2").  The dictionary
-    covers the indices within _DICTIONARY_MARGIN of the window.
+    spells x@k for exactly |k| <= window, the generators of the
+    presentation instantiated at that window; `expand` of a generator past
+    it raises ValueError.
     """
+    if window < 1:
+        raise ValueError("window must be >= 1")
     weights = _check_weights(p, weights, t, 0)
     fam_name = {x: x.name + "_".join(str(i) for i in x.indices)
                 for x in p.generators if x != t}
@@ -268,9 +270,8 @@ def rs_z_window(p: Presentation, t: Gen, weights: Optional[dict] = None,
     rel_fams = tuple(_rewrite(r, 0, moves)[0] for r in p.relators)
     ip = IndexedPresentation("%s/kerZ" % p.name, (), tuple(fam_name.values()),
                              (), rel_fams)
-    reach = window + _DICTIONARY_MARGIN
     dictionary = {name(x, k): _schreier_word(t, x, k, weights[x])
-                  for x in fam_name for k in range(-reach, reach + 1)}
+                  for x in fam_name for k in range(-window, window + 1)}
     return RsOutput(ip, dictionary, (letter(t),))
 
 
@@ -371,12 +372,12 @@ def _tietze_presentation(p: Presentation) -> Presentation:
         for h, _ in r.runs:
             index[h].discard(r)
 
-    gens = list(p.generators)
+    eliminated = set()
     while candidates:
         g, image = _find_elimination(
             min(candidates, key=lambda r: r.sort_key).runs)
         images = {g: image}
-        gens.remove(interned[g])
+        eliminated.add(g)
         touched = list(index[g])
         for r in touched:
             del live[r.key]
@@ -401,7 +402,8 @@ def _tietze_presentation(p: Presentation) -> Presentation:
                 candidates.add(r)
     relators = tuple(Word(tuple((interned[g], e) for g, e in r.runs))
                      for r in sorted(live.values(), key=lambda r: r.sort_key))
-    return Presentation(p.name, tuple(gens), relators)
+    return Presentation(p.name, tuple(x for x in p.generators
+                                      if code[x] not in eliminated), relators)
 
 
 def _family_link(w: Word, live: list) -> Optional[tuple]:

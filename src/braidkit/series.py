@@ -92,7 +92,6 @@ def gamma2_mod_gamma3(p: Presentation, t: Gen) -> AbelianInvariants:
 class WindowedInvariants:
     invariants: AbelianInvariants
     stable: bool
-    window: int
 
 
 def windowed_coinvariants(ip: IndexedPresentation,
@@ -103,7 +102,7 @@ def windowed_coinvariants(ip: IndexedPresentation,
         raise ValueError("window must be >= 2")
     here = abelianization(ip.instantiate(window))
     nxt = abelianization(ip.instantiate(window + 1))
-    return WindowedInvariants(here, here == nxt, window)
+    return WindowedInvariants(here, here == nxt)
 
 
 def shifted_z_family_system() -> IndexedPresentation:
@@ -188,14 +187,14 @@ def lcs_rank_torus(i: int) -> RankReport:
 # ---------------------------------------------------------------------------
 # twisted-commutator closures in finite groups
 
-def hat_subgroup(table: FiniteTable, actions: dict, acting_words: Sequence[Word],
-                 budget: int = 20000) -> tuple[str, ...]:
+def hat_subgroup(table: FiniteTable, actions: dict,
+                 acting_words: Sequence[Word]) -> tuple[str, ...]:
     """Normal closure of { phi(w)(h) h^-1 : w acting word, h in the group },
-    raising ValueError when it exceeds `budget` elements.
+    by `finite_closure`, which raises ValueError past its budget.
 
     `actions` maps each acting generator to a permutation of element names."""
     seeds = {table.mul(act_on_finite(actions, w, h), table.inv(h))
              for w in acting_words for h in table.elements}
     conjugates = {table.mul(table.mul(g, x), table.inv(g))
                   for g in table.elements for x in seeds}
-    return tuple(sorted(finite_closure(table, conjugates, budget)))
+    return tuple(sorted(finite_closure(table, conjugates)))

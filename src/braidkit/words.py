@@ -214,7 +214,7 @@ def parse_word(text: str) -> Word:
         gen = Gen(m.group("name"), tuple(int(p) for p in idx.split(",")) if idx else ())
         exp = int(m.group("exp")) if m.group("exp") is not None else 1
         if exp == 0:
-            raise ValueError("zero exponent for %s at position %d" % (gen, m.start()))
+            raise ValueError("zero exponent for %s at position %d" % (gen, m.start("name")))
         runs.append((gen, exp))
         pos = m.end()
     if text[pos:].strip():

@@ -255,6 +255,9 @@ def test_backward_step_never_scans_the_edges(monkeypatch):
     (["a", "b"], ["a^2", "b"], "a",
      r"given words are not a free basis of the subgroup "
      r"\(Nielsen reduction stalled at n\[1\]\^2\)"),
+    (["a", "b"], ["a", "a"], "a",
+     r"given words are not a free basis of the subgroup "
+     r"\(native generator n\[1\] appears twice\)"),
 ])
 def test_express_error_paths(graph_words, basis, word, message):
     g = fold([parse_word(t) for t in graph_words])

@@ -210,7 +210,8 @@ def test_solve_in_lattice_matches_the_rational_oracle(case):
     assert got == [solve_in_lattice_rational(b, y) for y in targets]
     for x, y in zip(got, targets):
         if x is not None:
-            assert mat_mul(b, matrix([[v] for v in x])).column(0) == tuple(y)
+            assert tuple(r[0] for r in mat_mul(b, matrix([[v] for v in x])).rows) \
+                == tuple(y)
 
 
 def test_solve_in_lattice_full_rank_membership():

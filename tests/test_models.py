@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from braidkit.cli import _TARGETS, _make_target
 from braidkit.models import (
+    CyclicZ,
     FreeAutomorphism,
     GarsideBraidGroup,
     automorphism_from_images,
@@ -13,7 +14,7 @@ from braidkit.models import (
     q8_semidirect_f2,
     z2z6_model,
 )
-from braidkit.words import Gen, Word, letter, parse_word
+from braidkit.words import Gen, Word, free_reduce, letter, parse_word
 from oracles import action_of_word, check_inverse, compose
 
 
@@ -45,6 +46,11 @@ def test_finite_closure_words_spell_their_elements():
         for i in word:
             product = t.mul(product, seeds[i])
         assert product == element
+
+
+def test_finite_closure_of_an_infinite_group_raises_at_the_budget():
+    with pytest.raises(ValueError, match="closure exceeded budget 20000"):
+        finite_closure(CyclicZ(0), [1])
 
 
 def test_z2z6_model_order_six_quotient():
@@ -143,9 +149,8 @@ def test_element_text_parses_back(target, data):
     runs = data.draw(st.lists(st.tuples(st.integers(0, len(gens) - 1),
                                         st.integers(-3, 3).filter(bool)),
                               max_size=8))
-    x = model.identity()
-    for i, e in runs:
-        x = model.mul(x, model.pow(gens[i], e))
+    x = model.eval_word({Gen("g", (i,)): g for i, g in enumerate(gens)},
+                        free_reduce((Gen("g", (i,)), e) for i, e in runs))
     assert model.parse(model.text(x)) == x
 
 

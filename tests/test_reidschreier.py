@@ -2,11 +2,14 @@
 
 import math
 import random
+import re
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cli_snapshot
+from braidkit import cli
 from braidkit.freesub import fold, rank
 from braidkit.garside import braid_equal, permutation
 from braidkit import reidschreier
@@ -310,16 +313,35 @@ def test_rs_z_window_dictionary_words_have_weight_zero():
         assert sum(sign * weights[g] for g, sign in w.letters()) == 0
 
 
+def _snapshot_z_kernels():
+    """(file, presentation, transversal) of each `rs --mod 0` kernel of
+    `cli_snapshot.Z_KERNELS`, built as `present` builds that file."""
+    families = {cli_snapshot._name(family, *opts): (family, opts)
+                for family, sizes in cli_snapshot.FAMILIES for opts in sizes}
+    for path, t in cli_snapshot.Z_KERNELS:
+        family, opts = families[path]
+        builder, _names = cli._FAMILIES[family]
+        yield path, builder(*map(int, opts[1::2])), cli._parse_gen(t)
+
+
 def test_expand_raises_for_generator_without_dictionary_entry():
-    # the dictionary reaches 8 past the window; instantiating at K=12 goes
-    # beyond it for s1, s2 at indices +-11, +-12
-    out = rs_z_window(affine_A(3), Gen("s", (0,)), window=2)
-    gens = out.presentation.instantiate(12).generators
-    assert len([g for g in gens if g not in out.dictionary]) == 8
-    s1_10, s1_12 = Gen("s1", (10,)), Gen("s1", (12,))
-    assert out.expand(letter(s1_10)) == out.dictionary[s1_10]
-    with pytest.raises(ValueError, match=r"s1\[12\]"):
-        out.expand(multiply(letter(s1_10), letter(s1_12)))
+    # the dictionary of window K spells x@k for exactly |k| <= K: every
+    # generator `rs --mod 0 --window K` prints, and nothing past K
+    for path, p, t in _snapshot_z_kernels():
+        for window in (2, 3, 5):
+            raw = rs_z_window(p, t, window=window)
+            for out in (raw, tietze_eliminate(raw)):
+                gens = out.presentation.instantiate(window).generators
+                assert all(g in out.dictionary for g in gens), (path, window)
+                assert all(abs(g.indices[0]) <= window
+                           for g in out.dictionary if g.indices), (path, window)
+                for f in raw.presentation.families:
+                    past = Gen(f, (window + 1,))
+                    with pytest.raises(ValueError, match=re.escape(str(past))):
+                        out.expand(letter(past))
+    # a window `instantiate` rejects has no dictionary either
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        rs_z_window(artin_braid(5), S1, window=0)
 
 
 def test_family_tietze_collapses_duplicates():

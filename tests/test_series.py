@@ -26,7 +26,7 @@ from braidkit.series import (
     shifted_z_family_system,
     windowed_coinvariants,
 )
-from braidkit import reidschreier, series
+from braidkit import models, reidschreier, series
 from braidkit.reidschreier import rs_finite_cyclic
 from braidkit.words import (Gen, Word, invert, letter, multiply, parse_word,
                             relation_rows)
@@ -214,9 +214,11 @@ def test_hat_subgroup_of_q8():
     assert sorted(centre) == ["-1", "1"]
 
 
-def test_hat_subgroup_budget_bounds_the_closure_size():
+def test_hat_subgroup_budget_bounds_the_closure_size(monkeypatch):
     t = q8()
     acts = {Gen("a"): automorphism_from_images(t, {"x": "y", "y": "xy"})}
-    assert len(hat_subgroup(t, acts, [parse_word("a")], budget=8)) == 8
+    monkeypatch.setattr(models, "_CLOSURE_BUDGET", 8)
+    assert len(hat_subgroup(t, acts, [parse_word("a")])) == 8
+    monkeypatch.setattr(models, "_CLOSURE_BUDGET", 4)
     with pytest.raises(ValueError, match="closure exceeded budget 4"):
-        hat_subgroup(t, acts, [parse_word("a")], budget=4)
+        hat_subgroup(t, acts, [parse_word("a")])

@@ -119,6 +119,8 @@ def test_parse_identity_and_indices():
     ("s[1]^0", r"zero exponent for s\[1\] at position 0"),
     ("A[1,3]^0", r"zero exponent for A\[1,3\] at position 0"),
     ("t^0", "zero exponent for t at position 0"),
+    # the token's own position, not that of the whitespace before it
+    ("a A[1,3]^0", r"zero exponent for A\[1,3\] at position 2"),
 ])
 def test_zero_exponent_names_the_whole_generator(text, message):
     with pytest.raises(ValueError, match=message):
