@@ -5,11 +5,13 @@ are plain values (ints, tuples, words, ...) whose equality is normal-form
 equality.  Each model also reads and writes its elements as text (`parse`,
 `text`), in the syntax of hom-check's `--assign` files.  Words in
 presentation generators are evaluated into a model via an assignment of
-generator images.
+generator images.  A semidirect product carries its action (`Product.act`):
+each stock one, such as `q8_semidirect_f2`, is where its action is stated.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -125,31 +127,39 @@ class FreeGroup(GroupModel):
 
 @dataclass(frozen=True)
 class FiniteTable(GroupModel):
-    """A finite group given by its full multiplication table."""
+    """A finite group given by its full multiplication table, its elements
+    their names.  The table is checked once, when built (n x n over the names,
+    associative, a two-sided identity, inverses), and the product map on pairs
+    of names, the identity and the inverses are read off then.  They are kept
+    outside the fields: equality, hash and repr are those of (elements, table)."""
 
     elements: tuple[str, ...]
     table: tuple[tuple[str, ...], ...]  # table[i][j] = elements[i] * elements[j]
 
     def __post_init__(self):
-        elems = set(self.elements)
-        if len(elems) != len(self.elements):
+        elems, n = self.elements, len(self.elements)
+        names = set(elems)
+        if len(names) != n:
             raise ValueError("duplicate element names")
-        for row in self.table:
-            for x in row:
-                if x not in elems:
-                    raise ValueError("table entry %r not an element" % x)
-        self.identity()
-        for a in self.elements:
-            self.inv(a)
-        if len(self.elements) <= 24:
-            for a in self.elements:
-                for b in self.elements:
-                    for c in self.elements:
-                        if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                            raise ValueError("non-associative at (%s,%s,%s)" % (a, b, c))
-
-    def _idx(self, a: str) -> int:
-        return self.elements.index(a)
+        if len(self.table) != n or any(len(row) != n for row in self.table):
+            raise ValueError("table is not %d x %d" % (n, n))
+        product = {(a, b): x for a, row in zip(elems, self.table)
+                   for b, x in zip(elems, row)}
+        for x in product.values():
+            if x not in names:
+                raise ValueError("table entry %r not an element" % x)
+        for a, b, c in itertools.product(elems, repeat=3):
+            if product[product[a, b], c] != product[a, product[b, c]]:
+                raise ValueError("non-associative at (%s,%s,%s)" % (a, b, c))
+        identity = next((e for e in elems
+                         if all(product[e, x] == x == product[x, e] for x in elems)), None)
+        if identity is None:
+            raise ValueError("no identity element")
+        inverse = {a: b for (a, b), x in product.items() if x == identity}
+        for a in elems:
+            if a not in inverse:
+                raise ValueError("no inverse for %s" % a)
+        self.__dict__.update(_product=product, _identity=identity, _inverse=inverse)
 
     def parse(self, text):
         name = text.strip()
@@ -159,21 +169,13 @@ class FiniteTable(GroupModel):
         return name
 
     def identity(self):
-        for i, e in enumerate(self.elements):
-            if all(self.table[i][j] == x for j, x in enumerate(self.elements)):
-                return e
-        raise ValueError("no identity element")
+        return self._identity
 
     def mul(self, a, b):
-        return self.table[self._idx(a)][self._idx(b)]
+        return self._product[a, b]
 
     def inv(self, a):
-        e = self.identity()
-        i = self._idx(a)
-        for j, b in enumerate(self.elements):
-            if self.table[i][j] == e:
-                return b
-        raise ValueError("no inverse for %s" % a)
+        return self._inverse[a]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from math import gcd
 from typing import Callable, Sequence
 
 from .intlin import IntMatrix, abelian_invariants, mat_pow, matrix, smith_normal_form
-from .models import FiniteTable, act_on_finite, finite_closure
+from .models import Product, finite_closure
 from .presentations import IndexedPresentation, Presentation
 from .reidschreier import rs_finite_cyclic
 from .words import Gen, Word, exponent_vector, free_reduce, parse_word, relation_rows
@@ -187,13 +187,13 @@ def lcs_rank_torus(i: int) -> RankReport:
 # ---------------------------------------------------------------------------
 # twisted-commutator closures in finite groups
 
-def hat_subgroup(table: FiniteTable, actions: dict,
-                 acting_words: Sequence[Word]) -> tuple[str, ...]:
-    """Normal closure of { phi(w)(h) h^-1 : w acting word, h in the group },
-    by `finite_closure`, which raises ValueError past its budget.
-
-    `actions` maps each acting generator to a permutation of element names."""
-    seeds = {table.mul(act_on_finite(actions, w, h), table.inv(h))
+def hat_subgroup(model: Product, acting_words: Sequence[Word]) -> tuple[str, ...]:
+    """Normal closure in H of { w(h) h^-1 : w acting word, h in H }, for a
+    semidirect product `model` = H x| F whose normal part H is a finite table
+    and in which F acts by `model.act`; by `finite_closure`, which raises
+    ValueError past its budget."""
+    table = model.normal
+    seeds = {table.mul(model.act(w, h), table.inv(h))
              for w in acting_words for h in table.elements}
     conjugates = {table.mul(table.mul(g, x), table.inv(g))
                   for g in table.elements for x in seeds}

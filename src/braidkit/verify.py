@@ -248,11 +248,10 @@ def _action_table(aut, table):
 def _commutator_exponent_sums():
     a, b = Gen("a"), Gen("b")
     u, v = actions.disc_u(), actions.disc_v()
-    uv = models.FreeAutomorphism(
-        {a: u.apply(v.apply(u.inverse().apply(v.inverse().apply(letter(a))))),
-         b: u.apply(v.apply(u.inverse().apply(v.inverse().apply(letter(b)))))})
-    elt = multiply(power(multiply(uv.apply(letter(a)), invert(letter(a))), -3),
-                   power(multiply(uv.apply(letter(b)), invert(letter(b))), 2),
+    uv_a, uv_b = (u.apply(v.apply(u.inverse().apply(v.inverse().apply(letter(g)))))
+                  for g in (a, b))
+    elt = multiply(power(multiply(uv_a, invert(letter(a))), -3),
+                   power(multiply(uv_b, invert(letter(b))), 2),
                    power(letter(b), -2))
     return (0, 0), (exponent_sum(elt, a), exponent_sum(elt, b))
 
@@ -273,11 +272,7 @@ def _coinvariants(ip) -> str:
 
 
 def _hat_closure(words):
-    table = models.q8()
-    acts = {Gen("a"): models.automorphism_from_images(table, {"x": "y", "y": "xy"}),
-            Gen("b"): models.automorphism_from_images(
-                table, {"x": table.mul("y", "x"), "y": "x"})}
-    return series.hat_subgroup(table, acts, words)
+    return series.hat_subgroup(models.q8_semidirect_f2(), words)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,10 @@ against, and the free-group actions only the tests use.
   with `Fraction`, and the inverse Q * P read off the dense Smith form
   P * A * Q = I.
 - The left meet of two permutation braids by search over all permutations.
+- Small finite groups as tables (the Klein four-group, Z/m, and S_3 listed
+  with its identity last), and a table read by position: products by
+  `tuple.index`, the identity and inverses by scanning rows, as
+  `FiniteTable` read them before it derived its lookups.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Iterable, Sequence
 from braidkit.actions import n_graph, z_basis_words
 from braidkit.freesub import express
 from braidkit.intlin import IntMatrix, SnfResult, abelian_invariants, identity, matrix
-from braidkit.models import FreeAutomorphism
+from braidkit.models import FiniteTable, FreeAutomorphism
 from braidkit.presentations import Presentation
 from braidkit.series import AbelianInvariants
 from braidkit.words import (Gen, Word, exponent_vector, free_reduce, invert,
@@ -423,3 +427,45 @@ def nilpotent_class2_gamma2(p: Presentation) -> AbelianInvariants:
             rows.append(row)
     return AbelianInvariants(*abelian_invariants(
         [{n: x for n, x in enumerate(row) if x} for row in rows], len(pairs)))
+
+
+# ---------------------------------------------------------------------------
+# finite groups by table
+
+
+def klein_four():
+    elems = ("e", "p", "q", "pq")
+
+    def prod(x, y):
+        sx = set(x.replace("e", "")) ^ set(y.replace("e", ""))
+        return "".join(c for c in "pq" if c in sx) or "e"
+
+    return FiniteTable(elems, tuple(tuple(prod(x, y) for y in elems) for x in elems))
+
+
+def cyclic_table(m: int) -> FiniteTable:
+    """Z/m on the names "0" .. "m-1"."""
+    elems = tuple(map(str, range(m)))
+    return FiniteTable(elems, tuple(tuple(str((i + j) % m) for j in range(m))
+                                    for i in range(m)))
+
+
+def s3_table() -> FiniteTable:
+    """S_3 by composing permutations of 0, 1, 2, named by their images and
+    listed in reverse lexicographic order, so the identity "012" is last."""
+    perms = sorted(permutations(range(3)), reverse=True)
+    name = {p: "".join(map(str, p)) for p in perms}
+    return FiniteTable(tuple(name[p] for p in perms),
+                       tuple(tuple(name[tuple(p[i] for i in q)] for q in perms)
+                             for p in perms))
+
+
+def table_by_position(t: FiniteTable):
+    """(mul, identity, inv) of `t` read from its table by position."""
+    def mul(a, b):
+        return t.table[t.elements.index(a)][t.elements.index(b)]
+    identity = next(e for i, e in enumerate(t.elements)
+                    if t.table[i] == t.elements)
+    inverse = {a: t.elements[t.table[i].index(identity)]
+               for i, a in enumerate(t.elements)}
+    return mul, identity, inverse.__getitem__

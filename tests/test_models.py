@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from braidkit.cli import _TARGETS, _make_target
 from braidkit.models import (
     CyclicZ,
+    FiniteTable,
     FreeAutomorphism,
     GarsideBraidGroup,
     automorphism_from_images,
@@ -15,7 +16,8 @@ from braidkit.models import (
     z2z6_model,
 )
 from braidkit.words import Gen, Word, free_reduce, letter, parse_word
-from oracles import action_of_word, check_inverse, compose
+from oracles import (action_of_word, check_inverse, compose, klein_four, s3_table,
+                     table_by_position)
 
 
 def test_q8_table():
@@ -27,6 +29,38 @@ def test_q8_table():
     assert t.mul(xx, xx) == t.identity()
     # x y x^-1 = y^-1
     assert t.mul(t.mul("x", "y"), t.inv("x")) == t.inv("y")
+
+
+_AFFINE_25 = (tuple(map(str, range(25))),
+              tuple(tuple(str((2 * a + b) % 25) for b in range(25)) for a in range(25)))
+
+
+@pytest.mark.parametrize("elements, table, message", [
+    (("e", "e"), (("e", "e"), ("e", "e")), "duplicate element names"),
+    (("e", "a"), (("e", "a"),), "table is not 2 x 2"),
+    (("e", "a"), (("e", "a"), ("a",)), "table is not 2 x 2"),
+    (("e", "a"), (("e", "a"), ("a", "b")), "table entry 'b' not an element"),
+    # x y = y: associative, every element a left identity, none two-sided
+    (("e", "a"), (("e", "a"), ("e", "a")), "no identity element"),
+    # {1, 0} under multiplication: a monoid in which 0 has no inverse
+    (("1", "0"), (("1", "0"), ("0", "0")), "no inverse for 0"),
+    (("e", "a"), (("a", "e"), ("e", "e")), r"non-associative at \(e,e,a\)"),
+    # a b = 2a + b mod 25: a left identity 0 and right inverses -2a
+    (*_AFFINE_25, r"non-associative at \(1,0,0\)"),
+])
+def test_finite_table_rejects_what_is_not_a_group(elements, table, message):
+    with pytest.raises(ValueError, match=message):
+        FiniteTable(elements, table)
+
+
+@pytest.mark.parametrize("table", [q8(), klein_four(), s3_table()])
+def test_finite_table_lookups_match_the_table_read_by_position(table):
+    mul, identity, inv = table_by_position(table)
+    assert table.identity() == identity
+    for a in table.elements:
+        assert table.inv(a) == inv(a)
+        for b in table.elements:
+            assert table.mul(a, b) == mul(a, b)
 
 
 def test_q8_subgroup_closure():

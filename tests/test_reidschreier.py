@@ -14,7 +14,7 @@ from braidkit.freesub import fold, rank
 from braidkit.garside import braid_equal, permutation
 from braidkit import reidschreier
 from braidkit.intlin import matrix, smith_normal_form
-from braidkit.models import FiniteTable, q8
+from braidkit.models import q8
 from braidkit.presentations import (
     IndexedPresentation,
     Presentation,
@@ -41,7 +41,7 @@ from braidkit.reidschreier import (
 from braidkit.series import abelianization
 from braidkit.words import (IDENTITY, Gen, exponent_vector, free_reduce, invert,
                             letter, multiply, parse_word, power, substitute)
-from oracles import canonical_relator_all_rotations
+from oracles import canonical_relator_all_rotations, klein_four
 
 S1 = Gen("s", (1,))
 
@@ -467,16 +467,6 @@ def test_elimination_rekeys_only_relators_holding_the_generator(monkeypatch):
 
 A, B = Gen("a"), Gen("b")
 _F2 = Presentation("F2", (A, B), ())
-
-
-def klein_four():
-    elems = ("e", "p", "q", "pq")
-
-    def prod(x, y):
-        sx = set(x.replace("e", "")) ^ set(y.replace("e", ""))
-        return "".join(c for c in "pq" if c in sx) or "e"
-
-    return FiniteTable(elems, tuple(tuple(prod(x, y) for y in elems) for x in elems))
 
 
 def _model_act(model, images):

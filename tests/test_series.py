@@ -3,10 +3,11 @@
 import dataclasses
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from braidkit.models import automorphism_from_images, q8
+from braidkit.models import FreeGroup, Product, act_on_finite, q8_semidirect_f2
 from braidkit.presentations import (
     b3_punctured_gamma2_ab,
     gamma2_annulus,
@@ -30,7 +31,7 @@ from braidkit import models, reidschreier, series
 from braidkit.reidschreier import rs_finite_cyclic
 from braidkit.words import (Gen, Word, invert, letter, multiply, parse_word,
                             relation_rows)
-from oracles import nilpotent_class2_gamma2
+from oracles import cyclic_table, klein_four, nilpotent_class2_gamma2
 
 
 def test_invariants_str():
@@ -204,21 +205,26 @@ def test_shifted_z_system_gives_order_two():
 
 
 def test_hat_subgroup_of_q8():
-    t = q8()
-    a = automorphism_from_images(t, {"x": "y", "y": "xy"})
-    b = automorphism_from_images(t, {"x": t.mul("y", "x"), "y": "x"})
-    acts = {Gen("a"): a, Gen("b"): b}
-    full = hat_subgroup(t, acts, [parse_word("a"), parse_word("b")])
+    qf = q8_semidirect_f2()
+    full = hat_subgroup(qf, [parse_word("a"), parse_word("b")])
     assert len(full) == 8
-    centre = hat_subgroup(t, acts, [parse_word("a b a^-1 b^-1")])
+    centre = hat_subgroup(qf, [parse_word("a b a^-1 b^-1")])
     assert sorted(centre) == ["-1", "1"]
+    # the same closure over other products H x| F_1: a swaps p and q in the
+    # Klein four-group, and inverts Z/3
+    inverting = {"0": "0", "1": "2", "2": "1"}
+    for table, action, word, closure in (
+            (klein_four(), {"e": "e", "p": "q", "q": "p", "pq": "pq"}, "a", ("e", "pq")),
+            (cyclic_table(3), inverting, "a", ("0", "1", "2")),
+            (cyclic_table(3), inverting, "a^2", ("0",))):
+        model = Product(table, FreeGroup(), partial(act_on_finite, {Gen("a"): action}))
+        assert hat_subgroup(model, [parse_word(word)]) == closure, (table, word)
 
 
 def test_hat_subgroup_budget_bounds_the_closure_size(monkeypatch):
-    t = q8()
-    acts = {Gen("a"): automorphism_from_images(t, {"x": "y", "y": "xy"})}
+    qf = q8_semidirect_f2()
     monkeypatch.setattr(models, "_CLOSURE_BUDGET", 8)
-    assert len(hat_subgroup(t, acts, [parse_word("a")])) == 8
+    assert len(hat_subgroup(qf, [parse_word("a")])) == 8
     monkeypatch.setattr(models, "_CLOSURE_BUDGET", 4)
     with pytest.raises(ValueError, match="closure exceeded budget 4"):
-        hat_subgroup(t, acts, [parse_word("a")])
+        hat_subgroup(qf, [parse_word("a")])
