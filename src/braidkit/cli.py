@@ -3,8 +3,9 @@
 Thin adapters over the library: presentation builders, abelianization,
 subgroup rewriting, Smith forms, braid equality, subgroup expression,
 homomorphism checks, rank formulas, and the named verification suite.
-
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 input parse error.
+Inputs are read by the library's parsers (hom-check's by `models.target`
+and `hom.parse_assignment`), whose errors map to exit codes:
+0 success, 1 check failure, 2 usage error, 3 input parse error.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .presentations import (IndexedPresentation, ParseError, Presentation,
                             gamma2_b6plus, kent_peifer, parse_presentation,
                             punctured_sphere, serialize as serialize_presentation, sphere_braid)
 from .reidschreier import rs_finite_cyclic, rs_z_window, tietze_eliminate
-from .words import Gen, parse_word, word_to_text
+from .words import Gen, parse_gen, parse_word, word_to_text
 
 
 @contextmanager
@@ -67,8 +68,8 @@ def _parse_weights(p: Presentation, spec: str) -> dict:
         pattern, value = part.rsplit("=", 1)
         pattern = pattern.strip()
         try:
-            named = _parse_gen(pattern)
-        except (ValueError, click.UsageError):
+            named = parse_gen(pattern)
+        except ValueError:
             named = None
         if named is not None and named.indices:
             matched = [g for g in p.generators if g == named]
@@ -87,10 +88,10 @@ def _parse_weights(p: Presentation, spec: str) -> dict:
 
 
 def _parse_gen(text: str) -> Gen:
-    w = parse_word(text)
-    if len(w) != 1 or w.runs[0][1] != 1:
-        raise click.UsageError("%r is not a single generator" % text)
-    return w.runs[0][0]
+    try:
+        return parse_gen(text)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 @click.group()
@@ -253,32 +254,9 @@ def subgroup_member_cmd(basis_path, word_text):
         sys.exit(1)
 
 
-_TARGETS = ("z2-z6", "q8-f2", "braid:N", "braid:N-x-z")
-
-
-def _make_target(spec: str):
-    if spec == "z2-z6":
-        return models.z2z6_model()
-    if spec == "q8-f2":
-        return models.q8_semidirect_f2()
-    if spec.startswith("braid:"):
-        rest = spec[len("braid:"):]
-        times_z = rest.endswith("-x-z")
-        if times_z:
-            rest = rest[:-len("-x-z")]
-        try:
-            braids = models.GarsideBraidGroup(int(rest))
-        except ValueError:
-            raise click.UsageError("target %r needs a strand count N >= 2" % spec)
-        if times_z:
-            return models.Product(braids, models.CyclicZ(0))
-        return braids
-    raise click.UsageError("unknown target %r; known: %s" % (spec, ", ".join(_TARGETS)))
-
-
 @main.command("hom-check")
 @click.option("--in", "path", required=True)
-@click.option("--target", required=True, help="one of: %s" % ", ".join(_TARGETS))
+@click.option("--target", required=True, help="one of: %s" % ", ".join(models.TARGETS))
 @click.option("--assign", "assign_path", required=True,
               help="file of lines GEN = IMAGE")
 @click.option("--relator", type=int, default=None,
@@ -287,28 +265,19 @@ def _make_target(spec: str):
 def hom_check_cmd(path, target, assign_path, relator, as_json):
     """Evaluate every relator under a generator assignment."""
     p = _load_presentation(path)
-    model = _make_target(target)
-    assignment = {}
+    try:
+        model = models.target(target)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     with _exit_on(ValueError, "parse error", 3):
-        for lineno, line in enumerate(_read_text(assign_path).splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            gen_text, eq, image_text = line.partition("=")
-            if not eq:
-                raise ValueError("line %d: expected GEN = IMAGE, got %r" % (lineno, line))
-            try:
-                assignment[_parse_gen(gen_text.strip())] = model.parse(image_text.strip())
-            except ValueError as exc:
-                raise ValueError("line %d: %s" % (lineno, exc)) from None
+        assignment = hom.parse_assignment(_read_text(assign_path), model)
     with _exit_on(ValueError, "error", 1):
         report = hom.check_hom(p, model, assignment, relator)
-    if as_json:
-        for c in report.checks:
+    for c in report.checks:
+        if as_json:
             click.echo(json.dumps({"relator": word_to_text(c.relator),
                                    "image": c.image, "trivial": c.trivial}))
-    else:
-        for c in report.checks:
+        else:
             click.echo("%s  %s -> %s" % ("ok " if c.trivial else "FAIL",
                                          word_to_text(c.relator), c.image))
     if not report.all_trivial:

@@ -1,7 +1,8 @@
 """Homomorphism verification against group models.
 
-A candidate homomorphism is a generator assignment into a GroupModel; it is
-well defined exactly when every relator evaluates to the identity.
+A candidate homomorphism is a generator assignment into a GroupModel, which
+hom-check and verify alike write as `GEN = IMAGE` lines (`parse_assignment`);
+it is well defined exactly when every relator evaluates to the identity.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from typing import Optional
 
 from .models import GroupModel, finite_closure
 from .presentations import Presentation
-from .words import Word
+from .words import Gen, Word, parse_gen
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,28 @@ class HomReport:
     @property
     def all_trivial(self) -> bool:
         return all(c.trivial for c in self.checks)
+
+
+def parse_assignment(text: str, model: GroupModel) -> dict[Gen, object]:
+    """The images of `GEN = IMAGE` lines, IMAGE read by `model.parse`, blank
+    lines and `#` comments skipped.  A line that does not parse, or assigns a
+    generator a second time, raises ValueError naming its line."""
+    assignment = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        gen_text, eq, image_text = line.partition("=")
+        try:
+            if not eq:
+                raise ValueError("expected GEN = IMAGE, got %r" % line)
+            g = parse_gen(gen_text.strip())
+            if g in assignment:
+                raise ValueError("generator %s is assigned twice" % g)
+            assignment[g] = model.parse(image_text.strip())
+        except ValueError as exc:
+            raise ValueError("line %d: %s" % (lineno, exc)) from None
+    return assignment
 
 
 def check_hom(p: Presentation, model: GroupModel, assignment: dict,

@@ -7,6 +7,7 @@ equality.  Each model also reads and writes its elements as text (`parse`,
 presentation generators are evaluated into a model via an assignment of
 generator images.  A semidirect product carries its action (`Product.act`):
 each stock one, such as `q8_semidirect_f2`, is where its action is stated.
+`target` names the stock models that hom-check and verify map into.
 """
 
 from __future__ import annotations
@@ -373,3 +374,20 @@ def q8_semidirect_f2() -> Product:
     act_b = automorphism_from_images(t, {"x": yx, "y": "x"})
     return Product(t, FreeGroup(),
                    partial(act_on_finite, {Gen("a"): act_a, Gen("b"): act_b}))
+
+
+TARGETS = ("z2-z6", "q8-f2", "braid:N", "braid:N-x-z")
+
+
+def target(spec: str) -> GroupModel:
+    """The stock model that `spec`, one of TARGETS with N a strand count,
+    names (braid:3-x-z is B_3 x Z); ValueError if it names none."""
+    if spec in ("z2-z6", "q8-f2"):
+        return z2z6_model() if spec == "z2-z6" else q8_semidirect_f2()
+    if not spec.startswith("braid:"):
+        raise ValueError("unknown target %r; known: %s" % (spec, ", ".join(TARGETS)))
+    try:
+        braids = GarsideBraidGroup(int(spec[len("braid:"):].removesuffix("-x-z")))
+    except ValueError:
+        raise ValueError("target %r needs a strand count N >= 2" % spec) from None
+    return Product(braids, CyclicZ(0)) if spec.endswith("-x-z") else braids

@@ -7,13 +7,15 @@ material for the 4-strand disc braid group's derived-series computation.
 The suite is one ordered registry of (id, description, thunk) entries; a
 thunk returns (expected, got) and runs only when its id is selected.  To add
 a check, add one ``_register(id, description, thunk)`` call where the check
-should appear in the output.
+should appear in the output; a homomorphism check is a HOM_CHECKS entry, its
+images written as the `--assign` text that hom-check replays it from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fnmatch import fnmatch
+from functools import partial
 from itertools import product
 from typing import Callable
 
@@ -84,6 +86,25 @@ PRINTED_SCHREIER_BASIS = ("a^2", "a b a^2 b^-1 a^-1", "b a b^-1 a^-1",
 
 # the two basis braids of the 4-strand computation
 A4, B4 = "s[3] s[1]^-1", "s[2] s[3] s[1]^-1 s[2]^-1"
+
+G2B4_IMAGES = "g[1] = 1;a\ng[2] = 1;b\ng[3] = x;1\n"  # onto Q8 x| F2
+_DELTA_M2 = "s[1]^-1 s[2]^-1 s[1]^-2 s[2]^-1 s[1]^-1"  # Delta^-2 in B_3
+
+# (id, description, presentation builder, its args, target, --assign images)
+HOM_CHECKS = (
+    ("hom-sphere4", "4-strand sphere braid group onto Z^2 x| Z/6", sphere_braid, (4,),
+     "z2-z6", "s[1] = (0, 0);1\ns[2] = (1, 0);1\ns[3] = (0, 0);1\n"),
+    ("hom-g2b4", "commutator subgroup onto Q8 x| F2", gamma2_b4, (), "q8-f2", G2B4_IMAGES),
+    *(("hom-affine-c-retract-m%d" % m,
+       "retraction of the affine-C presentation onto the braid group", affine_C, (m,),
+       "braid:%d" % m,
+       "r[1] = 1\nr[%d] = 1\n" % m + "".join("s[%d] = s[%d]\n" % (i, i) for i in range(1, m)))
+      for m in (2, 3, 4)),
+    ("hom-punctured-4-2", "4 strands, twice-punctured sphere onto B3 x Z",
+     punctured_sphere, (4, 2), "braid:3-x-z",
+     "s[1] = s[1];0\ns[2] = s[2];0\ns[3] = s[1];0\n" + "".join(
+         "A[1,%d] = 1;1\nA[2,%d] = %s;-1\n" % (k, k, _DELTA_M2) for k in range(3, 7))),
+)
 
 
 @dataclass(frozen=True)
@@ -173,53 +194,18 @@ def _rs_reproduction(n: int):
     return expected, got
 
 
-def _hom_sphere4():
-    assign = {Gen("s", (1,)): ((0, 0), 1), Gen("s", (2,)): ((1, 0), 1),
-              Gen("s", (3,)): ((0, 0), 1)}
-    return True, hom.check_hom(sphere_braid(4), models.z2z6_model(), assign).all_trivial
-
-
-def _q8_f2_assignment():
-    """Q8 x| F2 and the images of the generators of the commutator subgroup of B_4."""
-    return models.q8_semidirect_f2(), {Gen("g", (1,)): ("1", parse_word("a")),
-                                       Gen("g", (2,)): ("1", parse_word("b")),
-                                       Gen("g", (3,)): ("x", Word(()))}
-
-
-def _hom_g2b4():
-    qf, assign = _q8_f2_assignment()
-    return True, hom.check_hom(gamma2_b4(), qf, assign).all_trivial
+def _hom(builder, args, target: str, images: str):
+    """(True, whether `images` define a homomorphism builder(*args) -> target)."""
+    model = models.target(target)
+    report = hom.check_hom(builder(*args), model, hom.parse_assignment(images, model))
+    return True, report.all_trivial
 
 
 def _hom_g2b4_conjugate():
-    qf, assign = _q8_f2_assignment()
-    conj = qf.eval_word(assign, parse_word("g[1] g[3] g[1]^-1"))
+    qf = models.target("q8-f2")
+    conj = qf.eval_word(hom.parse_assignment(G2B4_IMAGES, qf),
+                        parse_word("g[1] g[3] g[1]^-1"))
     return str(("y", Word(()))), str(conj)
-
-
-def _affine_c_retract(m: int):
-    bm = models.GarsideBraidGroup(m)
-    assign = {Gen("r", (1,)): bm.identity(), Gen("r", (m,)): bm.identity()}
-    for i in range(1, m):
-        assign[Gen("s", (i,))] = bm.from_word(letter(Gen("s", (i,))))
-    return True, hom.check_hom(affine_C(m), bm, assign).all_trivial
-
-
-def _hom_punctured_4_2():
-    b3 = models.GarsideBraidGroup(3)
-    p = punctured_sphere(4, 2)
-    delta_m2 = b3.from_word(power(parse_word("s[1] s[2] s[1]"), -2))
-    assign = {}
-    for g in p.generators:
-        if g.name == "s":
-            i = g.indices[0]
-            assign[g] = (b3.from_word(letter(Gen("s", (1 if i in (1, 3) else 2,)))), 0)
-        elif g.indices[0] == 1:
-            assign[g] = (b3.identity(), 1)
-        else:
-            assign[g] = (delta_m2, -1)
-    b3z = models.Product(b3, models.CyclicZ(0))
-    return True, hom.check_hom(p, b3z, assign).all_trivial
 
 
 def _braid_equal(w1: str, w2: str, n: int):
@@ -328,19 +314,14 @@ for n in (4, 5):
     _register("rs-reproduce-n%d" % n,
               "rewritten commutator-subgroup presentation matches the printed one",
               lambda n=n: _rs_reproduction(n))
-_register("hom-sphere4", "4-strand sphere braid group onto Z^2 x| Z/6",
-          _hom_sphere4)
-_register("hom-g2b4", "commutator subgroup onto Q8 x| F2", _hom_g2b4)
+for cid, description, *spec in HOM_CHECKS[:2]:  # the g2b4 image checks follow
+    _register(cid, description, partial(_hom, *spec))
 _register("hom-g2b4-finite-order", "order of the finite image part",
           lambda: (8, hom.image_order(models.q8(), ["x", "y"])))
 _register("hom-g2b4-conjugate", "image of the conjugated torsion generator",
           _hom_g2b4_conjugate)
-for m in (2, 3, 4):
-    _register("hom-affine-c-retract-m%d" % m,
-              "retraction of the affine-C presentation onto the braid group",
-              lambda m=m: _affine_c_retract(m))
-_register("hom-punctured-4-2", "4 strands, twice-punctured sphere onto B3 x Z",
-          _hom_punctured_4_2)
+for cid, description, *spec in HOM_CHECKS[2:]:
+    _register(cid, description, partial(_hom, *spec))
 _register("braid-eq-braid-relation", "defining braid relation in B3",
           lambda: _braid_equal("s[1] s[2] s[1]", "s[2] s[1] s[2]", 3))
 _register("braid-eq-conjugate", "two spellings of a conjugated generator in B3",

@@ -222,6 +222,14 @@ def parse_word(text: str) -> Word:
     return free_reduce(runs)
 
 
+def parse_gen(text: str) -> Gen:
+    """Parse a word that is one generator to the power 1, such as ``s[1]``."""
+    w = parse_word(text)
+    if len(w) != 1 or w.runs[0][1] != 1:
+        raise ValueError("%r is not a single generator" % text)
+    return w.runs[0][0]
+
+
 def word_to_text(w: Word) -> str:
     if not w.runs:
         return "1"

@@ -76,7 +76,9 @@ MALFORMED_IMAGES = (
     + [("artin-n3", "braid:3-x-z", a) for a in (
         "s[1] = s[1]\ns[2] = s[2]\n", "s[1] = s[1];0;1\ns[2] = s[2];0\n",
         "s[1] = s[1];x\ns[2] = s[2];0\n", "s[1] = s[1];\ns[2] = s[2];0\n")]
-    + [("f2.txt", "q8-f2", "# GEN = IMAGE lines\na x;a\n")])
+    + [("f2.txt", "q8-f2", "# GEN = IMAGE lines\na x;a\n"),
+       ("f2.txt", "q8-f2", "a^2 = x;a\n"),
+       ("artin-n3", "braid:3", "s[1] = s[1]\ns[2] = s[2]\ns[1] = s[2]\n")])
 FILES.update(("malformed-%d.txt" % i, assign)
              for i, (_pres, _target, assign) in enumerate(MALFORMED_IMAGES))
 

@@ -9,8 +9,10 @@ import pytest
 from click.testing import CliRunner
 
 import braidkit
+from braidkit import verify
 from braidkit.cli import main
 from braidkit.intlin import mat_mul, parse_matrix
+from braidkit.presentations import serialize
 from braidkit.words import Gen
 
 runner = CliRunner()
@@ -165,6 +167,16 @@ def test_rs_transversal_that_is_not_a_generator_is_an_error():
         assert "error: transversal x is not a generator of B4(S2)" in res.output
 
 
+@pytest.mark.parametrize("command", [["rs", "--mod", "2"], ["g2g3"]],
+                         ids=["rs", "g2g3"])
+def test_transversal_that_is_not_a_word_is_a_usage_error(command):
+    pres = run("present", "--family", "artin", "--n", "3").output
+    res = run(*command, "--in", "-", "--transversal", "s[1", input=pres)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Error: unexpected character '[' at position 1" in res.output
+
+
 def test_rs_window_below_one_is_an_error():
     pres = run("present", "--family", "artin", "--n", "3").output
     res = run("rs", "--in", "-", "--mod", "0", "--transversal", "s[1]",
@@ -266,19 +278,22 @@ def test_hom_check_z2z6(tmp_path):
     assert rows and all(r["trivial"] for r in rows)
 
 
-@pytest.mark.parametrize("target, images, message", [
-    ("z2-z6", "s[1] = (0,0,7);1", "vector '(0,0,7)' needs 2 entries, has 3"),
-    ("z2-z6", "s[1] = (0);1", "vector '(0)' needs 2 entries, has 1"),
-    ("z2-z6", "s[1] = (0,0)", "image '(0,0)' needs exactly one ';'"),
-    ("z2-z6", "s[1] = (0,0);1;1", "image '(0,0);1;1' needs exactly one ';'"),
-    ("z2-z6", "s[1] = (1, x);0", "vector '(1, x)' entry 'x' is not an integer"),
-    ("z2-z6", "s[1] = (0,0);y", "Z/6 element 'y' is not an integer"),
-    ("braid:3-x-z", "s[1] = s[1];x", "Z element 'x' is not an integer"),
-    ("q8-f2", "a = zz;a", "unknown element 'zz'; known: 1 -1 x -x y -y xy -xy"),
-    ("q8-f2", "a = x", "image 'x' needs exactly one ';'"),
-    ("q8-f2", "a x;a", "expected GEN = IMAGE, got 'a x;a'")])
+@pytest.mark.parametrize("target, images, message, lineno", [
+    ("z2-z6", "s[1] = (0,0,7);1", "vector '(0,0,7)' needs 2 entries, has 3", 2),
+    ("z2-z6", "s[1] = (0);1", "vector '(0)' needs 2 entries, has 1", 2),
+    ("z2-z6", "s[1] = (0,0)", "image '(0,0)' needs exactly one ';'", 2),
+    ("z2-z6", "s[1] = (0,0);1;1", "image '(0,0);1;1' needs exactly one ';'", 2),
+    ("z2-z6", "s[1] = (1, x);0", "vector '(1, x)' entry 'x' is not an integer", 2),
+    ("z2-z6", "s[1] = (0,0);y", "Z/6 element 'y' is not an integer", 2),
+    ("braid:3-x-z", "s[1] = s[1];x", "Z element 'x' is not an integer", 2),
+    ("q8-f2", "a = zz;a", "unknown element 'zz'; known: 1 -1 x -x y -y xy -xy", 2),
+    ("q8-f2", "a = x", "image 'x' needs exactly one ';'", 2),
+    ("q8-f2", "a x;a", "expected GEN = IMAGE, got 'a x;a'", 2),
+    ("q8-f2", "a^2 = x;a", "'a^2' is not a single generator", 2),
+    ("braid:3", "s[1] = s[1]\ns[2] = s[2]\ns[1] = s[2]",
+     "generator s[1] is assigned twice", 4)])
 def test_hom_check_malformed_image_is_a_parse_error(tmp_path, target, images,
-                                                    message):
+                                                    message, lineno):
     pf = tmp_path / "p.txt"
     pf.write_text(run("present", "--family", "sphere", "--n", "4").output
                   if target == "z2-z6" else "group F2\ngens: a b\nrel: a b a^-1 b^-1\n")
@@ -287,7 +302,7 @@ def test_hom_check_malformed_image_is_a_parse_error(tmp_path, target, images,
     res = run("hom-check", "--in", str(pf), "--target", target,
               "--assign", str(af))
     assert res.exit_code == 3
-    assert res.stderr == "parse error: line 2: %s\n" % message
+    assert res.stderr == "parse error: line %d: %s\n" % (lineno, message)
 
 
 def test_hom_check_replay_hint_runs(tmp_path):
@@ -329,7 +344,7 @@ def test_hom_check_replay_hint_runs(tmp_path):
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_hom_check_images_parse_back_to_their_elements(tmp_path, target, pres,
                                                        images, as_json):
-    from braidkit.cli import _make_target, _parse_gen
+    from braidkit import hom, models
     from braidkit.presentations import parse_presentation
 
     if isinstance(pres, tuple):
@@ -340,17 +355,46 @@ def test_hom_check_images_parse_back_to_their_elements(tmp_path, target, pres,
     af.write_text(images)
     res = run("hom-check", "--in", str(pf), "--target", target,
               "--assign", str(af), *(["--json"] if as_json else []))
-    model = _make_target(target)
-    assignment = {}
-    for line in images.splitlines():
-        g, image = line.split("=")
-        assignment[_parse_gen(g.strip())] = model.parse(image)
+    model = models.target(target)
+    assignment = hom.parse_assignment(images, model)
     lines = res.output.splitlines()
     relators = parse_presentation(pres).relators
     assert len(lines) == len(relators)
     for line, r in zip(lines, relators):
         text = json.loads(line)["image"] if as_json else line.split(" -> ")[1]
         assert model.parse(text) == model.eval_word(assignment, r), text
+
+
+# per verify hom check: a line of its images, that line mutated, and the
+# exit code of hom-check on the mutated images.  B_2 is Z and every relator
+# of affine_C(2) has exponent sum 0 in each generator, so every assignment
+# of affine_C(2) into B_2 is a homomorphism: that check passes whatever its
+# images are.
+HOM_MUTATIONS = {
+    "hom-sphere4": ("s[2] = (1, 0);1", "s[2] = (0, 1);0", 1),
+    "hom-g2b4": ("g[1] = 1;a", "g[1] = 1;b", 1),
+    "hom-affine-c-retract-m2": ("r[1] = 1", "r[1] = s[1]", 0),
+    "hom-affine-c-retract-m3": ("r[1] = 1", "r[1] = s[1]", 1),
+    "hom-affine-c-retract-m4": ("r[1] = 1", "r[1] = s[1]", 1),
+    "hom-punctured-4-2": ("s[3] = s[1];0", "s[3] = s[2];0", 1),
+}
+
+
+@pytest.mark.parametrize("check", verify.HOM_CHECKS, ids=lambda c: c[0])
+def test_verify_hom_check_replays_and_its_mutation_is_caught(tmp_path, check):
+    cid, _description, builder, args, target, images = check
+    line, mutated, mutated_exit = HOM_MUTATIONS[cid]
+    lines = images.splitlines()
+    lines[lines.index(line)] = mutated
+    pf = tmp_path / "p.txt"
+    pf.write_text(serialize(builder(*args)))
+    af = tmp_path / "assign.txt"
+    for text, code in ((images, 0), ("\n".join(lines), mutated_exit)):
+        af.write_text(text)
+        res = run("hom-check", "--in", str(pf), "--target", target,
+                  "--assign", str(af))
+        assert res.exit_code == code, (text, res.output)
+        assert ("FAIL" in res.output) == bool(code)
 
 
 def test_hom_check_bad_braid_target_is_a_usage_error(tmp_path):

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidkit.cli import _TARGETS, _make_target
+from braidkit import models
 from braidkit.models import (
     CyclicZ,
     FiniteTable,
@@ -171,14 +171,14 @@ TARGET_GENERATORS = {
 
 
 def test_every_target_has_generator_images():
-    assert set(TARGET_GENERATORS) == set(_TARGETS)
+    assert set(TARGET_GENERATORS) == set(models.TARGETS)
 
 
-@pytest.mark.parametrize("target", _TARGETS)
+@pytest.mark.parametrize("target", models.TARGETS)
 @settings(max_examples=40)
 @given(st.data())
 def test_element_text_parses_back(target, data):
-    model = _make_target(target.replace("N", "4"))
+    model = models.target(target.replace("N", "4"))
     gens = [model.parse(g) for g in TARGET_GENERATORS[target]]
     runs = data.draw(st.lists(st.tuples(st.integers(0, len(gens) - 1),
                                         st.integers(-3, 3).filter(bool)),
@@ -195,7 +195,7 @@ def test_element_text_parses_back(target, data):
     ("braid:4-x-z", lambda m: (m.normal.from_word(parse_word("s[3]^-1 s[1]^-1")), -7),
      None)])
 def test_negative_entries_and_delta_powers_parse_back(target, make, text):
-    model = _make_target(target)
+    model = models.target(target)
     x = make(model)
     if text is not None:
         assert model.text(x) == text
