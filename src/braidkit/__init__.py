@@ -4,28 +4,33 @@ Exact free-group word algebra, finite presentations with Z-indexed relator
 families, integer linear algebra (Smith forms), Garside normal forms,
 Reidemeister-Schreier subgroup presentations, Stallings foldings, lower
 central series quotients, and homomorphism verification.
+
+`import braidkit` loads no layer: each public name is bound from its home
+module on first use (PEP 562), so a command pays only for what it runs.
 """
 
-from .words import Gen, Word, parse_word, word_to_text
-from .presentations import (IndexedPresentation, Presentation,
-                            parse_presentation)
-from .intlin import IntMatrix, matrix, smith_normal_form
-from .garside import BraidNF, braid_equal, normal_form
-from .freesub import SubgroupGraph, express, fold, membership
-from .reidschreier import (RsOutput, rs_coset_table, rs_finite_cyclic,
-                           rs_z_window, tietze_eliminate)
-from .series import (AbelianInvariants, abelianization, gamma2_mod_gamma3,
-                     lcs_rank_torus, lcs_rank_z2_free, windowed_coinvariants)
-from .hom import HomReport, check_hom, image_order
+from importlib import import_module
 
-__all__ = [
-    "Gen", "Word", "parse_word", "word_to_text",
-    "IndexedPresentation", "Presentation", "parse_presentation",
-    "IntMatrix", "matrix", "smith_normal_form",
-    "BraidNF", "braid_equal", "normal_form",
-    "SubgroupGraph", "express", "fold", "membership",
-    "RsOutput", "rs_coset_table", "rs_finite_cyclic", "rs_z_window",
-    "tietze_eliminate", "AbelianInvariants", "abelianization",
-    "gamma2_mod_gamma3", "lcs_rank_torus", "lcs_rank_z2_free",
-    "windowed_coinvariants", "HomReport", "check_hom", "image_order",
-]
+# public name -> its home module, in __all__ order
+_HOME = {name: module for module, names in (
+    ("words", ("Gen", "Word", "parse_word", "word_to_text")),
+    ("presentations", ("IndexedPresentation", "Presentation", "parse_presentation")),
+    ("intlin", ("IntMatrix", "matrix", "smith_normal_form")),
+    ("garside", ("BraidNF", "braid_equal", "normal_form")),
+    ("freesub", ("SubgroupGraph", "express", "fold", "membership")),
+    ("reidschreier", ("RsOutput", "rs_coset_table", "rs_finite_cyclic",
+                      "rs_z_window", "tietze_eliminate")),
+    ("series", ("AbelianInvariants", "abelianization", "gamma2_mod_gamma3",
+                "lcs_rank_torus", "lcs_rank_z2_free", "windowed_coinvariants")),
+    ("hom", ("HomReport", "check_hom", "image_order")),
+) for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(import_module("." + _HOME[name], __name__), name)
+    globals()[name] = value
+    return value

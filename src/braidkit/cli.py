@@ -5,7 +5,9 @@ subgroup rewriting, Smith forms, braid equality, subgroup expression,
 homomorphism checks, rank formulas, and the named verification suite.
 Inputs are read by the library's parsers (hom-check's by `models.target`
 and `hom.parse_assignment`), whose errors map to exit codes:
-0 success, 1 check failure, 2 usage error, 3 input parse error.
+0 success, 1 check failure, 2 usage error, 3 input parse error.  Each
+command imports the layers it runs in its own body, so a start-up loads
+only those.
 """
 
 from __future__ import annotations
@@ -18,16 +20,6 @@ from fnmatch import fnmatch
 
 import click
 
-from . import hom, models, series, verify as verify_mod
-from .freesub import express, fold, membership
-from .garside import normal_form
-from .intlin import parse_matrix, serialize_matrix, smith_normal_form
-from .presentations import (IndexedPresentation, ParseError, Presentation,
-                            affine_A, affine_C, artin_braid,
-                            b22_two_generator, fullpres, gamma2_b4, gamma2_b5,
-                            gamma2_b6plus, kent_peifer, parse_presentation,
-                            punctured_sphere, serialize as serialize_presentation, sphere_braid)
-from .reidschreier import rs_finite_cyclic, rs_z_window, tietze_eliminate
 from .words import Gen, parse_gen, parse_word, word_to_text
 
 
@@ -48,12 +40,13 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load_presentation(path: str) -> Presentation:
+def _load_presentation(path: str):
+    from .presentations import ParseError, parse_presentation
     with _exit_on(ParseError, "parse error", 3):
         return parse_presentation(_read_text(path))
 
 
-def _parse_weights(p: Presentation, spec: str) -> dict:
+def _parse_weights(p, spec: str) -> dict:
     """Weights from PATTERN=INT entries split at commas outside brackets,
     later entries winning.  An entry naming an indexed generator (A[1,3])
     sets that generator only; any other pattern is a glob against each
@@ -99,19 +92,19 @@ def main():
     """Braid and surface braid group presentation workbench."""
 
 
-# family -> (builder, the options it reads, in argument order)
+# family -> (its builder in `presentations`, the options it reads, in order)
 _FAMILIES = {
-    "artin": (artin_braid, ("n",)),
-    "sphere": (sphere_braid, ("n",)),
-    "punctured": (punctured_sphere, ("m", "n")),
-    "kent-peifer": (kent_peifer, ("m",)),
-    "affine-a": (affine_A, ("m",)),
-    "affine-c": (affine_C, ("m",)),
-    "b22": (b22_two_generator, ()),
-    "g2b4": (gamma2_b4, ()),
-    "g2b5": (gamma2_b5, ()),
-    "g2b6": (gamma2_b6plus, ("n",)),
-    "full": (fullpres, ("n",)),
+    "artin": ("artin_braid", ("n",)),
+    "sphere": ("sphere_braid", ("n",)),
+    "punctured": ("punctured_sphere", ("m", "n")),
+    "kent-peifer": ("kent_peifer", ("m",)),
+    "affine-a": ("affine_A", ("m",)),
+    "affine-c": ("affine_C", ("m",)),
+    "b22": ("b22_two_generator", ()),
+    "g2b4": ("gamma2_b4", ()),
+    "g2b5": ("gamma2_b5", ()),
+    "g2b6": ("gamma2_b6plus", ("n",)),
+    "full": ("fullpres", ("n",)),
 }
 
 
@@ -121,22 +114,24 @@ _FAMILIES = {
 @click.option("--m", type=int, default=None, help="strand count for punctured/affine families")
 def present_cmd(family, n, m):
     """Print a built-in presentation in the presentation file format."""
+    from . import presentations
     builder, names = _FAMILIES[family]
     values = {"n": n, "m": m}
     for name in names:
         if values[name] is None:
             raise click.UsageError("--family %s needs --%s" % (family, name))
     try:
-        p = builder(*(values[name] for name in names))
+        p = getattr(presentations, builder)(*(values[name] for name in names))
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    click.echo(serialize_presentation(p), nl=False)
+    click.echo(presentations.serialize(p), nl=False)
 
 
 @main.command("ab")
 @click.option("--in", "path", required=True, help="presentation file, - for stdin")
 def ab_cmd(path):
     """Abelian invariants of a presented group."""
+    from . import series
     p = _load_presentation(path)
     click.echo(str(series.abelianization(p)))
 
@@ -152,6 +147,8 @@ def ab_cmd(path):
 @click.option("--tietze", is_flag=True, help="run the limited eliminator")
 def rs_cmd(path, modulus, weights_spec, transversal, window, tietze):
     """Reidemeister-Schreier presentation of a weight-map kernel."""
+    from .presentations import IndexedPresentation, serialize
+    from .reidschreier import rs_finite_cyclic, rs_z_window, tietze_eliminate
     p = _load_presentation(path)
     t = _parse_gen(transversal)
     weights = _parse_weights(p, weights_spec)
@@ -165,7 +162,7 @@ def rs_cmd(path, modulus, weights_spec, transversal, window, tietze):
         pres = out.presentation
         if isinstance(pres, IndexedPresentation):
             pres = pres.instantiate(window)
-    click.echo(serialize_presentation(pres), nl=False)
+    click.echo(serialize(pres), nl=False)
     click.echo("# dict:")
     for g in pres.generators:
         if g in out.dictionary:
@@ -177,6 +174,7 @@ def rs_cmd(path, modulus, weights_spec, transversal, window, tietze):
 @click.option("--transversal", required=True)
 def g2g3_cmd(path, transversal):
     """Second lower central quotient for finite cyclic abelianization."""
+    from . import series
     p = _load_presentation(path)
     with _exit_on(ValueError, "error", 1):
         click.echo(str(series.gamma2_mod_gamma3(p, _parse_gen(transversal))))
@@ -187,6 +185,7 @@ def g2g3_cmd(path, transversal):
 @click.option("--transforms", is_flag=True, help="also print P and Q")
 def snf_cmd(path, transforms):
     """Smith normal form of an integer matrix."""
+    from .intlin import parse_matrix, serialize_matrix, smith_normal_form
     with _exit_on(ValueError, "parse error", 3):
         m = parse_matrix(_read_text(path))
     res = smith_normal_form(m)
@@ -204,6 +203,7 @@ def snf_cmd(path, transforms):
 @click.argument("word2")
 def braid_eq_cmd(n, word1, word2):
     """Decide equality of two braid words via greedy normal forms."""
+    from .garside import normal_form
     with _exit_on(ValueError, "parse error", 3):
         nf1 = normal_form(parse_word(word1), n)
         nf2 = normal_form(parse_word(word2), n)
@@ -231,6 +231,7 @@ def _load_basis(path: str):
 @click.option("--word", "word_text", required=True)
 def subgroup_express_cmd(basis_path, word_text):
     """Rewrite a member word in the given subgroup basis."""
+    from .freesub import express, fold
     with _exit_on(ValueError, "parse error", 3):
         basis = _load_basis(basis_path)
         w = parse_word(word_text)
@@ -244,6 +245,7 @@ def subgroup_express_cmd(basis_path, word_text):
 @click.option("--word", "word_text", required=True)
 def subgroup_member_cmd(basis_path, word_text):
     """Membership of a word in the subgroup generated by the basis words."""
+    from .freesub import fold, membership
     with _exit_on(ValueError, "parse error", 3):
         basis = _load_basis(basis_path)
         w = parse_word(word_text)
@@ -256,7 +258,8 @@ def subgroup_member_cmd(basis_path, word_text):
 
 @main.command("hom-check")
 @click.option("--in", "path", required=True)
-@click.option("--target", required=True, help="one of: %s" % ", ".join(models.TARGETS))
+@click.option("--target", required=True,  # the list is models.TARGETS
+              help="one of: z2-z6, q8-f2, braid:N, braid:N-x-z")
 @click.option("--assign", "assign_path", required=True,
               help="file of lines GEN = IMAGE")
 @click.option("--relator", type=int, default=None,
@@ -264,6 +267,7 @@ def subgroup_member_cmd(basis_path, word_text):
 @click.option("--json", "as_json", is_flag=True)
 def hom_check_cmd(path, target, assign_path, relator, as_json):
     """Evaluate every relator under a generator assignment."""
+    from . import hom, models
     p = _load_presentation(path)
     try:
         model = models.target(target)
@@ -290,6 +294,7 @@ def hom_check_cmd(path, target, assign_path, relator, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def lcs_ranks_cmd(family, max_i, as_json):
     """Closed-form lower central series ranks."""
+    from . import series
     if max_i < 2:
         raise click.UsageError("--max-i must be >= 2")
     fn = series.lcs_rank_z2_free if family == "z2-free" else series.lcs_rank_torus
@@ -309,7 +314,8 @@ def lcs_ranks_cmd(family, max_i, as_json):
               help="accepted for reproducibility; the suite is deterministic")
 def verify_cmd(filter_glob, as_json, seed):
     """Run the named verification suite."""
-    checks = verify_mod.run_verify(filter_glob)
+    from .verify import run_verify
+    checks = run_verify(filter_glob)
     if not checks:
         click.echo("warning: no checks match %r" % filter_glob, err=True)
         return

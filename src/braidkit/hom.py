@@ -57,10 +57,15 @@ def parse_assignment(text: str, model: GroupModel) -> dict[Gen, object]:
 
 def check_hom(p: Presentation, model: GroupModel, assignment: dict,
               relator: Optional[int] = None) -> HomReport:
-    """Evaluate every relator, or only the one with 0-based index `relator`."""
+    """Evaluate every relator, or only the one with 0-based index `relator`,
+    under an assignment of images to exactly the generators of `p`."""
     missing = [g for g in p.generators if g not in assignment]
     if missing:
         raise ValueError("generator %s has no assigned image" % missing[0])
+    extra = [g for g in assignment if g not in p.generators]
+    if extra:
+        raise ValueError("%s is assigned an image but is not a generator of %s"
+                         % (extra[0], p.name))
     indices = range(len(p.relators))
     if relator is not None:
         if relator not in indices:

@@ -6,8 +6,10 @@ equality.  Each model also reads and writes its elements as text (`parse`,
 `text`), in the syntax of hom-check's `--assign` files.  Words in
 presentation generators are evaluated into a model via an assignment of
 generator images.  A semidirect product carries its action (`Product.act`):
-each stock one, such as `q8_semidirect_f2`, is where its action is stated.
-`target` names the stock models that hom-check and verify map into.
+each stock one, such as `q8_semidirect_f2`, is where its action is stated,
+and `hat_subgroup` takes the normal closure of its twisted commutators in a
+finite normal part.  `target` names the stock models that hom-check and
+verify map into.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from . import garside
 from .garside import nf_to_word
@@ -299,6 +301,19 @@ def finite_closure(model: GroupModel, seeds) -> dict:
                     raise ValueError("closure exceeded budget %d"
                                      % _CLOSURE_BUDGET)
     return words
+
+
+def hat_subgroup(model: Product, acting_words: Sequence[Word]) -> tuple[str, ...]:
+    """Normal closure in H of { w(h) h^-1 : w acting word, h in H }, for a
+    semidirect product `model` = H x| F whose normal part H is a finite table
+    and in which F acts by `model.act`; by `finite_closure`, which raises
+    ValueError past its budget."""
+    table = model.normal
+    seeds = {table.mul(model.act(w, h), table.inv(h))
+             for w in acting_words for h in table.elements}
+    conjugates = {table.mul(table.mul(g, x), table.inv(g))
+                  for g in table.elements for x in seeds}
+    return tuple(sorted(finite_closure(table, conjugates)))
 
 
 # ---------------------------------------------------------------------------

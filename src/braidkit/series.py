@@ -3,8 +3,7 @@
 Abelianization of presentations, commutator-quotient computations via
 Schreier rewriting and coinvariants (full for finite cyclic abelianization,
 windowed for Z-indexed presentations), closed form rank formulas for two
-free-by-cyclic style lower central series, and normal closures of twisted
-commutators in finite groups.
+free-by-cyclic style lower central series.
 """
 
 from __future__ import annotations
@@ -12,13 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Sequence
+from typing import Callable
 
 from .intlin import IntMatrix, abelian_invariants, mat_pow, matrix, smith_normal_form
-from .models import Product, finite_closure
 from .presentations import IndexedPresentation, Presentation
 from .reidschreier import rs_finite_cyclic
-from .words import Gen, Word, exponent_vector, free_reduce, parse_word, relation_rows
+from .words import Gen, exponent_vector, free_reduce, parse_word, relation_rows
 
 
 @dataclass(frozen=True)
@@ -182,19 +180,3 @@ def lcs_rank_torus(i: int) -> RankReport:
     """Rank of the i-th lower central quotient in the torus case, where
     k alpha_k = 2^k + 2(-1)^k and the outer sum starts at j = 1."""
     return _lcs_rank(i, 1, lambda k: 2 ** k + 2 * (-1) ** k)
-
-
-# ---------------------------------------------------------------------------
-# twisted-commutator closures in finite groups
-
-def hat_subgroup(model: Product, acting_words: Sequence[Word]) -> tuple[str, ...]:
-    """Normal closure in H of { w(h) h^-1 : w acting word, h in H }, for a
-    semidirect product `model` = H x| F whose normal part H is a finite table
-    and in which F acts by `model.act`; by `finite_closure`, which raises
-    ValueError past its budget."""
-    table = model.normal
-    seeds = {table.mul(model.act(w, h), table.inv(h))
-             for w in acting_words for h in table.elements}
-    conjugates = {table.mul(table.mul(g, x), table.inv(g))
-                  for g in table.elements for x in seeds}
-    return tuple(sorted(finite_closure(table, conjugates)))

@@ -258,7 +258,7 @@ def _coinvariants(ip) -> str:
 
 
 def _hat_closure(words):
-    return series.hat_subgroup(models.q8_semidirect_f2(), words)
+    return models.hat_subgroup(models.q8_semidirect_f2(), words)
 
 
 # ---------------------------------------------------------------------------

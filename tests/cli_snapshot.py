@@ -56,6 +56,7 @@ FILES = {
     "q8-assign.txt": "a = x;a\nb = 1;b^-1\n",
     "z2z6-good.txt": "s[1] = (0,0);1\ns[2] = (1,0);1\ns[3] = (0,0);1\n",
     "z2z6-bad.txt": "s[1] = (0,0);1\ns[2] = (0,1);0\ns[3] = (0,0);1\n",
+    "z2z6-extra.txt": "s[1] = (0,0);1\ns[2] = (1,0);1\ns[3] = (0,0);1\ns[9] = (5,5);3\n",
     "braid-assign.txt": "s[1] = s[1]\ns[2] = s[2]\n",
     "braid-bad.txt": "s[1] = s[1]^2\ns[2] = s[2]\n",
     "braid-z-assign.txt": "s[1] = s[1];1\ns[2] = s[2];1\n",
@@ -137,6 +138,7 @@ def invocations():
         for pres, target, assign in (
                 ("sphere-n4", "z2-z6", "z2z6-good.txt"),
                 ("sphere-n4", "z2-z6", "z2z6-bad.txt"),
+                ("sphere-n4", "z2-z6", "z2z6-extra.txt"),
                 ("q8.txt", "q8-f2", "q8-assign.txt"),
                 ("artin-n3", "braid:3", "braid-assign.txt"),
                 ("artin-n3", "braid:3", "braid-bad.txt"),

@@ -200,18 +200,34 @@ def test_lcs_ranks_json():
     assert [row["rank"] for row in rows] == [1, 2, 3, 5, 7]
 
 
-def test_cli_runs_without_sympy():
-    # stands in for a clean install, where click is the only dependency
-    code = ("import sys; sys.modules['sympy'] = None; "
-            "from braidkit.cli import main; "
-            "main(['lcs-ranks', '--family', 'z2-free', '--max-i', '8'])")
+def test_cli_runs_without_sympy(tmp_path):
+    # stands in for a clean install, where click is the only dependency: each
+    # subcommand, run in a fresh interpreter, loads its own layers there
+    files = {"p.txt": run("present", "--family", "sphere", "--n", "4").output,
+             "m.txt": "2 2\n2 4\n6 8\n", "basis.txt": "a^2\nb a b^-1\n",
+             "assign.txt": "s[1] = (0,0);1\ns[2] = (1,0);1\ns[3] = (0,0);1\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    p, m, basis, assign = (str(tmp_path / name) for name in files)
     src = os.path.dirname(os.path.dirname(braidkit.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    expected = run("lcs-ranks", "--family", "z2-free", "--max-i", "8")
-    assert proc.stdout == expected.output
+    for args in (["present", "--family", "sphere", "--n", "4"],
+                 ["ab", "--in", p],
+                 ["rs", "--in", p, "--mod", "6", "--transversal", "s[1]"],
+                 ["g2g3", "--in", p, "--transversal", "s[1]"],
+                 ["snf", "--in", m],
+                 ["braid-eq", "--n", "4", "s[1] s[2] s[1]", "s[2] s[1] s[2]"],
+                 ["subgroup", "member", "--basis", basis, "--word", "b a^2 b^-1"],
+                 ["subgroup", "express", "--basis", basis, "--word", "b a^2 b^-1"],
+                 ["hom-check", "--in", p, "--target", "z2-z6", "--assign", assign],
+                 ["lcs-ranks", "--family", "z2-free", "--max-i", "8"],
+                 ["verify", "--filter", "snf-*"]):
+        code = ("import sys; sys.modules['sympy'] = None; "
+                "from braidkit.cli import main; main(%r)" % (args,))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, (args, proc.stderr)
+        assert proc.stdout == run(*args).stdout, args
 
 
 def test_verify_filter_and_json():
@@ -395,6 +411,26 @@ def test_verify_hom_check_replays_and_its_mutation_is_caught(tmp_path, check):
                   "--assign", str(af))
         assert res.exit_code == code, (text, res.output)
         assert ("FAIL" in res.output) == bool(code)
+
+
+def test_hom_check_help_lists_exactly_the_targets():
+    from braidkit import models
+
+    option, = (o for o in main.commands["hom-check"].params if o.name == "target")
+    assert option.help == "one of: " + ", ".join(models.TARGETS)
+    assert option.help in " ".join(run("hom-check", "--help").output.split())
+
+
+def test_hom_check_generator_outside_the_presentation_is_an_error(tmp_path):
+    pf = tmp_path / "p.txt"
+    pf.write_text(run("present", "--family", "sphere", "--n", "4").output)
+    af = tmp_path / "assign.txt"
+    af.write_text("s[1] = (0,0);1\ns[2] = (1,0);1\ns[3] = (0,0);1\ns[9] = (5,5);3\n")
+    res = run("hom-check", "--in", str(pf), "--target", "z2-z6", "--assign", str(af))
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr == ("error: s[9] is assigned an image but is not a "
+                          "generator of B4(S2)\n")
 
 
 def test_hom_check_bad_braid_target_is_a_usage_error(tmp_path):

@@ -1,0 +1,71 @@
+"""What importing braidkit loads: the package root binds its public names on
+first use, and each CLI command loads only the layers it runs.  Footprints
+are read from `sys.modules` of a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import braidkit
+
+SRC = os.path.dirname(os.path.dirname(braidkit.__file__))
+START_UP = {"braidkit", "braidkit.cli", "braidkit.words"}
+
+
+def _loaded(code: str) -> set:
+    """The braidkit modules a fresh interpreter holds after running `code`."""
+    probe = code + ("\nimport sys\nprint(' '.join(m for m in sys.modules"
+                    " if m.split('.')[0] == 'braidkit'))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def _after_command(*args) -> set:
+    return _loaded("from braidkit.cli import main\nmain(%r, standalone_mode=False)"
+                   % (list(args),))
+
+
+def test_import_braidkit_loads_no_layer():
+    assert _loaded("import braidkit") == {"braidkit"}
+
+
+def test_cli_start_up_loads_only_words():
+    assert _loaded("import braidkit.cli") == START_UP
+
+
+def test_braid_eq_adds_only_garside():
+    loaded = _after_command("braid-eq", "--n", "4", "s[1] s[2] s[1]", "s[2] s[1] s[2]")
+    assert loaded == START_UP | {"braidkit.garside"}
+
+
+def test_ab_loads_neither_garside_nor_models_freesub_hom_or_verify(tmp_path):
+    pf = tmp_path / "p.txt"
+    pf.write_text("group g\ngens: a b\nrel: a b a^-1 b^-1\n")
+    loaded = _after_command("ab", "--in", str(pf))
+    assert "braidkit.series" in loaded
+    assert not loaded & {"braidkit." + m
+                         for m in ("garside", "models", "freesub", "hom", "verify")}
+
+
+def test_every_public_name_is_the_object_of_its_home_module():
+    for name in braidkit.__all__:
+        obj = getattr(braidkit, name)
+        assert obj.__module__.startswith("braidkit."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        braidkit.no_such_name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from braidkit import *", namespace)
+    assert {name: namespace[name] for name in braidkit.__all__} == {
+        name: getattr(braidkit, name) for name in braidkit.__all__}

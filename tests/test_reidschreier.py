@@ -12,7 +12,7 @@ import cli_snapshot
 from braidkit import cli
 from braidkit.freesub import fold, rank
 from braidkit.garside import braid_equal, permutation
-from braidkit import reidschreier
+from braidkit import presentations, reidschreier
 from braidkit.intlin import matrix, smith_normal_form
 from braidkit.models import q8
 from braidkit.presentations import (
@@ -321,7 +321,8 @@ def _snapshot_z_kernels():
     for path, t in cli_snapshot.Z_KERNELS:
         family, opts = families[path]
         builder, _names = cli._FAMILIES[family]
-        yield path, builder(*map(int, opts[1::2])), cli._parse_gen(t)
+        p = getattr(presentations, builder)(*map(int, opts[1::2]))
+        yield path, p, cli._parse_gen(t)
 
 
 def test_expand_raises_for_generator_without_dictionary_entry():

@@ -7,7 +7,8 @@ from functools import partial
 
 import pytest
 
-from braidkit.models import FreeGroup, Product, act_on_finite, q8_semidirect_f2
+from braidkit.models import (FreeGroup, Product, act_on_finite, hat_subgroup,
+                             q8_semidirect_f2)
 from braidkit.presentations import (
     b3_punctured_gamma2_ab,
     gamma2_annulus,
@@ -21,7 +22,6 @@ from braidkit.series import (
     abelianization,
     alpha_k,
     gamma2_mod_gamma3,
-    hat_subgroup,
     lcs_rank_torus,
     lcs_rank_z2_free,
     shifted_z_family_system,
