@@ -248,8 +248,10 @@ def abelian_invariants(relations: Sequence[dict[int, int]],
     operations, then its row with column operations, and drop both.  Pivots
     are taken in Markowitz order, least (row weight - 1) * (column count - 1)
     first, to keep fill-in low (Havas-Holt-Rees, "Recognizing badly
-    presented Z-modules", 1993).  The block that has no unit entry left
-    goes to `_smith`; columns no row touches are free.
+    presented Z-modules", 1993).  The order is loose: a pivot re-queues only
+    the entries it changed, so an unchanged entry may carry a stale cost.
+    Any order of unit pivots leaves the same module.  The block that has no
+    unit entry left goes to `_smith`; columns no row touches are free.
     """
     rows: dict[int, dict[int, int]] = {}
     for i, r in enumerate(relations):
@@ -275,6 +277,10 @@ def _eliminate_unit_pivots(rows: dict[int, dict[int, int]]) -> int:
     `rows` maps row ids to {column: nonzero entry}; rows that become zero are
     removed.  A heap holds candidate pivots by Markowitz cost; a popped entry
     whose cost has grown is pushed back, one that no longer exists is skipped.
+    A pivot re-queues only the unit entries in its row's columns, the only
+    entries it changed.  The others keep the cost they were queued with,
+    which is too high once their row or column shrank, so they may come
+    later than the exact Markowitz order would take them.
     """
     cols: dict[int, set[int]] = defaultdict(set)
     for i, row in rows.items():
@@ -319,8 +325,9 @@ def _eliminate_unit_pivots(rows: dict[int, dict[int, int]]) -> int:
             if not row:
                 del rows[s]
                 continue
-            for k, x in row.items():
-                if x in (1, -1):
+            # only the entries in the pivot row's columns changed
+            for k in pivot_row:
+                if row.get(k) in (1, -1):
                     heappush(heap, (cost(s, k), s, k))
         pivots += 1
     return pivots

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Callable, Hashable, Optional, Sequence, Union
 
 from .presentations import IndexedPresentation, Presentation, shift_families
@@ -354,7 +355,10 @@ def _tietze_presentation(p: Presentation) -> Presentation:
     sorted order is the order of sort keys, and a round only re-keys the
     relators holding the eliminated generator (found by an occurrence
     index).  Of the relators a round leaves with one key, the sort keeps
-    the one least in (new length, sort key before the round)."""
+    the one least in (new length, sort key before the round).  The first
+    relator that allows an elimination comes off a lazy heap by sort key:
+    a relator is pushed when it enters the live set allowing one, and an
+    entry whose relator has since been dropped or rewritten is skipped."""
     interned = sorted(p.generators)
     code = {g: i for i, g in enumerate(interned)}
     live = {}
@@ -365,17 +369,23 @@ def _tietze_presentation(p: Presentation) -> Presentation:
     for r in live.values():
         for g, _ in r.runs:
             index[g].add(r)
-    candidates = {r for r in live.values() if _find_elimination(r.runs)}
+    # (sort key, tie-break, relator) for each relator that allows an
+    # elimination; an entry is stale once its relator has left the live set
+    # or been rewritten to a new sort key
+    heap = [(r.sort_key, id(r), r) for r in live.values()
+            if _find_elimination(r.runs)]
+    heapify(heap)
 
     def forget(r: _Relator) -> None:
-        candidates.discard(r)
         for h, _ in r.runs:
             index[h].discard(r)
 
     eliminated = set()
-    while candidates:
-        g, image = _find_elimination(
-            min(candidates, key=lambda r: r.sort_key).runs)
+    while heap:
+        sort_key, _, first = heappop(heap)
+        if live.get(first.key) is not first or first.sort_key is not sort_key:
+            continue
+        g, image = _find_elimination(first.runs)
         images = {g: image}
         eliminated.add(g)
         touched = list(index[g])
@@ -399,7 +409,7 @@ def _tietze_presentation(p: Presentation) -> Presentation:
             for h, _ in r.runs:
                 index[h].add(r)
             if _find_elimination(r.runs):
-                candidates.add(r)
+                heappush(heap, (r.sort_key, id(r), r))
     relators = tuple(Word(tuple((interned[g], e) for g, e in r.runs))
                      for r in sorted(live.values(), key=lambda r: r.sort_key))
     return Presentation(p.name, tuple(x for x in p.generators
@@ -487,7 +497,8 @@ def tietze_eliminate(p):
     taken from the first relator in that order that allows one.  The work
     is on interned letters with cached keys and a generator-to-relator
     occurrence index (Havas, Kenne, Richardson and Robertson, 1984), so an
-    elimination costs only the relators holding the eliminated generator."""
+    elimination costs only the relators holding the eliminated generator,
+    and a lazy heap by sort key gives the next relator that allows one."""
     if isinstance(p, IndexedPresentation):
         return _tietze_indexed(p)
     if isinstance(p, RsOutput):

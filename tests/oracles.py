@@ -14,6 +14,8 @@ against, and the free-group actions only the tests use.
   with `Fraction`, and the inverse Q * P read off the dense Smith form
   P * A * Q = I.
 - The left meet of two permutation braids by search over all permutations.
+- The strand permutation action of braid generators, and P_n(S^2) as the
+  kernel of B_n(S^2) onto it, Reidemeister-Schreier rewritten.
 - Small finite groups as tables (the Klein four-group, Z/m, and S_3 listed
   with its identity last), and a table read by position: products by
   `tuple.index`, the identity and inverses by scanning rows, as
@@ -29,9 +31,11 @@ from typing import Iterable, Sequence
 
 from braidkit.actions import n_graph, z_basis_words
 from braidkit.freesub import express
+from braidkit.garside import permutation
 from braidkit.intlin import IntMatrix, SnfResult, abelian_invariants, identity, matrix
 from braidkit.models import FiniteTable, FreeAutomorphism
-from braidkit.presentations import Presentation
+from braidkit.presentations import Presentation, sphere_braid
+from braidkit.reidschreier import RsOutput, rs_coset_table
 from braidkit.series import AbelianInvariants
 from braidkit.words import (Gen, Word, exponent_vector, free_reduce, invert,
                             letter, multiply, power, substitute)
@@ -427,6 +431,24 @@ def nilpotent_class2_gamma2(p: Presentation) -> AbelianInvariants:
             rows.append(row)
     return AbelianInvariants(*abelian_invariants(
         [{n: x for n, x in enumerate(row) if x} for row in rows], len(pairs)))
+
+
+# ---------------------------------------------------------------------------
+# pure sphere braid groups
+
+
+def strand_permutation_act(n: int):
+    """Strand permutations of n-strand braids, composed left to right."""
+    perms = {Gen("s", (i,)): permutation(letter(Gen("s", (i,))), n)
+             for i in range(1, n)}
+    return lambda c, x: tuple(perms[x][v - 1] for v in c)
+
+
+def pure_sphere_kernel(n: int) -> RsOutput:
+    """P_n(S^2), the kernel of B_n(S^2) -> S_n (index n!), presented by
+    rs_coset_table with no Tietze elimination: the raw kernel."""
+    return rs_coset_table(sphere_braid(n), tuple(range(1, n + 1)),
+                          strand_permutation_act(n))
 
 
 # ---------------------------------------------------------------------------

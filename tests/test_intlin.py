@@ -2,12 +2,14 @@
 lattice solves and unimodular inverses against slow oracles."""
 
 import time
+from heapq import heappush
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
+from braidkit import intlin
 from braidkit.intlin import (
     IntMatrix,
     abelian_invariants,
@@ -22,7 +24,9 @@ from braidkit.intlin import (
     smith_normal_form,
     solve_in_lattice,
 )
-from oracles import det, inv_unimodular_snf, smith_normal_form_dense, solve_in_lattice_rational
+from braidkit.words import relation_rows
+from oracles import (det, inv_unimodular_snf, pure_sphere_kernel,
+                     smith_normal_form_dense, solve_in_lattice_rational)
 
 small_int = st.integers(-9, 9)
 
@@ -339,3 +343,36 @@ def test_abelian_invariants_match_dense_oracle_on_presentations():
         assert sparse_rows == sparse(rows), p.name
         n = len(p.generators)
         assert abelian_invariants(sparse_rows, n) == dense_invariants(rows, n), p.name
+
+
+def _pure_sphere_rows(n):
+    p = pure_sphere_kernel(n).presentation
+    return relation_rows(p.relators, p.generators), len(p.generators)
+
+
+def test_unit_pivots_requeue_only_the_entries_a_pivot_changed(monkeypatch):
+    # re-queuing every unit entry of each row a pivot touched pushed
+    # 14 138 entries here; only the pivot row's columns change
+    rows, n = _pure_sphere_rows(5)
+    units = sum(x in (1, -1) for row in rows for x in row.values())
+    pushes = []
+    monkeypatch.setattr(intlin, "heappush",
+                        lambda heap, item: pushes.append(item) or heappush(heap, item))
+    assert abelian_invariants(rows, n) == (5, (2,))
+    assert units == 3427
+    assert len(pushes) < 2 * units
+
+
+@pytest.mark.parametrize("n, invariants, block", [(5, (5, (2,)), (24, 6)),
+                                                  (6, (9, (2,)), (120, 7))])
+def test_unit_pivots_leave_no_larger_block(monkeypatch, n, invariants, block):
+    # a stale Markowitz cost loosens the pivot order; the block left for
+    # the Smith form must not grow past the one the exact order left
+    rows, ngens = _pure_sphere_rows(n)
+    shapes = []
+    smith = intlin._smith
+    monkeypatch.setattr(intlin, "_smith",
+                        lambda m, *rest: shapes.append((len(m), len(m[0]))) or smith(m, *rest))
+    assert abelian_invariants(rows, ngens) == invariants
+    (nrows, ncols), = shapes
+    assert nrows <= block[0] and ncols <= block[1]

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import cli_snapshot
 from braidkit import cli
 from braidkit.freesub import fold, rank
-from braidkit.garside import braid_equal, permutation
+from braidkit.garside import braid_equal
 from braidkit import presentations, reidschreier
 from braidkit.intlin import matrix, smith_normal_form
 from braidkit.models import q8
@@ -41,7 +41,8 @@ from braidkit.reidschreier import (
 from braidkit.series import abelianization
 from braidkit.words import (IDENTITY, Gen, exponent_vector, free_reduce, invert,
                             letter, multiply, parse_word, power, substitute)
-from oracles import canonical_relator_all_rotations, klein_four
+from oracles import (canonical_relator_all_rotations, klein_four,
+                     pure_sphere_kernel, strand_permutation_act)
 
 S1 = Gen("s", (1,))
 
@@ -191,8 +192,8 @@ def test_rs_relators_are_the_former_rewrites():
 
 def _oracle_inputs():
     """Finite-cyclic kernels of the sphere, Artin and punctured braid groups
-    at several moduli and transversals, and the built-in finite
-    presentations."""
+    at several moduli and transversals, the raw coset-table kernel P_4(S^2)
+    (49 generators, 96 relators) and the built-in finite presentations."""
     for n in range(3, 10):
         yield rs_finite_cyclic(sphere_braid(n), 2 * (n - 1), S1).presentation
     for n, moduli in ((3, (2, 3, 6)), (4, (2, 3, 5)), (5, (2, 4))):
@@ -205,6 +206,7 @@ def _oracle_inputs():
         for modulus in moduli:
             for t in (S1, p.generators[0]):
                 yield rs_finite_cyclic(p, modulus, t).presentation
+    yield pure_sphere_kernel(4).presentation
     yield from (sphere_braid(5), artin_braid(5), punctured_sphere(3, 2),
                 b22_two_generator(), gamma2_b4(), gamma2_b5(),
                 gamma2_b6plus(6), fullpres(4))
@@ -542,13 +544,6 @@ def test_coset_trace_matches_the_inverse_table_oracle(model, images):
             assert end == _model_image(model, images, start, w)
 
 
-def _permutation_act(n):
-    """Strand permutations of n-strand braids, composed left to right."""
-    perms = {Gen("s", (i,)): permutation(letter(Gen("s", (i,))), n)
-             for i in range(1, n)}
-    return lambda c, x: tuple(perms[x][v - 1] for v in c)
-
-
 _PURE_SPHERE_CASES = ((3, "Z/2", True), (4, "Z^2 x Z/2", True),
                       (5, "Z^5 x Z/2", True), (6, "Z^9 x Z/2", False))
 
@@ -560,8 +555,7 @@ def test_pure_sphere_braid_group_abelianization(n, invariants, tietze):
     # P_n(S^2) is the kernel of B_n(S^2) -> S_n, of index n!, with
     # abelianization Z^(n(n-3)/2) x Z/2; at n = 6 the raw kernel (2881
     # generators, 7920 relators) goes straight to the sparse eliminator
-    out = rs_coset_table(sphere_braid(n), tuple(range(1, n + 1)),
-                         _permutation_act(n))
+    out = pure_sphere_kernel(n)
     assert len(out.transversal) == math.factorial(n)
     p = tietze_eliminate(out).presentation if tietze else out.presentation
     assert str(abelianization(p)) == invariants
@@ -665,7 +659,7 @@ def _expansion_cases():
 
     klein, klein_images = klein_four(), {A: "p", B: "q"}
     quaternions, q8_images = q8(), {A: "x", B: "y"}
-    s4_act = _permutation_act(4)
+    s4_act = strand_permutation_act(4)
     return [
         ("Z/5", gens,
          reidschreier._weight_moves(gens, _T, weights, 5, _finite_name, Gen("w")),
