@@ -154,9 +154,6 @@ class BraidNF:
     power: int
     factors: tuple[tuple[int, ...], ...]
 
-    def is_trivial(self) -> bool:
-        return self.power == 0 and not self.factors
-
     def __str__(self) -> str:
         parts = []
         if self.power:

@@ -21,7 +21,6 @@ from typing import Callable, Optional, Sequence
 
 from . import garside
 from .garside import nf_to_word
-from .intlin import mat_pow, matrix
 from .words import IDENTITY, Gen, Word, invert, multiply, parse_word, substitute, word_to_text
 
 
@@ -347,36 +346,31 @@ def q8() -> FiniteTable:
 
 
 def automorphism_from_images(table: FiniteTable, gen_images: dict[str, str]) -> dict[str, str]:
-    """Extend images of a generating set multiplicatively to a permutation of
-    the whole finite group.  Each element is first expressed as a word in the
-    generators (breadth-first), then mapped."""
-    images = list(gen_images.values())
-    expr = finite_closure(table, gen_images)
-    if len(expr) != len(table.elements):
+    """Extend images of a generating set to an automorphism of the finite
+    group, as a permutation of its element names.  The pairs (g, image of g)
+    generate a subgroup of table x table, which is the graph of a
+    homomorphism exactly when no element is the first coordinate of two of
+    its pairs (Goursat); the map is read off that graph."""
+    graph = finite_closure(Product(table, table), gen_images.items())
+    out = {g: h for g, h in graph}
+    if len(out) != len(table.elements):
         raise ValueError("images do not generate the group")
-    out = {}
-    for a, word in expr.items():
-        img = table.identity()
-        for i in word:
-            img = table.mul(img, images[i])
-        out[a] = img
+    if len(out) != len(graph):
+        raise ValueError("generator images do not define a homomorphism")
     if len(set(out.values())) != len(out):
         raise ValueError("generator images do not define a bijection")
-    for a in table.elements:
-        for b in table.elements:
-            if out[table.mul(a, b)] != table.mul(out[a], out[b]):
-                raise ValueError("generator images do not define a homomorphism")
     return out
 
 
 def z2z6_model() -> Product:
-    """Z^2 semidirect Z/6, k in Z/6 acting on vectors by M^k for a matrix M
-    of order 6."""
-    m = matrix([[0, 1], [-1, 1]])
+    """Z^2 semidirect Z/6, k in Z/6 acting on vectors by M^k, where
+    M = [[0, 1], [-1, 1]], of order 6, sends (x, y) to (y, y - x)."""
 
     def act(k, v):
-        mk = mat_pow(m, k % 6)
-        return tuple(sum(mk[i, j] * x for j, x in enumerate(v)) for i in range(2))
+        x, y = v
+        for _ in range(k % 6):
+            x, y = y, y - x
+        return (x, y)
     return Product(FreeAbelian(2), CyclicZ(6), act)
 
 

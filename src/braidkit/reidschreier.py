@@ -38,8 +38,7 @@ from typing import Callable, Hashable, Optional, Sequence, Union
 
 from .presentations import IndexedPresentation, Presentation, shift_families
 from .words import (IDENTITY, Gen, Word, cyclic_reduce_runs, free_reduce,
-                    invert, letter, multiply, power, substitute,
-                    substitute_runs)
+                    invert, letter, multiply, power, substitute_runs)
 
 
 @dataclass(frozen=True)
@@ -49,14 +48,6 @@ class RsOutput:
     presentation: Union[Presentation, IndexedPresentation]
     dictionary: dict
     transversal: tuple
-
-    def expand(self, w: Word) -> Word:
-        """Rewrite a subgroup word as an ambient word via the dictionary.
-        Raises ValueError for a generator the dictionary has no entry for."""
-        for g, _ in w.runs:
-            if g not in self.dictionary:
-                raise ValueError("no dictionary entry for generator %s" % g)
-        return substitute(w, self.dictionary)
 
 
 def _rewrite(word: Word, start, moves) -> tuple[Word, Hashable]:
@@ -253,8 +244,7 @@ def rs_z_window(p: Presentation, t: Gen, weights: Optional[dict] = None,
     is the rewrite of r conjugated by t^k.  Family names encode
     the ambient generator (e.g. s[2] -> family "s2").  The dictionary
     spells x@k for exactly |k| <= window, the generators of the
-    presentation instantiated at that window; `expand` of a generator past
-    it raises ValueError.
+    presentation instantiated at that window, and has no entry past it.
     """
     if window < 1:
         raise ValueError("window must be >= 1")

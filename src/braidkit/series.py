@@ -1,9 +1,10 @@
 """Lower central series machinery.
 
-Abelianization of presentations, commutator-quotient computations via
-Schreier rewriting and coinvariants (full for finite cyclic abelianization,
-windowed for Z-indexed presentations), closed form rank formulas for two
-free-by-cyclic style lower central series.
+Abelianization of presentations; the second lower central quotient of a
+group with finite cyclic abelianization, by Schreier rewriting and
+coinvariants; windowed coinvariants of Z-indexed presentations; closed form
+rank formulas for two free-by-cyclic style lower central series.  The
+concrete systems that the verification suite checks are frozen in `verify`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 from .intlin import IntMatrix, abelian_invariants, mat_pow, matrix, smith_normal_form
 from .presentations import IndexedPresentation, Presentation
 from .reidschreier import rs_finite_cyclic
-from .words import Gen, exponent_vector, free_reduce, parse_word, relation_rows
+from .words import Gen, exponent_vector, free_reduce, relation_rows
 
 
 @dataclass(frozen=True)
@@ -101,15 +102,6 @@ def windowed_coinvariants(ip: IndexedPresentation,
     here = abelianization(ip.instantiate(window))
     nxt = abelianization(ip.instantiate(window + 1))
     return WindowedInvariants(here, here == nxt)
-
-
-def shifted_z_family_system() -> IndexedPresentation:
-    """Abelianized conjugation data for the rank-2 free kernel with basis
-    z_i = t^i x t^-(i+1): both ambient generators shift z_i to z_{i+1}, and
-    the half-twist sends z_i to the inverse of z_{i-1} (abelianized)."""
-    return IndexedPresentation("zshift", (), ("z",), (),
-                               (parse_word("z[0] z[1]^-1"),
-                                parse_word("z[0] z[-1]")))
 
 
 # ---------------------------------------------------------------------------

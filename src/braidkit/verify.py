@@ -1,8 +1,14 @@
 """Named verification suite.
 
 Each check recomputes one published value from scratch and compares exactly.
-Reference matrices and words are frozen here as printed in the source
-material for the 4-strand disc braid group's derived-series computation.
+The reference data of the 4-strand disc braid group's derived-series
+computation is frozen here, as printed in the source material: the u and v
+automorphisms of F2(a, b) with their inverse images; the preferred z-basis
+of N = ker(F2 -> Z2 x Z2) and its weights; the u, v and commutator matrices
+on that basis, with their printed inverses, the rank-2 lattice and the
+template of the conjugating automorphisms; the tables of u- and
+v-conjugates; the printed Schreier basis; and the shifted kernel system of
+the half-twist check.
 
 The suite is one ordered registry of (id, description, thunk) entries; a
 thunk returns (expected, got) and runs only when its id is selected.  To add
@@ -17,15 +23,16 @@ from dataclasses import dataclass
 from fnmatch import fnmatch
 from functools import partial
 from itertools import product
-from typing import Callable
+from typing import Callable, Optional
 
-from . import actions, garside, hom, models, series
-from .freesub import express
-from .intlin import (abelian_invariants, identity, inv_unimodular, lattice_restrict,
-                     mat_mul, mat_pow, matrix, smith_normal_form, solve_in_lattice)
-from .presentations import (Presentation, affine_C, b3_punctured_gamma2_ab,
-                            fullpres, gamma2_annulus, gamma2_b4, gamma2_b5,
-                            punctured_sphere, sphere_braid)
+from . import garside, hom, models, series
+from .freesub import express, fold
+from .intlin import (IntMatrix, abelian_invariants, identity, inv_unimodular,
+                     lattice_restrict, mat_mul, mat_pow, matrix, smith_normal_form,
+                     solve_in_lattice)
+from .presentations import (IndexedPresentation, Presentation, affine_C,
+                            b3_punctured_gamma2_ab, fullpres, gamma2_annulus,
+                            gamma2_b4, gamma2_b5, punctured_sphere, sphere_braid)
 from .reidschreier import (canonical_relator, rs_coset_table, rs_finite_cyclic,
                            rs_z_window, tietze_eliminate)
 from .words import (Gen, Word, commutator, exponent_sum, invert, letter,
@@ -33,6 +40,21 @@ from .words import (Gen, Word, commutator, exponent_sum, invert, letter,
 
 # ---------------------------------------------------------------------------
 # frozen reference data
+
+A, B = Gen("a"), Gen("b")
+
+# the u- and v-actions of the rank-2 free quotient on F2(a, b)
+DISC_U = models.FreeAutomorphism(                # a -> b, b -> b^2 a^-1 b
+    {A: parse_word("b"), B: parse_word("b^2 a^-1 b")},
+    {A: parse_word("a b^-1 a^2"), B: parse_word("a")})
+DISC_V = models.FreeAutomorphism(                # a -> a^-1 b, b -> (a^-1 b)^3 a^-2 b
+    {A: parse_word("a^-1 b"), B: parse_word("a^-1 b a^-1 b a^-1 b a^-2 b")},
+    {A: parse_word("a b^-1 a^3"), B: parse_word("a b^-1 a^4")})
+
+# the preferred free basis z1..z5 of N = ker(F2(a, b) -> Z2 x Z2), and its
+# weights under the degree map rho
+Z_BASIS = tuple(map(parse_word, ("a^2", "b^2", "a b a b", "b a^2 b^-1", "a b^2 a^-1")))
+Z_WEIGHTS = {Gen("z", (i,)): w for i, w in enumerate((1, 1, 1, -1, -1), 1)}
 
 M_U = matrix([[0, -1, 0, 0, 0], [1, 1, 2, 0, 2], [0, 1, 0, 0, -1],
               [0, -1, -1, 0, 0], [0, 1, 2, 1, 2]])
@@ -57,6 +79,28 @@ A_COLUMNS = matrix([[COL_A1[i], COL_A2[i]] for i in range(5)])
 LATTICE_U = matrix([[-996, -869], [1145, 999]])
 LATTICE_V = matrix([[18955, 16531], [-21731, -18952]])
 
+
+def conjugation_template(m: int, n: int, p: int) -> IntMatrix:
+    """The 5x5 matrix shape taken by conjugating automorphisms of N in the
+    z-basis; valid parameters satisfy n p = m^2."""
+    return matrix([
+        [3 * m, 3 * n, 3 * m + 3 * n - 1, 3 * m - 1, 3 * n],
+        [-3 * p, -3 * m, -3 * m - 3 * p - 1, -3 * p, -3 * m - 1],
+        [0, 0, 1, 0, 0],
+        [3 * m - 1, 3 * n, 3 * m + 3 * n - 1, 3 * m, 3 * n],
+        [-3 * p, -3 * m - 1, -3 * m - 3 * p - 1, -3 * p, -3 * m]])
+
+
+def template_parameters(mat: IntMatrix) -> Optional[tuple[int, int, int]]:
+    """Recover (m, n, p) if the matrix fits the conjugation template."""
+    if mat[0, 0] % 3 or mat[0, 1] % 3 or mat[1, 0] % 3:
+        return None
+    m, n, p = mat[0, 0] // 3, mat[0, 1] // 3, -mat[1, 0] // 3
+    if conjugation_template(m, n, p) == mat and n * p == m * m:
+        return (m, n, p)
+    return None
+
+
 # the ten tabulated conjugation images in the z-basis
 UACTION_TABLE = (
     "z[2]",
@@ -80,6 +124,12 @@ def _vaction_z4() -> Word:
     mid = parse_word("z[3]^-1 z[5] z[2]")
     return multiply(a2, mid, invert(a2))
 
+
+# abelianized conjugation data for the rank-2 free kernel with basis
+# z_i = t^i x t^-(i+1): both ambient generators shift z_i to z_{i+1}, and the
+# half-twist sends z_i to the inverse of z_{i-1} (abelianized)
+SHIFTED_Z = IndexedPresentation("zshift", (), ("z",), (),
+                                (parse_word("z[0] z[1]^-1"), parse_word("z[0] z[-1]")))
 
 PRINTED_SCHREIER_BASIS = ("a^2", "a b a^2 b^-1 a^-1", "b a b^-1 a^-1",
                           "a b^2 a^-1", "b^2")
@@ -215,36 +265,34 @@ def _braid_equal(w1: str, w2: str, n: int):
 
 def _schreier_basis_printed():
     # F(a, b) onto the Klein four-group: cosets are exponent sums mod 2
-    a, b = Gen("a"), Gen("b")
     transversal = [parse_word(t) for t in ("1", "a", "a b", "a b a^-1")]
-    basis = rs_coset_table(Presentation("F2", (a, b), ()), (0, 0),
-                           lambda c, x: (c[0] ^ (x == a), c[1] ^ (x == b)),
+    basis = rs_coset_table(Presentation("F2", (A, B), ()), (0, 0),
+                           lambda c, x: (c[0] ^ (x == A), c[1] ^ (x == B)),
                            transversal).dictionary.values()
     return (sorted(str(parse_word(t)) for t in PRINTED_SCHREIER_BASIS),
             sorted(str(w) for w in basis))
 
 
 def _action_table(aut, table):
-    graph, zwords = actions.n_graph(), actions.z_basis_words()
+    graph = fold(Z_BASIS)
     wanted = [_vaction_z4() if t is None else parse_word(t) for t in table]
-    return True, all(express(graph, zwords, aut.apply(zw)) == w
-                     for zw, w in zip(zwords, wanted))
+    return True, all(express(graph, Z_BASIS, aut.apply(zw)) == w
+                     for zw, w in zip(Z_BASIS, wanted))
 
 
 def _commutator_exponent_sums():
-    a, b = Gen("a"), Gen("b")
-    u, v = actions.disc_u(), actions.disc_v()
+    u, v = DISC_U, DISC_V
     uv_a, uv_b = (u.apply(v.apply(u.inverse().apply(v.inverse().apply(letter(g)))))
-                  for g in (a, b))
-    elt = multiply(power(multiply(uv_a, invert(letter(a))), -3),
-                   power(multiply(uv_b, invert(letter(b))), 2),
-                   power(letter(b), -2))
-    return (0, 0), (exponent_sum(elt, a), exponent_sum(elt, b))
+                  for g in (A, B))
+    elt = multiply(power(multiply(uv_a, invert(letter(A))), -3),
+                   power(multiply(uv_b, invert(letter(B))), 2),
+                   power(letter(B), -2))
+    return (0, 0), (exponent_sum(elt, A), exponent_sum(elt, B))
 
 
 def _z_kernel_basis_rows():
     zs = tuple(Gen("z", (i,)) for i in range(1, 6))
-    kernel = rs_z_window(Presentation("N", zs, ()), zs[0], actions.z_weights())
+    kernel = rs_z_window(Presentation("N", zs, ()), zs[0], Z_WEIGHTS)
     kb_words = {str(w) for g, w in kernel.dictionary.items()
                 if abs(g.indices[0]) <= 2}
     wanted = {str(parse_word(t)) for t in
@@ -297,7 +345,7 @@ _register("lattice-restrict-v", "v matrix restricted to the rank-2 lattice",
           lambda: (LATTICE_V, lattice_restrict(M_V, [COL_A1, COL_A2])))
 _register("template-conjugates",
           "conjugates of the commutator matrix fit the 5x5 template",
-          lambda: (True, all(actions.template_parameters(x) is not None
+          lambda: (True, all(template_parameters(x) is not None
                              for x in _commutator_conjugates())))
 _register("template-commutator-columns",
           "columns of nested commutators minus identity lie in the lattice",
@@ -338,9 +386,9 @@ _register("schreier-basis-printed",
           "Schreier generators over the printed transversal",
           _schreier_basis_printed)
 _register("uaction-table", "all five tabulated u-conjugates",
-          lambda: _action_table(actions.disc_u(), UACTION_TABLE))
+          lambda: _action_table(DISC_U, UACTION_TABLE))
 _register("vaction-table", "all five tabulated v-conjugates",
-          lambda: _action_table(actions.disc_v(), VACTION_TABLE))
+          lambda: _action_table(DISC_V, VACTION_TABLE))
 _register("commutator-exponent-sums",
           "commutator-subgroup membership by exponent sums",
           _commutator_exponent_sums)
@@ -354,7 +402,7 @@ _register("punctured-b3-rank4",
           "abelianized commutator subgroup, 3 strands twice-punctured disc",
           lambda: ("Z^4 stable", _coinvariants(b3_punctured_gamma2_ab())))
 _register("half-twist-z2", "coinvariants of the shifted kernel basis",
-          lambda: ("Z/2 stable", _coinvariants(series.shifted_z_family_system())))
+          lambda: ("Z/2 stable", _coinvariants(SHIFTED_Z)))
 _register("perfect-g2b5", "perfectness of the 5-strand commutator subgroup",
           lambda: ("1", _ab(gamma2_b5())))
 _register("perfect-sphere6-kernel",

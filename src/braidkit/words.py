@@ -184,9 +184,9 @@ def substitute_runs(runs: Iterable[tuple], images: dict) -> tuple:
 
 
 def substitute(w: Word, images: dict[Gen, Word]) -> Word:
-    """Replace each generator that has an image by that word; a generator
-    without one stays as it is.  Callers that need every generator mapped
-    check that first, as `RsOutput.expand` does."""
+    """Replace each generator that has an image by that word.  A generator
+    without one stays as it is, so callers that need every generator mapped
+    check that first."""
     return Word(substitute_runs(w.runs, {g: images[g].runs for g, _ in w.runs
                                          if g in images}))
 

@@ -14,8 +14,10 @@ against, and the free-group actions only the tests use.
   with `Fraction`, and the inverse Q * P read off the dense Smith form
   P * A * Q = I.
 - The left meet of two permutation braids by search over all permutations.
-- The strand permutation action of braid generators, and P_n(S^2) as the
-  kernel of B_n(S^2) onto it, Reidemeister-Schreier rewritten.
+- A subgroup word expanded to an ambient word through a Reidemeister-Schreier
+  dictionary.  The strand permutation action of braid generators, and
+  P_n(S^2) as the kernel of B_n(S^2) onto it, Reidemeister-Schreier
+  rewritten.
 - Small finite groups as tables (the Klein four-group, Z/m, and S_3 listed
   with its identity last), and a table read by position: products by
   `tuple.index`, the identity and inverses by scanning rows, as
@@ -29,14 +31,14 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
-from braidkit.actions import n_graph, z_basis_words
-from braidkit.freesub import express
+from braidkit.freesub import express, fold
 from braidkit.garside import permutation
 from braidkit.intlin import IntMatrix, SnfResult, abelian_invariants, identity, matrix
 from braidkit.models import FiniteTable, FreeAutomorphism
 from braidkit.presentations import Presentation, sphere_braid
 from braidkit.reidschreier import RsOutput, rs_coset_table
 from braidkit.series import AbelianInvariants
+from braidkit.verify import Z_BASIS
 from braidkit.words import (Gen, Word, exponent_vector, free_reduce, invert,
                             letter, multiply, power, substitute)
 
@@ -208,12 +210,11 @@ def puncture_strand_action(i: int, n: int, name: str = "x") -> FreeAutomorphism:
 
 def z_action(aut: FreeAutomorphism) -> FreeAutomorphism:
     """Restrict an automorphism of F2(a,b) preserving N to the z-basis."""
-    graph = n_graph()
-    basis = z_basis_words()
+    graph = fold(Z_BASIS)
 
     def restrict(inner: FreeAutomorphism) -> dict:
-        return {Gen("z", (i + 1,)): express(graph, basis, inner.apply(bw))
-                for i, bw in enumerate(basis)}
+        return {Gen("z", (i + 1,)): express(graph, Z_BASIS, inner.apply(bw))
+                for i, bw in enumerate(Z_BASIS)}
 
     return FreeAutomorphism(restrict(aut), restrict(aut.inverse()))
 
@@ -434,7 +435,17 @@ def nilpotent_class2_gamma2(p: Presentation) -> AbelianInvariants:
 
 
 # ---------------------------------------------------------------------------
-# pure sphere braid groups
+# subgroup presentations and pure sphere braid groups
+
+
+def expand(out: RsOutput, w: Word) -> Word:
+    """Rewrite a word in the subgroup generators of `out` as an ambient word
+    via its dictionary.  Raises ValueError for a generator the dictionary
+    has no entry for."""
+    for g, _ in w.runs:
+        if g not in out.dictionary:
+            raise ValueError("no dictionary entry for generator %s" % g)
+    return substitute(w, out.dictionary)
 
 
 def strand_permutation_act(n: int):

@@ -4,15 +4,10 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from braidkit.actions import (
-    conjugation_template,
-    disc_u,
-    disc_v,
-    template_parameters,
-    z_basis_words,
-)
 from braidkit.garside import braid_equal
 from braidkit.intlin import identity, mat_mul
+from braidkit.verify import (DISC_U, DISC_V, Z_BASIS, conjugation_template,
+                             template_parameters)
 from braidkit.words import Gen, free_reduce, letter, multiply, parse_word
 from oracles import (action_matrix, action_of_word, artin_action,
                      check_inverse, compose, half_twist_action,
@@ -20,13 +15,13 @@ from oracles import (action_matrix, action_of_word, artin_action,
 
 
 def test_disc_automorphisms_invertible():
-    for aut in (disc_u(), disc_v(), half_twist_action()):
+    for aut in (DISC_U, DISC_V, half_twist_action()):
         assert check_inverse(aut)
 
 
 def test_z_action_matrices_mutually_inverse():
-    u = z_action(disc_u())
-    ui = z_action(disc_u().inverse())
+    u = z_action(DISC_U)
+    ui = z_action(DISC_U.inverse())
     assert mat_mul(action_matrix(u), action_matrix(ui)) == identity(5)
 
 
@@ -86,8 +81,7 @@ def test_puncture_strand_action_inverse():
 def test_z_basis_words_fold_to_index_four_subgroup():
     from braidkit.freesub import contains, fold, rank
 
-    basis = z_basis_words()
-    g = fold(list(basis))
+    g = fold(Z_BASIS)
     assert rank(g) == 5
     assert contains(g, parse_word("a^2 b^2"))
     assert not contains(g, parse_word("a"))

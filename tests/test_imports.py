@@ -52,6 +52,16 @@ def test_ab_loads_neither_garside_nor_models_freesub_hom_or_verify(tmp_path):
                          for m in ("garside", "models", "freesub", "hom", "verify")}
 
 
+def test_hom_check_loads_its_target_models_but_no_linear_algebra(tmp_path):
+    pf, af = tmp_path / "p.txt", tmp_path / "a.txt"
+    pf.write_text("group g\ngens: a b\nrel: a b a^-1 b^-1\n")
+    af.write_text("a = (0, 1);0\nb = (1, 0);0\n")
+    loaded = _after_command("hom-check", "--in", str(pf), "--target", "z2-z6",
+                            "--assign", str(af))
+    assert loaded == START_UP | {"braidkit." + m
+                                 for m in ("presentations", "hom", "models", "garside")}
+
+
 def test_every_public_name_is_the_object_of_its_home_module():
     for name in braidkit.__all__:
         obj = getattr(braidkit, name)

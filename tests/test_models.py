@@ -150,6 +150,17 @@ def test_automorphism_from_images_on_finite_table():
     assert phi["x"] == "y"
     # an automorphism permutes the whole table
     assert sorted(phi.values()) == sorted(phi.keys())
+    assert len(phi) == 8
+
+
+@pytest.mark.parametrize("images, message", [
+    ({"x": "x"}, "images do not generate the group"),
+    ({"x": "-1", "y": "x"}, "do not define a homomorphism"),  # x^2 -> 1, y^2 -> -1
+    ({"x": "-1", "y": "-1"}, "do not define a bijection"),    # onto {1, -1}
+])
+def test_automorphism_from_images_rejections(images, message):
+    with pytest.raises(ValueError, match=message):
+        automorphism_from_images(q8(), images)
 
 
 def test_semidirect_finite_by_free():

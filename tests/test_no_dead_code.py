@@ -1,9 +1,10 @@
 """Nothing public in `src/braidkit` may be unreachable.
 
 An `ast` scan lists every public module-level function and class of the
-package and fails on those that no name, attribute or import in the package
-refers to, that `braidkit.__all__` does not export, and that the benchmark's
-tracer (`perfbench/tracing.py`) does not name.  Click commands are reached
+package, and every public method of those classes, and fails on those that
+no name, attribute or import in the package refers to, that
+`braidkit.__all__` does not export, and that the benchmark's tracer
+(`perfbench/tracing.py`) does not name.  Click commands are reached
 through their group and are exempt.  Code that only the tests use belongs
 in `tests/oracles.py`."""
 
@@ -46,18 +47,30 @@ def _is_click_command(node) -> bool:
                for d in node.decorator_list)
 
 
+def _definitions(module: str, tree):
+    """(dotted name, node) of each module-level function and class, and of
+    each method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield "%s.%s" % (module, node.name), node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield "%s.%s.%s" % (module, node.name, item.name), item
+
+
 def unreferenced_public_definitions() -> list:
     """module.name of each public module-level function or class of the
-    package that nothing refers to."""
+    package, and module.class.name of each public method, that nothing
+    refers to."""
     modules = {f[:-3]: _parse(os.path.join(PACKAGE, f))
                for f in sorted(os.listdir(PACKAGE)) if f.endswith(".py")}
     used = set(braidkit.__all__) | _references(_parse(TRACING), strings=True)
     for tree in modules.values():
         used |= _references(tree)
-    return ["%s.%s" % (module, node.name)
-            for module, tree in modules.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")
+    return [name for module, tree in modules.items()
+            for name, node in _definitions(module, tree)
+            if not node.name.startswith("_")
             and not _is_click_command(node)
             and node.name not in used]
 

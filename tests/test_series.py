@@ -24,9 +24,9 @@ from braidkit.series import (
     gamma2_mod_gamma3,
     lcs_rank_torus,
     lcs_rank_z2_free,
-    shifted_z_family_system,
     windowed_coinvariants,
 )
+from braidkit.verify import SHIFTED_Z
 from braidkit import models, reidschreier, series
 from braidkit.reidschreier import rs_finite_cyclic
 from braidkit.words import (Gen, Word, invert, letter, multiply, parse_word,
@@ -199,7 +199,7 @@ def test_annulus_commutator_subgroup_is_perfect_from_six_strands():
 
 
 def test_shifted_z_system_gives_order_two():
-    res = windowed_coinvariants(shifted_z_family_system(), window=4)
+    res = windowed_coinvariants(SHIFTED_Z, window=4)
     assert res.stable
     assert res.invariants == AbelianInvariants(0, (2,))
 
