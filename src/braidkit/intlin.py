@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from operator import mul
 from typing import Sequence
 
@@ -246,12 +245,13 @@ def abelian_invariants(relations: Sequence[dict[int, int]],
 
     A +/-1 entry splits off an invariant factor 1: clear its column with row
     operations, then its row with column operations, and drop both.  Pivots
-    are taken in Markowitz order, least (row weight - 1) * (column count - 1)
-    first, to keep fill-in low (Havas-Holt-Rees, "Recognizing badly
-    presented Z-modules", 1993).  The order is loose: a pivot re-queues only
-    the entries it changed, so an unchanged entry may carry a stale cost.
-    Any order of unit pivots leaves the same module.  The block that has no
-    unit entry left goes to `_smith`; columns no row touches are free.
+    are taken shortest row first, each on its unit entry in the column that
+    holds the fewest rows, to keep fill-in low (after Havas-Holt-Rees,
+    "Recognizing badly presented Z-modules", 1993): a pivot row of weight w
+    adds at most w - 1 entries to each other row of its column, and the
+    least-filled column touches the fewest rows.  Any order of unit pivots
+    leaves the same module.  The block that has no unit entry left goes to
+    `_smith`; columns no row touches are free.
     """
     rows: dict[int, dict[int, int]] = {}
     for i, r in enumerate(relations):
@@ -275,61 +275,47 @@ def _eliminate_unit_pivots(rows: dict[int, dict[int, int]]) -> int:
     """Eliminate +/-1 pivots from sparse `rows` in place; return their number.
 
     `rows` maps row ids to {column: nonzero entry}; rows that become zero are
-    removed.  A heap holds candidate pivots by Markowitz cost; a popped entry
-    whose cost has grown is pushed back, one that no longer exists is skipped.
-    A pivot re-queues only the unit entries in its row's columns, the only
-    entries it changed.  The others keep the cost they were queued with,
-    which is too high once their row or column shrank, so they may come
-    later than the exact Markowitz order would take them.
+    removed.  Each pass visits the live rows shortest first, by their length
+    when the pass starts, and pivots each row that still has a unit entry on
+    the one whose column holds the fewest rows; passes repeat until one
+    pivots nothing.  Without the sort, fill-in follows the relator order:
+    raw P_6(S^2) with shuffled relators then leaves thousands of rows.
     """
     cols: dict[int, set[int]] = defaultdict(set)
     for i, row in rows.items():
         for j in row:
             cols[j].add(i)
-
-    def cost(i: int, j: int) -> int:
-        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
-
-    heap = [(cost(i, j), i, j) for i, row in rows.items()
-            for j, x in row.items() if x in (1, -1)]
-    heapify(heap)
-    pivots = 0
-    while heap:
-        c, i, j = heappop(heap)
-        pivot_row = rows.get(i)
-        if pivot_row is None or pivot_row.get(j) not in (1, -1):
-            continue
-        actual = cost(i, j)
-        if actual > c:
-            heappush(heap, (actual, i, j))
-            continue
-        u = pivot_row.pop(j)
-        del rows[i]
-        for k in pivot_row:
-            cols[k].discard(i)
-        # row s -= (a_sj / u) * row i; u = +/-1 is its own inverse
-        for s in cols.pop(j):
-            if s == i:
+    pivots, before = 0, -1
+    while pivots > before:
+        before = pivots
+        for i in sorted(rows, key=lambda i: len(rows[i])):
+            pivot_row = rows.get(i, {})
+            units = [j for j, x in pivot_row.items() if x in (1, -1)]
+            if not units:
                 continue
-            row = rows[s]
-            f = row.pop(j) * u
-            for k, x in pivot_row.items():
-                y = row.get(k, 0) - f * x
-                if y:
-                    if k not in row:
-                        cols[k].add(s)
-                    row[k] = y
-                else:
-                    del row[k]
-                    cols[k].discard(s)
-            if not row:
-                del rows[s]
-                continue
-            # only the entries in the pivot row's columns changed
+            j = min(units, key=lambda j: len(cols[j]))
+            u = pivot_row.pop(j)
+            del rows[i]
             for k in pivot_row:
-                if row.get(k) in (1, -1):
-                    heappush(heap, (cost(s, k), s, k))
-        pivots += 1
+                cols[k].discard(i)
+            # row s -= (a_sj / u) * row i; u = +/-1 is its own inverse
+            for s in cols.pop(j):
+                if s == i:
+                    continue
+                row = rows[s]
+                f = row.pop(j) * u
+                for k, x in pivot_row.items():
+                    y = row.get(k, 0) - f * x
+                    if y:
+                        if k not in row:
+                            cols[k].add(s)
+                        row[k] = y
+                    else:
+                        del row[k]
+                        cols[k].discard(s)
+                if not row:
+                    del rows[s]
+            pivots += 1
     return pivots
 
 

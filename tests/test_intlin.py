@@ -1,8 +1,8 @@
 """Exact integer linear algebra: SNF laws, determinants, invariant factors,
 lattice solves and unimodular inverses against slow oracles."""
 
+import random
 import time
-from heapq import heappush
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -350,25 +350,21 @@ def _pure_sphere_rows(n):
     return relation_rows(p.relators, p.generators), len(p.generators)
 
 
-def test_unit_pivots_requeue_only_the_entries_a_pivot_changed(monkeypatch):
-    # re-queuing every unit entry of each row a pivot touched pushed
-    # 14 138 entries here; only the pivot row's columns change
-    rows, n = _pure_sphere_rows(5)
-    units = sum(x in (1, -1) for row in rows for x in row.values())
-    pushes = []
-    monkeypatch.setattr(intlin, "heappush",
-                        lambda heap, item: pushes.append(item) or heappush(heap, item))
-    assert abelian_invariants(rows, n) == (5, (2,))
-    assert units == 3427
-    assert len(pushes) < 2 * units
-
-
-@pytest.mark.parametrize("n, invariants, block", [(5, (5, (2,)), (24, 6)),
-                                                  (6, (9, (2,)), (120, 7))])
-def test_unit_pivots_leave_no_larger_block(monkeypatch, n, invariants, block):
-    # a stale Markowitz cost loosens the pivot order; the block left for
-    # the Smith form must not grow past the one the exact order left
+# (n, seed of the relator shuffle, invariants, block bound)
+@pytest.mark.parametrize("n, seed, invariants, block", [
+    pytest.param(5, None, (5, (2,)), (24, 6), id="5-invariants0-block0"),
+    pytest.param(6, None, (9, (2,)), (120, 7), id="6-invariants1-block1"),
+    pytest.param(6, 1, (9, (2,)), (120, 7), id="6-shuffled1"),
+    pytest.param(6, 2, (9, (2,)), (120, 7), id="6-shuffled2"),
+])
+def test_unit_pivots_leave_no_larger_block(monkeypatch, n, seed, invariants, block):
+    # the pivot order sets the fill-in: taken in row-id order, shuffled
+    # relators leave thousands of rows, and longest rows first a larger
+    # block at P_5; shortest rows first must keep the block within the
+    # bounds whatever the relator order
     rows, ngens = _pure_sphere_rows(n)
+    if seed is not None:
+        random.Random(seed).shuffle(rows)
     shapes = []
     smith = intlin._smith
     monkeypatch.setattr(intlin, "_smith",
