@@ -3,45 +3,44 @@
 Subgroups are represented by their folded core graph, built by the worklist
 folding of Touikan, "A fast algorithm for Stallings' folding process" (IJAC
 2006).  The graph is the one two-way map vertex -> {(gen, +-1): neighbour}
-that folding builds, and one walk over it serves membership and rewriting;
-the sorted positive edges are derived from it on demand.  `express` rewrites
-a member word in a chosen basis of the subgroup, via the graph's own
-spanning-tree generators and a Nielsen change of basis.  Schreier generators
-of finite-index subgroups come from `reidschreier.rs_coset_table`.
+that folding builds; a walk over it decides membership, its sorted positive
+edges are derived from it on demand, and the rank is E - V + 1.  The same
+fold, run with labels, marks each edge with a word in z[1], z[2], ..., one
+z per generating word, so that the labels along a closed path at the
+basepoint spell that path in those words (Kapovich-Myasnikov, J. Algebra
+2002); `express` is one walk that reads them off.  Schreier generators of
+finite-index subgroups come from `reidschreier.rs_coset_table`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .words import (Gen, Word, free_reduce, invert, letter, multiply, power,
-                    substitute_runs)
+from .words import Gen, Word, substitute_runs
 
 
-def _walk(links: dict, v, w: Word, crossed: Optional[list] = None):
-    """The end of w read from v in a two-way map, None if w leaves it; each
-    letter read appends (positive edge (u, gen), sign) to `crossed`."""
+def _walk(links: dict, v, w: Word):
+    """The end of w read from v in a two-way map, None if w leaves it."""
     for g, e in w.runs:
         sign = 1 if e > 0 else -1
         for _ in range(abs(e)):
-            u, v = v, links[v].get((g, sign))
+            v = links[v].get((g, sign))
             if v is None:
                 return None
-            if crossed is not None:
-                crossed.append(((u, g) if sign > 0 else (v, g), sign))
     return v
 
 
 @dataclass
 class SubgroupGraph:
-    """Folded core graph of a subgroup, as the two-way map
-    vertex -> {(gen, +-1): neighbour} that `fold` builds; every vertex has
-    an entry, and vertex 0 is the basepoint."""
+    """Folded core graph of the subgroup generated by `words`, as the
+    two-way map vertex -> {(gen, +-1): neighbour} that `fold` builds; every
+    vertex has an entry, and vertex 0 is the basepoint."""
 
+    words: tuple[Word, ...]
     links: dict[int, dict[tuple[Gen, int], int]]
-    _tree: Optional[dict] = field(default=None, repr=False)
-    _basis_cache: dict = field(default_factory=dict, repr=False)
+    # basis -> (links, labels) of its labelled fold, filled by `express`
+    _labelled: dict = field(default_factory=dict, compare=False, repr=False)
     basepoint = 0   # fold starts and ends every bouquet word here
 
     @property
@@ -49,6 +48,93 @@ class SubgroupGraph:
         """(vertex, gen) -> vertex for each positive edge, in sorted order."""
         return dict(sorted(((u, g), v) for u, out in self.links.items()
                            for (g, sign), v in out.items() if sign > 0))
+
+
+def _inv(label: tuple) -> tuple:
+    """The inverse of a label, runs over the index i of z[i]."""
+    return label and tuple((i, -e) for i, e in reversed(label))
+
+
+def _mul(*labels: tuple) -> tuple:
+    """The freely reduced product of labels."""
+    return substitute_runs([r for label in labels for r in label], {})
+
+
+def _fold(words: Sequence[Word], labelled: bool) -> tuple[dict, dict]:
+    """(links, labels) of the folded bouquet of the words.
+
+    Each vertex v stands for a path word P(v), with P(0) = 1, and an entry
+    u -key-> v of `links` has a label l, runs over i for z[i], such that
+    l(words) = P(u) key P(v)^-1.  `labels` keeps those other than 1.  The
+    closing edge of word i is seeded with z[i].  A clash shows P(b) =
+    f P(a) for the vertices it joins, and merging gone into keep, with
+    P(gone) = g P(keep), relabels gone's edges l -> g^-1 l (loops g^-1 l g).
+    Unlabelled, no label is seeded and the label arithmetic is skipped."""
+    links: dict[int, dict[tuple[Gen, int], int]] = {0: {}}
+    labels: dict = {}               # (u, key) -> label
+    merged: dict[int, tuple] = {}   # gone -> (keep, g)
+    clashes: list[tuple] = []       # (a, b, f) still to merge
+
+    def live(v: int):
+        """(root, h) with P(v) = h P(root); compresses v's path to it."""
+        if v not in merged:
+            return v, ()
+        path = []
+        while v in merged:
+            path.append(v)
+            v = merged[v][0]
+        h = ()
+        for u in reversed(path):
+            h = _mul(merged[u][1], h) if labelled else ()
+            merged[u] = (v, h)
+        return v, h
+
+    def attach(u: int, key: tuple[Gen, int], v: int, label: tuple):
+        there, back_key = links[u].get(key), (key[0], -key[1])
+        back = links[v].get(back_key) if there is None else None
+        if there is None and back is None:
+            links[u][key], links[v][back_key] = v, u
+            if label:
+                labels[u, key], labels[v, back_key] = label, _inv(label)
+        elif there is None:   # P(u) = label beta P(back), beta on v's edge
+            clashes.append((back, u, _mul(label, labels.get((v, back_key), ()))
+                            if labelled else ()))
+        elif there != v:   # P(v) = label^-1 lambda' P(there), lambda' on u's edge
+            clashes.append((there, v, _mul(_inv(label), labels.get((u, key), ()))
+                            if labelled else ()))
+
+    next_vertex = 1
+    for i, w in enumerate(words, 1):
+        prev, letters = 0, list(w.letters())
+        for idx, key in enumerate(letters):
+            tgt = 0 if idx == len(letters) - 1 else next_vertex
+            if tgt != 0:
+                links[tgt] = {}
+                next_vertex += 1
+            u, h = live(prev)   # the closing edge of word i is z[i]
+            attach(u, key, tgt, _mul(_inv(h), () if tgt else ((i, 1),))
+                   if labelled else ())
+            while clashes:
+                a, b, f = clashes.pop()
+                (ra, ha), (rb, hb) = live(a), live(b)
+                if ra == rb:
+                    continue
+                if labelled:
+                    f = _mul(_inv(hb), f, ha)   # now P(rb) = f P(ra)
+                keep, gone, g = (ra, rb, f) if ra < rb else (rb, ra, _inv(f))
+                merged[gone] = (keep, g)
+                for step, v in links.pop(gone).items():
+                    label = labels.pop((gone, step), ())
+                    if v == gone:
+                        v, label = keep, _mul(_inv(g), label, g) if g else label
+                    else:
+                        back_key = (step[0], -step[1])
+                        del links[v][back_key]
+                        labels.pop((v, back_key), None)
+                        label = _mul(_inv(g), label) if g else label
+                    attach(keep, step, v, label)
+            prev = tgt
+    return links, labels
 
 
 def fold(generator_words: Sequence[Word]) -> SubgroupGraph:
@@ -59,71 +145,14 @@ def fold(generator_words: Sequence[Word]) -> SubgroupGraph:
     at once: the lower id keeps the edges of both, and each new clash joins
     a worklist.  So every vertex is the least bouquet vertex folding onto
     it, whatever order the merges take.  The graph returned is that map."""
-    links: dict[int, dict[tuple[Gen, int], int]] = {0: {}}
-    merged: dict[int, int] = {}   # merged-away vertex -> vertex it went into
-    clashes: list[tuple[int, int]] = []   # vertices still to merge
-
-    def live(v: int) -> int:
-        while v in merged:
-            v = merged[v]
-        return v
-
-    def attach(u: int, key: tuple[Gen, int], v: int):
-        there, back = links[u].get(key), links[v].get((key[0], -key[1]))
-        if there is not None:
-            if there != v:
-                clashes.append((there, v))
-        elif back is not None:
-            clashes.append((back, u))
-        else:
-            links[u][key] = v
-            links[v][(key[0], -key[1])] = u
-
-    next_vertex = 1
-    for w in generator_words:
-        prev = 0
-        letters = list(w.letters())
-        for idx, key in enumerate(letters):
-            tgt = 0 if idx == len(letters) - 1 else next_vertex
-            if tgt != 0:
-                links[tgt] = {}
-                next_vertex += 1
-            attach(live(prev), key, tgt)
-            while clashes:
-                a, b = clashes.pop()
-                keep, gone = sorted((live(a), live(b)))
-                if keep == gone:
-                    continue
-                merged[gone] = keep
-                for (g, sign), v in links.pop(gone).items():
-                    if v == gone:
-                        v = keep
-                    else:
-                        del links[v][(g, -sign)]
-                    attach(keep, (g, sign), v)
-            prev = tgt
-    return SubgroupGraph(links)
-
-
-def _native_index(graph: SubgroupGraph) -> dict:
-    """Number i of each native generator n[i] = path(u) g path(v)^-1, one
-    per edge (u, g) -> v off the BFS spanning tree from the basepoint,
-    numbered in sorted edge order."""
-    if graph._tree is None:
-        queue, seen, tree_edges = [graph.basepoint], {graph.basepoint}, set()
-        for u in queue:
-            for (g, sign), v in sorted(graph.links[u].items()):
-                if v not in seen:
-                    seen.add(v)
-                    tree_edges.add((u, g) if sign > 0 else (v, g))
-                    queue.append(v)
-        nontree = [e for e in graph.edges if e not in tree_edges]
-        graph._tree = {e: i + 1 for i, e in enumerate(nontree)}
-    return graph._tree
+    words = tuple(generator_words)
+    return SubgroupGraph(words, _fold(words, False)[0])
 
 
 def rank(graph: SubgroupGraph) -> int:
-    return len(_native_index(graph))
+    """Positive edges - vertices + 1: each edge has an entry at both ends."""
+    entries = sum(len(out) for out in graph.links.values())
+    return entries // 2 - len(graph.links) + 1
 
 
 def contains(graph: SubgroupGraph, w: Word) -> bool:
@@ -133,82 +162,36 @@ def contains(graph: SubgroupGraph, w: Word) -> bool:
 membership = contains
 
 
-def _trace_native(graph: SubgroupGraph, w: Word) -> Word:
-    """Rewrite a member word over the graph's own non-tree-edge generators
-    n[1], n[2], ...."""
-    index = _native_index(graph)
-    crossed: list = []
-    end = _walk(graph.links, graph.basepoint, w, crossed)
-    if end is None:
-        g, _ = list(w.letters())[len(crossed)]
-        raise ValueError("word leaves the subgroup graph at %s" % g)
-    if end != graph.basepoint:
-        raise ValueError("word is not in the subgroup (open path)")
-    return free_reduce((Gen("n", (index[e],)), sign)
-                       for e, sign in crossed if e in index)
-
-
 def express(graph: SubgroupGraph, basis: Sequence[Word], w: Word) -> Word:
     """Express a member word in the given subgroup basis.
 
     `basis` lists subgroup elements (words in the ambient generators) that
     freely generate the subgroup; the result is a word in symbols z[1],
     z[2], ... matching the basis order.  In a free group such an expression
-    is unique.
+    is unique.  The basis must have as many words as the subgroup's rank,
+    and, unless it is the graph's own words, fold to the same subgroup:
+    then it is a free basis, since free groups are Hopfian.  The result is
+    read off the labelled fold of the basis along w's path.
     """
-    key = tuple(basis)
-    if key not in graph._basis_cache:
-        graph._basis_cache[key] = _basis_change(graph, basis)
-    return Word(substitute_runs(_trace_native(graph, w).runs,
-                                graph._basis_cache[key]))
-
-
-def _basis_change(graph: SubgroupGraph, basis: Sequence[Word]) -> dict:
-    """Expressions, as runs, of the graph's native generators in the user
-    basis, computed by Nielsen-reducing the traced basis words."""
     n_rank = rank(graph)
     if len(basis) != n_rank:
         raise ValueError("basis size %d != subgroup rank %d" % (len(basis), n_rank))
-    pairs = []   # (word over native gens, word over basis symbols)
-    for i, bw in enumerate(basis):
-        pairs.append((_trace_native(graph, bw), letter(Gen("z", (i + 1,)))))
-    # Nielsen reduction: repeatedly shorten some u_i by a (signed) u_j
-    while (found := _shortening(pairs)) is not None:
-        i, j, su, sj, cand = found
-        ei, ej = pairs[i][1], pairs[j][1]
-        if su == 1:
-            pairs[i] = (cand, multiply(ei, power(ej, sj)))
-        else:
-            # u_i^-1 u_j^s short => replace u_i by its inverse
-            pairs[i] = (invert(cand), multiply(power(ej, -sj), ei))
-    table = {}
-    for u, e in pairs:
-        if len(u) != 1:
+    key = tuple(basis)
+    if key not in graph._labelled:
+        links, labels = _fold(key, True)
+        if key != graph.words and not (
+                all(_walk(graph.links, 0, b) == 0 for b in key)
+                and all(_walk(links, 0, u) == 0 for u in graph.words)):
             raise ValueError("given words are not a free basis of the subgroup "
-                             "(Nielsen reduction stalled at %s)" % u)
-        (g, exp), = u.runs
-        if g in table:
-            raise ValueError("given words are not a free basis of the subgroup "
-                             "(native generator %s appears twice)" % g)
-        table[g] = (e if exp == 1 else invert(e)).runs
-    return table
-
-
-def _shortening(pairs):
-    """The first (i, j, su, sj, u_i^su u_j^sj), in that loop order, whose
-    product is shorter than u_i; None when the u's are Nielsen reduced.  A
-    u_i of one letter is skipped: it could only shrink to the empty word,
-    by a u_j equal to it or its inverse, which `_basis_change` reports."""
-    for i, (ui, _) in enumerate(pairs):
-        if len(ui) == 1:
-            continue
-        for j, (uj, _) in enumerate(pairs):
-            if i == j:
-                continue
-            for su in (1, -1):
-                for sj in (1, -1):
-                    cand = multiply(power(ui, su), power(uj, sj))
-                    if len(cand) < len(ui):
-                        return i, j, su, sj, cand
-    return None
-
+                             "(they generate another subgroup)")
+        graph._labelled[key] = links, labels
+    links, labels = graph._labelled[key]
+    v, read = graph.basepoint, []
+    for step in w.letters():
+        u, v = v, links[v].get(step)
+        if v is None:
+            raise ValueError("word leaves the subgroup graph at %s" % step[0])
+        read += labels.get((u, step), ())
+    if v != graph.basepoint:
+        raise ValueError("word is not in the subgroup (open path)")
+    return Word(tuple((Gen("z", (i,)), e) for i, e in substitute_runs(read, {})))

@@ -111,6 +111,17 @@ def test_subgroup_express(tmp_path):
     assert "z[1]" in res.output and "z[2]" in res.output
 
 
+def test_subgroup_express_takes_a_basis_pairwise_shortening_misses(tmp_path):
+    f = tmp_path / "basis.txt"
+    f.write_text("b^-1 c^-1\nb^-1 a^-1 b\na^-1 c^-1\n")
+    for word, expected in (("a", "z[3] z[1]^-1 z[2]^-1 z[1] z[3]^-1"),
+                           ("b", "z[3] z[1]^-1 z[2]^-1"),
+                           ("c", "z[1]^-1 z[2] z[1] z[3]^-1")):
+        res = run("subgroup", "express", "--basis", str(f), "--word", word)
+        assert res.exit_code == 0
+        assert res.output == expected + "\n"
+
+
 def test_rs_prints_dictionary():
     pres = run("present", "--family", "sphere", "--n", "4").output
     res = run("rs", "--in", "-", "--mod", "6", "--transversal", "s[1]",
