@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .words import Gen, Word, substitute_runs
+from .words import Gen, Word, invert_runs, reduce_runs
 
 
 def _walk(links: dict, v, w: Word):
@@ -50,14 +50,9 @@ class SubgroupGraph:
                            for (g, sign), v in out.items() if sign > 0))
 
 
-def _inv(label: tuple) -> tuple:
-    """The inverse of a label, runs over the index i of z[i]."""
-    return label and tuple((i, -e) for i, e in reversed(label))
-
-
 def _mul(*labels: tuple) -> tuple:
-    """The freely reduced product of labels."""
-    return substitute_runs([r for label in labels for r in label], {})
+    """The freely reduced product of labels, runs over the index i of z[i]."""
+    return reduce_runs([r for label in labels for r in label])
 
 
 def _fold(words: Sequence[Word], labelled: bool) -> tuple[dict, dict]:
@@ -95,12 +90,12 @@ def _fold(words: Sequence[Word], labelled: bool) -> tuple[dict, dict]:
         if there is None and back is None:
             links[u][key], links[v][back_key] = v, u
             if label:
-                labels[u, key], labels[v, back_key] = label, _inv(label)
+                labels[u, key], labels[v, back_key] = label, invert_runs(label)
         elif there is None:   # P(u) = label beta P(back), beta on v's edge
             clashes.append((back, u, _mul(label, labels.get((v, back_key), ()))
                             if labelled else ()))
         elif there != v:   # P(v) = label^-1 lambda' P(there), lambda' on u's edge
-            clashes.append((there, v, _mul(_inv(label), labels.get((u, key), ()))
+            clashes.append((there, v, _mul(invert_runs(label), labels.get((u, key), ()))
                             if labelled else ()))
 
     next_vertex = 1
@@ -112,7 +107,7 @@ def _fold(words: Sequence[Word], labelled: bool) -> tuple[dict, dict]:
                 links[tgt] = {}
                 next_vertex += 1
             u, h = live(prev)   # the closing edge of word i is z[i]
-            attach(u, key, tgt, _mul(_inv(h), () if tgt else ((i, 1),))
+            attach(u, key, tgt, _mul(invert_runs(h), () if tgt else ((i, 1),))
                    if labelled else ())
             while clashes:
                 a, b, f = clashes.pop()
@@ -120,18 +115,18 @@ def _fold(words: Sequence[Word], labelled: bool) -> tuple[dict, dict]:
                 if ra == rb:
                     continue
                 if labelled:
-                    f = _mul(_inv(hb), f, ha)   # now P(rb) = f P(ra)
-                keep, gone, g = (ra, rb, f) if ra < rb else (rb, ra, _inv(f))
+                    f = _mul(invert_runs(hb), f, ha)   # now P(rb) = f P(ra)
+                keep, gone, g = (ra, rb, f) if ra < rb else (rb, ra, invert_runs(f))
                 merged[gone] = (keep, g)
                 for step, v in links.pop(gone).items():
                     label = labels.pop((gone, step), ())
                     if v == gone:
-                        v, label = keep, _mul(_inv(g), label, g) if g else label
+                        v, label = keep, _mul(invert_runs(g), label, g) if g else label
                     else:
                         back_key = (step[0], -step[1])
                         del links[v][back_key]
                         labels.pop((v, back_key), None)
-                        label = _mul(_inv(g), label) if g else label
+                        label = _mul(invert_runs(g), label) if g else label
                     attach(keep, step, v, label)
             prev = tgt
     return links, labels
@@ -194,4 +189,4 @@ def express(graph: SubgroupGraph, basis: Sequence[Word], w: Word) -> Word:
         read += labels.get((u, step), ())
     if v != graph.basepoint:
         raise ValueError("word is not in the subgroup (open path)")
-    return Word(tuple((Gen("z", (i,)), e) for i, e in substitute_runs(read, {})))
+    return Word(tuple((Gen("z", (i,)), e) for i, e in reduce_runs(read)))

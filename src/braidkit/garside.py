@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Gen, Word, free_reduce
+from .words import Gen, Word, free_reduce, invert_runs
 
 # permutations are tuples p with p[i] = final position of the strand that
 # starts at position i (0-based)
@@ -253,7 +253,7 @@ def nf_to_word(nf: BraidNF) -> Word:
     if nf.power:
         delta_word = _perm_braid_word(_perm_delta(nf.n))
         if nf.power < 0:
-            delta_word = [(g, -e) for g, e in reversed(delta_word)]
+            delta_word = invert_runs(delta_word)
         runs.extend(delta_word * abs(nf.power))
     for f in nf.factors:
         runs.extend(_perm_braid_word(f))

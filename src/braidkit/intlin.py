@@ -389,6 +389,9 @@ def parse_matrix(text: str) -> IntMatrix:
         nr, nc = (int(x) for x in lines[0].split())
     except ValueError:
         raise ValueError("bad matrix header %r; expected 'ROWS COLS'" % lines[0])
+    if min(nr, nc) < 0 or (nr == 0) != (nc == 0):   # IntMatrix keeps no 0xN shape
+        raise ValueError("bad matrix header %r; ROWS and COLS must both be "
+                         "positive, or both 0" % lines[0])
     if len(lines) - 1 != nr:
         raise ValueError("expected %d rows, got %d" % (nr, len(lines) - 1))
     rows = []

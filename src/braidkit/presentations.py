@@ -57,7 +57,7 @@ def parse_presentation(text: str) -> Presentation:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("group"):
+        if line.split()[0] == "group":   # the whole first token, not "groupies"
             name = line[len("group"):].strip()
             if not name:
                 raise ParseError("missing group name", lineno, len("group") + 1)

@@ -8,12 +8,12 @@ One rewrite loop serves every subgroup: it reads the move of each letter,
 (coset, generator, +-1).  `rs_coset_table` builds the map of any action by
 permutations of a finite set from its breadth-first coset table, with a
 generator x[..., i] = rep(i) x rep(i x)^-1 on each non-tree edge.
-`rs_finite_cyclic` precomputes the weight map onto Z/m over the transversal
+`rs_finite_cyclic` reads the weight map onto Z/m over the transversal
 {t^c}, with x[..., c] = t^c x t^-(c+omega(x)) and w = t^m emitted at each
-wrap past m.  `rs_z_window` fills the weight map onto Z on demand and
-returns an indexed presentation, one generator family per ambient
-generator, whose dictionary spells x@k for exactly the indices |k| <= K of
-its window K.
+wrap past m, and `rs_z_window` the weight map onto Z; both maps fill on
+demand.  `rs_z_window` returns an indexed presentation, one generator
+family per ambient generator, whose dictionary spells x@k for exactly the
+indices |k| <= K of its window K.
 
 A deliberately limited Tietze eliminator removes duplicate-generator
 relators only.  On a finite presentation it follows the occurrence-indexed
@@ -23,7 +23,8 @@ order; eliminated ones are recorded by that int, and the kept generator
 tuple is built once at the end.  Each relator carries its canonical key,
 computed once per rewrite, and an index from each generator to the
 relators holding it means an elimination rewrites and re-keys only those
-relators.  Rewriting is the run-level `words.substitute_runs`.  There is
+relators.  Rewriting is the run-level `words.substitute_runs`, which
+reduces through `words.reduce_runs`.  There is
 one canonical key, `_cyclic_key` on interned runs (after
 `words.cyclic_reduce_runs`); `canonical_relator` interns a word's
 generators in sorted order, keys it and decodes the letters.
@@ -88,10 +89,10 @@ class _OnDemand(dict):
         return value
 
 
-def _weight_moves(gens: Sequence[Gen], t: Gen, weights: dict, modulus: int,
+def _weight_moves(t: Gen, weights: dict, modulus: int,
                   name: Callable[[Gen, int], Gen], w_gen: Optional[Gen]):
-    """Move map of the weight map onto Z/modulus (Z for modulus 0), computed
-    up front mod m and on first use in Z: x^+-1 emits name(x, c) = t^c x
+    """Move map of the weight map onto Z/modulus (Z for modulus 0), each move
+    computed on its first use: x^+-1 emits name(x, c) = t^c x
     t^-(c+omega(x)), t none, and q wraps back into [0, m) emit w_gen^q."""
     def move(c: int, x: Gen, sign: int) -> tuple[int, tuple]:
         d = c + sign * weights[x]
@@ -103,10 +104,7 @@ def _weight_moves(gens: Sequence[Gen], t: Gen, weights: dict, modulus: int,
             return d, ((name(x, c), 1),) + wraps
         return d, wraps + ((name(x, d), -1),)
 
-    if not modulus:
-        return _OnDemand(move)
-    return {(c, x, sign): move(c, x, sign)
-            for c in range(modulus) for x in gens for sign in (1, -1)}
+    return _OnDemand(move)
 
 
 def _check_weights(p: Presentation, weights: Optional[dict], t: Gen,
@@ -151,8 +149,7 @@ def rs_finite_cyclic(p: Presentation, modulus: int, t: Gen,
     if modulus < 1:
         raise ValueError("modulus must be positive")
     weights = _check_weights(p, weights, t, modulus)
-    moves = _weight_moves(p.generators, t, weights, modulus, _finite_name,
-                          Gen("w"))
+    moves = _weight_moves(t, weights, modulus, _finite_name, Gen("w"))
     dictionary = {Gen("w"): power(letter(t), modulus)}
     dictionary.update((_finite_name(x, c), _schreier_word(t, x, c, weights[x]))
                       for x in p.generators if x != t for c in range(modulus))
@@ -257,7 +254,7 @@ def rs_z_window(p: Presentation, t: Gen, weights: Optional[dict] = None,
     def name(x: Gen, c: int) -> Gen:
         return Gen(fam_name[x], (c,))
 
-    moves = _weight_moves(p.generators, t, weights, 0, name, None)
+    moves = _weight_moves(t, weights, 0, name, None)
     rel_fams = tuple(_rewrite(r, 0, moves)[0] for r in p.relators)
     ip = IndexedPresentation("%s/kerZ" % p.name, (), tuple(fam_name.values()),
                              (), rel_fams)

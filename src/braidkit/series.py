@@ -56,14 +56,16 @@ def gamma2_mod_gamma3(p: Presentation, t: Gen) -> AbelianInvariants:
     diagonal = [snf.d[j, j] for j in range(min(snf.d.nrows, snf.d.ncols))]
     ab = AbelianInvariants(len(p.generators) - sum(map(bool, diagonal)),
                            tuple(d for d in diagonal if d > 1))
-    if ab.free_rank != 0 or len(ab.torsion) != 1:
+    if ab.free_rank != 0 or len(ab.torsion) > 1:
         raise ValueError("abelianization %s is not finite cyclic" % ab)
+    if t not in p.generators:
+        raise ValueError("transversal %s is not a generator of %s" % (t, p.name))
+    if not ab.torsion:   # Z/1 is cyclic: G is perfect, Gamma_2 = G = Gamma_3
+        return ab
     m = ab.torsion[0]
     # generator weights: image coordinates in the cyclic invariant factor
     target = diagonal.index(m)
     raw = {g: snf.q[i, target] % m for i, g in enumerate(p.generators)}
-    if t not in raw:
-        raise ValueError("transversal %s is not a generator of %s" % (t, p.name))
     try:
         unit = pow(raw[t], -1, m)
     except ValueError:

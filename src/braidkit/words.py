@@ -1,12 +1,13 @@
 """Free-group words over indexed generator symbols.
 
 Words are stored run-length encoded: a sequence of (symbol, exponent) runs
-with nonzero exponents and no two consecutive runs sharing a symbol.  All
-operations keep words freely reduced.  Substitution and cyclic reduction
-are run-level kernels (`substitute_runs`, `cyclic_reduce_runs`) that take
-letters of any hashable type, so interned int letters share them.  A
-relation row is sparse, {column: exponent sum} over a generator basis
-(`relation_rows`); `exponent_vector` is the dense view of one.
+with nonzero exponents and no two consecutive runs sharing a symbol.  One
+run-level kernel keeps every word freely reduced: `reduce_runs` merges runs
+and `invert_runs` inverts them.  They, `substitute_runs` and
+`cyclic_reduce_runs` take letters of any hashable type, so interned int
+letters and subgroup labels share them.  A relation row is sparse,
+{column: exponent sum} over a generator basis (`relation_rows`);
+`exponent_vector` is the dense view of one.
 """
 
 from __future__ import annotations
@@ -27,6 +28,23 @@ class Gen:
         if self.indices:
             return "%s[%s]" % (self.name, ",".join(str(i) for i in self.indices))
         return self.name
+
+
+def reduce_runs(runs: Iterable[tuple]) -> tuple:
+    """Free reduction of runs over any letter type: zero exponents drop out
+    and adjacent runs of one letter merge, vanishing when they cancel."""
+    out: list[tuple] = []
+    for g, e in runs:
+        if out and out[-1][0] == g:
+            e += out.pop()[1]
+        if e:
+            out.append((g, e))
+    return tuple(out)
+
+
+def invert_runs(runs: Sequence[tuple]) -> tuple:
+    """The inverse of freely reduced runs over any letter type."""
+    return runs and tuple((g, -e) for g, e in reversed(runs))
 
 
 @dataclass(frozen=True)
@@ -74,17 +92,7 @@ def letter(g: Gen, exp: int = 1) -> Word:
 
 
 def free_reduce(runs: Iterable[tuple[Gen, int]]) -> Word:
-    out: list[list] = []
-    for g, e in runs:
-        if e == 0:
-            continue
-        if out and out[-1][0] == g:
-            out[-1][1] += e
-            if out[-1][1] == 0:
-                out.pop()
-        else:
-            out.append([g, e])
-    return Word(tuple((g, e) for g, e in out))
+    return Word(reduce_runs(runs))
 
 
 def multiply(*ws: Word) -> Word:
@@ -95,7 +103,7 @@ def multiply(*ws: Word) -> Word:
 
 
 def invert(w: Word) -> Word:
-    return Word(tuple((g, -e) for g, e in reversed(w.runs)))
+    return Word(invert_runs(w.runs))
 
 
 def power(w: Word, k: int) -> Word:
@@ -165,22 +173,14 @@ def exponent_vector(w: Word, gens: Sequence[Gen]) -> tuple[int, ...]:
 def substitute_runs(runs: Iterable[tuple], images: dict) -> tuple:
     """Freely reduced runs with each letter g that has images[g] (runs)
     replaced by it, in one pass; letters may be of any hashable type."""
-    out: list[tuple] = []
-    for g, e in runs:
-        img = images.get(g)
-        if img is None:
-            parts = ((g, e),)
-        elif e > 0:
-            parts = img * e
-        else:
-            parts = tuple((x, -k) for x, k in reversed(img)) * -e
-        for x, k in parts:
-            if out and out[-1][0] == x:
-                k += out.pop()[1]
-                if not k:
-                    continue
-            out.append((x, k))
-    return tuple(out)
+    def pieces():
+        for g, e in runs:
+            img = images.get(g)
+            if img is None:
+                yield g, e
+            else:
+                yield from (img if e > 0 else invert_runs(img)) * abs(e)
+    return reduce_runs(pieces())
 
 
 def substitute(w: Word, images: dict[Gen, Word]) -> Word:

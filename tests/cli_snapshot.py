@@ -8,7 +8,8 @@ SRC is the `src` directory of the tree to snapshot.  Every run goes through
 click's CliRunner in a scratch directory; for each one the script prints its
 arguments, exit code and output (stderr included).  Run it on two trees and
 diff the two outputs to see exactly which outputs a change moved.  This is a
-script, not a test: pytest does not collect it.
+script, not a test: pytest does not collect it, but
+`tests/test_cli_snapshot.py` pins the size and sha256 of its output.
 """
 
 import os
@@ -49,6 +50,7 @@ MATRICES = {
     "m-3x3": "3 3\n2 4 4\n-6 6 12\n10 -4 -16\n",
     "m-unitless": "4 4\n2 4 0 6\n4 -2 6 0\n0 6 -4 2\n6 0 2 -4\n",
     "m-empty-row": "1 3\n0 0 0\n",
+    "m-0x3": "0 3\n",
 }
 
 FILES = {
@@ -65,6 +67,7 @@ FILES = {
     "basis-dependent.txt": "a\nb\na b\n",
     "z6.txt": "group Z6\ngens: a b\nrel: a^6\nrel: b a^-4\n",
     "f2.txt": "group F2\ngens: a b\nrel: a b a^-1 b^-1\n",
+    "groupies.txt": "groupies G\ngens: a\nrel: a^2\n",
 }
 
 # (presentation file, target, assignment) of hom-check runs whose images or
@@ -110,6 +113,7 @@ def invocations():
         for opts in sizes:
             if os.path.exists(_name(family, *opts)):
                 yield ["ab", "--in", _name(family, *opts)]
+    yield ["ab", "--in", "groupies.txt"]
     yield from _rs_runs()
     # the kernels' abelianizations; the `# dict:` lines parse as comments
     for args in _rs_runs():
@@ -118,6 +122,7 @@ def invocations():
     for n in range(3, 9):
         yield ["g2g3", "--in", "sphere-n%d" % n, "--transversal", "s[1]"]
     yield ["g2g3", "--in", "g2b4", "--transversal", "g[1]"]
+    yield ["g2g3", "--in", "g2b5", "--transversal", "u[1]"]
     yield ["g2g3", "--in", "artin-n3", "--transversal", "s[1]"]
     yield ["g2g3", "--in", "z6.txt", "--transversal", "a"]
     yield ["g2g3", "--in", "z6.txt", "--transversal", "b"]

@@ -1,9 +1,11 @@
 """Slow, independent implementations that the tests check the package
 against, and the free-group actions only the tests use.
 
-- Word kernels as they were before `braidkit.words` worked on runs:
-  substitution by word powers, cyclic reduction by stripping letters and a
-  canonical relator key that scans every rotation.
+- Word kernels as they were before `braidkit.words` worked on runs: free
+  reduction by cancelling single letters on a stack, substitution by
+  repeated image letters and cyclic reduction by stripping letters, both
+  reduced on that stack, and a canonical relator key that scans every
+  rotation.
 - Free-group automorphisms: composition, inverse check, the action of a
   word, the Artin action of braid generators and its relatives, and the
   abelianized action on the z-basis of N = ker(F2 -> Z2 x Z2).
@@ -39,24 +41,48 @@ from braidkit.presentations import Presentation, sphere_braid
 from braidkit.reidschreier import RsOutput, rs_coset_table
 from braidkit.series import AbelianInvariants
 from braidkit.verify import Z_BASIS
-from braidkit.words import (Gen, Word, exponent_vector, free_reduce, invert,
-                            letter, multiply, power, substitute)
+from braidkit.words import (Gen, Word, exponent_vector, invert, letter, multiply,
+                            substitute)
 
 # ---------------------------------------------------------------------------
 # word kernels
 
 
+def free_reduce_letters(runs: Iterable[tuple]) -> tuple:
+    """Free reduction letter by letter: expand every run into +-1 letters,
+    cancel them on a stack, and pack what is left into runs."""
+    stack = []
+    for g, e in runs:
+        s = 1 if e > 0 else -1
+        for _ in range(abs(e)):
+            if stack and stack[-1] == (g, -s):
+                stack.pop()
+            else:
+                stack.append((g, s))
+    packed = []
+    for g, s in stack:   # neighbours of one letter left on the stack agree in sign
+        if packed and packed[-1][0] == g:
+            packed[-1][1] += s
+        else:
+            packed.append([g, s])
+    return tuple((g, e) for g, e in packed)
+
+
 def substitute_by_powers(w: Word, images: dict) -> Word:
-    """Replace each generator by its image word (identity for missing gens),
-    one power of an image word at a time."""
-    runs = []
+    """Replace each generator that has an image word by it: a run g^e
+    becomes |e| copies of the image's letters, reversed and inverted letter
+    by letter when e < 0, and the letter stack reduces the result."""
+    letters = []
     for g, e in w.runs:
         img = images.get(g)
         if img is None:
-            runs.append((g, e))
-        else:
-            runs.extend(power(img, e).runs)
-    return free_reduce(runs)
+            letters.append((g, e))
+            continue
+        piece = list(img.letters())
+        if e < 0:
+            piece = [(x, -s) for x, s in reversed(piece)]
+        letters.extend(piece * abs(e))
+    return Word(free_reduce_letters(letters))
 
 
 def cyclic_reduce_letters(w: Word) -> Word:
@@ -65,7 +91,7 @@ def cyclic_reduce_letters(w: Word) -> Word:
     while (len(letters) >= 2 and letters[0][0] == letters[-1][0]
            and letters[0][1] == -letters[-1][1]):
         letters = letters[1:-1]
-    return free_reduce(letters)
+    return Word(free_reduce_letters(letters))
 
 
 def canonical_relator_all_rotations(w: Word) -> tuple:

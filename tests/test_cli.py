@@ -261,6 +261,13 @@ def test_g2g3():
     assert res.exit_code == 0
 
 
+def test_g2g3_of_a_perfect_group_is_trivial():
+    # G2(B5(S2)) is perfect; its abelianization Z/1 counts as cyclic
+    pres = run("present", "--family", "g2b5").output
+    res = run("g2g3", "--in", "-", "--transversal", "u[1]", input=pres)
+    assert (res.exit_code, res.output) == (0, "1\n")
+
+
 def test_g2g3_transversal_that_is_not_a_generator_is_an_error():
     pres = run("present", "--family", "sphere", "--n", "4").output
     res = run("g2g3", "--in", "-", "--transversal", "x", input=pres)
@@ -276,6 +283,17 @@ def test_g2g3_transversal_that_does_not_generate_is_an_error():
     assert isinstance(res.exception, SystemExit)
     assert ("error: transversal b maps to 2 in Z/6 and does not generate it"
             in res.output)
+
+
+@pytest.mark.parametrize("command, text, message", [
+    (["snf"], "0 3\n", "bad matrix header '0 3'"),
+    (["ab"], "groupies G\ngens: a\nrel: a^2\n",
+     "line 1, column 1: unrecognized line 'groupies G'"),
+], ids=["snf-0x3", "ab-groupies"])
+def test_malformed_headers_are_parse_errors(command, text, message):
+    res = run(*command, "--in", "-", input=text)
+    assert res.exit_code == 3
+    assert "parse error: " + message in res.output
 
 
 def test_repeated_generator_is_a_parse_error():

@@ -283,6 +283,14 @@ def test_serialize_round_trip():
     assert parse_matrix(serialize_matrix(m)) == m
 
 
+@pytest.mark.parametrize("header", ["0 3", "3 0", "-1 2", "2 -1"])
+def test_parse_matrix_rejects_shapes_it_cannot_keep(header):
+    # a 0x3 matrix would come back as 0x0, and a negative size is no shape
+    with pytest.raises(ValueError, match="bad matrix header '%s'" % header):
+        parse_matrix(header + "\n")
+    assert parse_matrix("0 0\n") == matrix([])
+
+
 def test_snf_rectangular():
     a = matrix([[2, 4, 6], [4, 8, 12]])
     r = smith_normal_form(a)

@@ -128,6 +128,12 @@ def test_gamma2_annulus_rejects_small_m():
         gamma2_annulus(2)
 
 
+def test_group_keyword_is_the_whole_first_token():
+    with pytest.raises(ParseError, match="line 1, column 1: unrecognized line 'groupies G'"):
+        parse_presentation("groupies G\ngens: a\nrel: a^2\n")
+    assert parse_presentation("group\tG\ngens: a\nrel: a^2\n").name == "G"
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse_presentation("gens: a b\nrel: a b\n")  # missing header

@@ -13,6 +13,7 @@ from braidkit.presentations import (
     b3_punctured_gamma2_ab,
     gamma2_annulus,
     gamma2_b4,
+    gamma2_b5,
     parse_presentation,
     sphere_braid,
 )
@@ -28,7 +29,7 @@ from braidkit.series import (
 )
 from braidkit.verify import SHIFTED_Z
 from braidkit import models, reidschreier, series
-from braidkit.reidschreier import rs_finite_cyclic
+from braidkit.reidschreier import rs_finite_cyclic, tietze_eliminate
 from braidkit.words import (Gen, Word, invert, letter, multiply, parse_word,
                             relation_rows)
 from oracles import cyclic_table, klein_four, nilpotent_class2_gamma2
@@ -90,6 +91,29 @@ def test_gamma2_mod_gamma3_of_sphere4():
     assert isinstance(inv, AbelianInvariants)
 
 
+def test_gamma2_mod_gamma3_of_perfect_groups():
+    # Z/1 is cyclic: a perfect group has Gamma_2 = G = Gamma_3
+    kernel = tietze_eliminate(rs_finite_cyclic(
+        sphere_braid(6), 10, Gen("s", (1,)))).presentation
+    assert (len(kernel.generators), len(kernel.relators)) == (14, 61)
+    for p, t in ((gamma2_b5(), Gen("u", (1,))), (kernel, kernel.generators[0])):
+        got = gamma2_mod_gamma3(p, t)
+        assert got == AbelianInvariants(0, ()) and str(got) == "1"
+        assert nilpotent_class2_gamma2(p) == got
+    with pytest.raises(ValueError, match=r"transversal x is not a generator of G2B5\(S2\)"):
+        gamma2_mod_gamma3(gamma2_b5(), Gen("x"))
+
+
+@pytest.mark.parametrize("text, ab", [
+    ("gens: a b\nrel: a^2\n", "Z x Z/2"),
+    ("gens: a b\nrel: a^2\nrel: b^2\nrel: a b a^-1 b^-1\n", "Z/2 x Z/2"),
+])
+def test_gamma2_mod_gamma3_rejects_abelianizations_that_are_not_cyclic(text, ab):
+    p = parse_presentation("group g\n" + text)
+    with pytest.raises(ValueError, match="abelianization %s is not finite cyclic" % ab):
+        gamma2_mod_gamma3(p, Gen("a"))
+
+
 def _rewriter_coinvariance_rows(p, modulus, t, weights):
     """The former coinvariance construction, kept as the oracle: rewrite
     t s t^-1 from coset 0 for every Schreier generator s and divide by s."""
@@ -98,7 +122,7 @@ def _rewriter_coinvariance_rows(p, modulus, t, weights):
     for s in rs.presentation.generators:
         conj = multiply(letter(t), rs.dictionary[s], invert(letter(t)))
         image = reidschreier._rewrite(conj, 0, reidschreier._weight_moves(
-            p.generators, t, weights, modulus,
+            t, weights, modulus,
             lambda x, c: Gen(x.name, x.indices + (c,)), Gen("w")))[0]
         relators.append(multiply(image, invert(letter(s))))
     return relation_rows(relators, rs.presentation.generators)

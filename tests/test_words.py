@@ -14,16 +14,18 @@ from braidkit.words import (
     exponent_vector,
     free_reduce,
     invert,
+    invert_runs,
     letter,
     multiply,
     parse_word,
     power,
+    reduce_runs,
     relation_rows,
     substitute,
     substitute_runs,
     word_to_text,
 )
-from oracles import cyclic_reduce_letters, substitute_by_powers
+from oracles import cyclic_reduce_letters, free_reduce_letters, substitute_by_powers
 
 A, B, C = Gen("a"), Gen("b"), Gen("c")
 ALPHABET = (A, B, C)
@@ -33,6 +35,19 @@ def words(max_runs=6):
     run = st.tuples(st.sampled_from(ALPHABET),
                     st.integers(-3, 3).filter(lambda e: e != 0))
     return st.lists(run, max_size=max_runs).map(free_reduce)
+
+
+def raw_runs(letters):
+    """Unreduced run lists: zero exponents, adjacent repeats of a letter,
+    and chains u v ... v^-1 u^-1 that cancel from the inside out."""
+    run = st.tuples(letters, st.integers(-3, 3))
+
+    def grow(inner):
+        sandwich = st.tuples(st.lists(run, max_size=3), inner).map(
+            lambda p: p[0] + p[1] + [(g, -e) for g, e in reversed(p[0])])
+        return st.one_of(sandwich, st.tuples(inner, inner).map(lambda p: p[0] + p[1]))
+
+    return st.recursive(st.lists(run, max_size=4), grow, max_leaves=8)
 
 
 @given(words())
@@ -87,6 +102,31 @@ def test_power():
     assert power(w, 3) == parse_word("a b a b a b")
     assert power(w, -2) == invert(power(w, 2))
     assert power(w, 0) == IDENTITY
+
+
+@settings(max_examples=300)
+@pytest.mark.parametrize("letters", [st.sampled_from(ALPHABET), st.integers(0, 2)],
+                         ids=["gen", "int"])
+@given(data=st.data())
+def test_reduce_runs_matches_the_letter_stack_oracle(letters, data):
+    runs = data.draw(raw_runs(letters))
+    assert reduce_runs(runs) == free_reduce_letters(runs)
+
+
+@given(words(8))
+def test_invert_runs_reverses_the_letters(w):
+    assert invert_runs(()) == ()
+    assert list(Word(invert_runs(w.runs)).letters()) == [
+        (g, -s) for g, s in reversed(list(w.letters()))]
+
+
+@pytest.mark.parametrize("runs, message", [
+    (((A, 0),), "zero exponent in word run for a"),
+    (((A, 1), (A, 2)), "adjacent runs share generator a"),
+])
+def test_word_rejects_unreduced_runs(runs, message):
+    with pytest.raises(ValueError, match=message):
+        Word(runs)
 
 
 def test_free_reduction_collapses():
