@@ -58,6 +58,9 @@ def parse_presentation(text: str) -> Presentation:
         if not line or line.startswith("#"):
             continue
         if line.split()[0] == "group":   # the whole first token, not "groupies"
+            if name is not None:
+                raise ParseError("second 'group' header; this file already "
+                                 "presents %s" % name, lineno)
             name = line[len("group"):].strip()
             if not name:
                 raise ParseError("missing group name", lineno, len("group") + 1)

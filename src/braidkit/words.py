@@ -8,21 +8,76 @@ and `invert_runs` inverts them.  They, `substitute_runs` and
 letters and subgroup labels share them.  A relation row is sparse,
 {column: exponent sum} over a generator basis (`relation_rows`);
 `exponent_vector` is the dense view of one.
+
+Generators are interned, one `Gen` per (name, indices), so generator
+equality is identity and dict and set lookups hash an address.  The pool
+holds every generator ever built for the life of the process.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator, Sequence
 
 
-@dataclass(frozen=True, order=True)
-class Gen:
-    """A generator symbol: a name plus an optional tuple of integer indices."""
+_GENS: dict[tuple, Gen] = {}
 
-    name: str
-    indices: tuple[int, ...] = ()
+
+class Gen:
+    """A generator symbol: a name plus an optional tuple of integer indices.
+
+    Generators are interned: ``Gen(name, indices)`` returns the one instance
+    for that pair, from a module-level pool that never shrinks.  Equality is
+    identity and the hash is object's, both in C, so dicts and sets keyed by
+    generators never hash a tuple.  Order is that of ``(name, indices)``;
+    like a frozen dataclass, a Gen is immutable, and pickling or copying it
+    gives back the same instance.
+    """
+
+    __slots__ = ("name", "indices")
+
+    def __new__(cls, name: str, indices: tuple[int, ...] = ()) -> Gen:
+        key = (name, indices)
+        g = _GENS.get(key)
+        if g is None:
+            g = object.__new__(cls)
+            object.__setattr__(g, "name", name)
+            object.__setattr__(g, "indices", indices)
+            g = _GENS.setdefault(key, g)   # another thread may have won
+        return g
+
+    def __setattr__(self, attr, value):
+        raise FrozenInstanceError("cannot assign to field %r" % attr)
+
+    def __delattr__(self, attr):
+        raise FrozenInstanceError("cannot delete field %r" % attr)
+
+    def __reduce__(self):
+        return Gen, (self.name, self.indices)
+
+    def __lt__(self, other):
+        if other.__class__ is not Gen:
+            return NotImplemented
+        return (self.name, self.indices) < (other.name, other.indices)
+
+    def __le__(self, other):
+        if other.__class__ is not Gen:
+            return NotImplemented
+        return (self.name, self.indices) <= (other.name, other.indices)
+
+    def __gt__(self, other):
+        if other.__class__ is not Gen:
+            return NotImplemented
+        return (self.name, self.indices) > (other.name, other.indices)
+
+    def __ge__(self, other):
+        if other.__class__ is not Gen:
+            return NotImplemented
+        return (self.name, self.indices) >= (other.name, other.indices)
+
+    def __repr__(self) -> str:
+        return "Gen(name=%r, indices=%r)" % (self.name, self.indices)
 
     def __str__(self) -> str:
         if self.indices:

@@ -241,6 +241,22 @@ def test_cli_runs_without_sympy(tmp_path):
         assert proc.stdout == run(*args).stdout, args
 
 
+def test_output_does_not_depend_on_the_hash_seed():
+    # str hashes, and the address hashes of interned generators, change from
+    # run to run; no printed order may follow the order of a set or dict
+    # keyed by them
+    src = os.path.dirname(os.path.dirname(braidkit.__file__))
+    sphere = run("present", "--family", "sphere", "--n", "6").output
+    for args, stdin in ((["verify", "--json"], None),
+                        (["rs", "--in", "-", "--mod", "10", "--transversal", "s[1]",
+                          "--tietze"], sphere)):
+        outs = [subprocess.run([sys.executable, "-m", "braidkit.cli"] + args,
+                               input=stdin, capture_output=True, text=True, timeout=120,
+                               env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+                               ).stdout for seed in ("0", "1")]
+        assert outs[0] and outs[0] == outs[1], args
+
+
 def test_verify_filter_and_json():
     res = run("verify", "--filter", "snf-*", "--json")
     assert res.exit_code == 0
@@ -294,6 +310,14 @@ def test_malformed_headers_are_parse_errors(command, text, message):
     res = run(*command, "--in", "-", input=text)
     assert res.exit_code == 3
     assert "parse error: " + message in res.output
+
+
+def test_second_group_header_is_a_parse_error():
+    res = run("ab", "--in", "-", input="group A\ngens: a b\nrel: a^2\n"
+                                       "group B\ngens: c\nrel: c^3\n")
+    assert res.exit_code == 3
+    assert ("parse error: line 4, column 1: second 'group' header; "
+            "this file already presents A") in res.output
 
 
 def test_repeated_generator_is_a_parse_error():

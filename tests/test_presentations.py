@@ -134,6 +134,14 @@ def test_group_keyword_is_the_whole_first_token():
     assert parse_presentation("group\tG\ngens: a\nrel: a^2\n").name == "G"
 
 
+def test_second_group_header_is_a_parse_error():
+    # two presentations pasted into one file, not one group named B on a, b, c
+    with pytest.raises(ParseError, match="line 4, column 1: second 'group' header; "
+                                         "this file already presents A"):
+        parse_presentation("group A\ngens: a b\nrel: a^2\n"
+                           "group B\ngens: c\nrel: c^3\n")
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse_presentation("gens: a b\nrel: a b\n")  # missing header

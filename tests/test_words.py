@@ -1,5 +1,10 @@
 """Free-group word algebra: algebraic laws plus parser round trips."""
 
+import copy
+import dataclasses
+import itertools
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -48,6 +53,35 @@ def raw_runs(letters):
         return st.one_of(sandwich, st.tuples(inner, inner).map(lambda p: p[0] + p[1]))
 
     return st.recursive(st.lists(run, max_size=4), grow, max_leaves=8)
+
+
+@given(st.lists(st.tuples(st.text(min_size=1, max_size=3),
+                          st.lists(st.integers(-3, 3), max_size=3).map(tuple)),
+                min_size=1, max_size=8))
+def test_gen_is_interned_and_ordered_as_its_fields(pairs):
+    gens = [Gen(n, i) for n, i in pairs]
+    for (n, i), g in zip(pairs, gens):
+        assert Gen(n, i) is g and Gen(name=n, indices=i) is g
+        assert (g.name, g.indices) == (n, i)
+        assert pickle.loads(pickle.dumps(g)) is g and copy.deepcopy(g) is g
+    for (p, g), (q, h) in itertools.product(zip(pairs, gens), repeat=2):
+        assert (g == h, g < h, g <= h, g > h, g >= h) == (p == q, p < q, p <= q,
+                                                          p > q, p >= q)
+        assert (g == h) is (g is h)
+    assert [(g.name, g.indices) for g in sorted(gens)] == sorted(pairs)
+
+
+def test_gen_prints_and_freezes_like_a_frozen_dataclass():
+    assert [repr(g) for g in (Gen("s", (1,)), Gen("A", (1, 3)), Gen("t"))] == [
+        "Gen(name='s', indices=(1,))", "Gen(name='A', indices=(1, 3))",
+        "Gen(name='t', indices=())"]
+    assert [str(g) for g in (Gen("s", (1,)), Gen("A", (1, 3)), Gen("t"))] == [
+        "s[1]", "A[1,3]", "t"]
+    g = Gen("s", (1,))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.name = "x"
+    with pytest.raises(TypeError):
+        g < (g.name, g.indices)
 
 
 @given(words())
