@@ -13,12 +13,22 @@ al., *Word Processing in Groups*, ch. 9; El-Rifai and Morton, "Algorithms
 for positive braids", 1994).  Multiplying on the right by a simple element X
 appends X and repairs adjacent pairs from right to left.  A pair (A, B) is
 repaired in one step: the left meet M of the right complement A^-1 Delta
-and B, read off the strand crossings, moves from B to A as (A M, M^-1 B).
-The pass stops at the first pair that does not change, since every pair
-left of it is unchanged and still left-weighted; by the domino rule the
-pairs it did repair are left-weighted too.  A Delta factor can only arise
-at the front, where it joins the power, and an identity factor only at the
-end, where it is dropped.
+and B moves from B to A as (A M, M^-1 B).  Everything the repair needs is
+read off the one permutation A^-1, computed once per pair: whether B and the
+complement share a descent, and the strand order that builds M^-1; the
+complement itself is never formed.  The pass stops at the first pair that
+does not change, since every pair left of it is unchanged and still
+left-weighted; by the domino rule the pairs it did repair are left-weighted
+too.  A Delta factor can only arise at the front, where it joins the power,
+and an identity factor only at the end, where it is dropped.
+
+Within one `normal_form` the same pairs come up again and again (of the
+pairs met in the normal form of a random word of 120 letters, 44 % were met
+before in it at n = 8, and 87 % at n = 4), so the call keeps a dict from
+each pair it has met to its repair, or to None for a pair that was
+left-weighted.  The dict is local to the call: no cache outlives it, so
+memory stays bounded by one normal form.  `nf_mul` and `nf_inv` build short
+products, where a memo measured slightly slower, and repair without one.
 
 A negative letter is s_i^-1 = Delta^-1 (Delta s_i^-1), whose second part is
 simple.  Moving Delta^-1 to the front conjugates every factor before it by
@@ -27,9 +37,6 @@ Rather than rewriting the stored factors, the construction keeps a parity
 bit: the stored factors are tau^parity of the true ones, each new letter is
 twisted as it is appended, and tau is applied once at the end.  The repair
 is the same in the twisted frame because tau preserves left-weightedness.
-
-Descent sets are bitmasks (bit i for s_i) read straight off the
-permutations.
 """
 
 from __future__ import annotations
@@ -80,55 +87,62 @@ def _complement(p):
     return tuple(top - i for i in _perm_inv(p))
 
 
-def _descents(p) -> int:
-    """Bitmask of the i with p[i-1] > p[i]: the starting set S(P).  The
-    finishing set is F(P) = S(P^-1)."""
-    mask = 0
-    for i in range(1, len(p)):
-        if p[i - 1] > p[i]:
-            mask |= 1 << i
-    return mask
-
-
-def _meet(a, b):
-    """Left meet (gcd) of two permutation braids.  Its uncrossed strand pairs
-    are the transitive closure of those that a or b leaves uncrossed, so
-    each strand, inserted from the right into the list of strands by final
-    position, goes in front of the first one a or b leaves uncrossed with it."""
+def _meet(ai, b):
+    """Left meet M of the complement C = A^-1 Delta and the permutation braid
+    B, given ai = A^-1, as the list M^-1 (strands by final position).  The
+    uncrossed strand pairs of M are the transitive closure of those that C
+    or B leaves uncrossed, so each strand, inserted from the right, goes in
+    front of the first one C or B leaves uncrossed with it.  C[j] < C[k]
+    exactly when ai[j] > ai[k], so C itself is never built."""
     order: list[int] = []
-    for j in range(len(a) - 1, -1, -1):
-        aj, bj = a[j], b[j]
+    for j in range(len(b) - 1, -1, -1):
+        aj, bj = ai[j], b[j]
         pos = 0
         for k in order:
-            if aj < a[k] or bj < b[k]:
+            if aj > ai[k] or bj < b[k]:
                 break
             pos += 1
         order.insert(pos, j)
-    return _perm_inv(order)
+    return order
 
 
 def _weight_pair(a, b):
     """A B as a left-weighted pair A' B' (the same objects if it is one).
     S(B) ⊆ F(A) fails iff B and C = A^-1 Delta share a generator left
-    divisor; then their meet M moves from B to A, and A M is the greatest
-    simple left divisor of A B."""
-    c = _complement(a)
-    if not _descents(b) & _descents(c):
+    divisor s_i, that is, iff b[i-1] > b[i] and ai[i-1] < ai[i] for some i,
+    where ai = A^-1; then their meet M moves from B to A, and A M is the
+    greatest simple left divisor of A B."""
+    ai = _perm_inv(a)
+    for i in range(1, len(b)):
+        if b[i - 1] > b[i] and ai[i - 1] < ai[i]:
+            break
+    else:
         return a, b
-    m = _meet(c, b)
-    return _perm_mul(a, m), _perm_mul(_perm_inv(m), b)
+    order = _meet(ai, b)
+    m = _perm_inv(order)
+    return tuple(map(m.__getitem__, a)), tuple(map(b.__getitem__, order))
 
 
-def _append(factors: list, x, ident) -> None:
+def _append(factors: list, x, ident, memo: dict | None = None) -> None:
     """Right-multiply a left-weighted sequence by the simple element x, in
-    place: append x and repair pairs from right to left."""
+    place: append x and repair pairs from right to left.  The memo, if
+    given, maps each pair (A, B) already met in this product to its repair,
+    or to None when it was left-weighted, where the pass stops; a lookup
+    that returns the key itself is a pair not met yet."""
     factors.append(x)
     j = len(factors) - 2
     while j >= 0:
-        a, b = _weight_pair(factors[j], factors[j + 1])
-        if a is factors[j]:
+        key = (factors[j], factors[j + 1])
+        pair = key if memo is None else memo.get(key, key)
+        if pair is key:
+            pair = _weight_pair(*key)
+            if pair[0] is key[0]:
+                pair = None
+            if memo is not None:
+                memo[key] = pair
+        if pair is None:
             break
-        factors[j], factors[j + 1] = a, b
+        factors[j], factors[j + 1] = pair
         j -= 1
     while factors and factors[-1] == ident:
         factors.pop()
@@ -174,6 +188,7 @@ def normal_form(word: Word, n: int) -> BraidNF:
     power = 0
     twisted = False
     factors: list[tuple[int, ...]] = []
+    memo: dict = {}
     for g, e in word.runs:
         i = _gen_index(g, n)
         gens = positive if e > 0 else negative
@@ -182,7 +197,7 @@ def normal_form(word: Word, n: int) -> BraidNF:
                 # s_i^-1 = Delta^-1 (Delta s_i^-1); Delta^-1 moves to the front
                 power -= 1
                 twisted = not twisted
-            _append(factors, gens[n - i if twisted else i], ident)
+            _append(factors, gens[n - i if twisted else i], ident, memo)
     return _finish(n, power, factors, twisted)
 
 

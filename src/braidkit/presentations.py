@@ -51,6 +51,7 @@ class ParseError(ValueError):
 def parse_presentation(text: str) -> Presentation:
     name = None
     gens: list[Gen] = []
+    declared: set[Gen] = set()   # gens as a set, for the membership tests
     relators: list[Word] = []
     seen_gens = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -73,9 +74,10 @@ def parse_presentation(text: str) -> Presentation:
             for g, e in w.runs:
                 if e != 1:
                     raise ParseError("exponent not allowed in generator list", lineno)
-                if g in gens:
+                if g in declared:
                     raise ParseError("duplicate generator %s" % g, lineno)
                 gens.append(g)
+                declared.add(g)
             seen_gens = True
         elif line.startswith("rel:"):
             if not seen_gens:
@@ -86,7 +88,7 @@ def parse_presentation(text: str) -> Presentation:
             except ValueError as e:
                 raise ParseError(str(e), lineno, len("rel:") + 1)
             for g in w.generators():
-                if g not in gens:
+                if g not in declared:
                     raise ParseError("undeclared generator %s" % g, lineno)
             if not w:
                 raise ParseError("relator is freely trivial", lineno,

@@ -3,8 +3,9 @@
 The incremental normal form is checked against two slow oracles: the Artin
 action of B_n on the free group F_n, which is faithful, and the former
 implementation (one factor per letter, eager tau, a global sweep), kept
-here as `sweep_normal_form`.  The left meet that repairs each pair is
-checked against a search over all permutations."""
+here as `sweep_normal_form`.  The left meet that repairs each pair, and the
+pair repair itself, are checked against a search over all permutations, and
+the repairs a normal form memoizes against the sweep on long words."""
 
 import random
 from itertools import permutations
@@ -309,12 +310,24 @@ def test_permutation_braid_words_match_the_restarting_bubble_sort():
             assert garside._perm_braid_word(p) == perm_braid_word_by_restarts(p), p
 
 
+def _complement(a):
+    """The right complement A^-1 Delta."""
+    return _pmul(_pinv(a), _pdelta(len(a)))
+
+
+def _meet_via_inverse(c, b):
+    """garside._meet takes A^-1 for the complement C = A^-1 Delta and
+    returns M^-1; this feeds it C (A^-1 = C Delta^-1) and returns M."""
+    ai = _pmul(c, _pdelta(len(c)))   # Delta^-1 and Delta are one permutation
+    return _pinv(tuple(garside._meet(ai, b)))
+
+
 def test_meet_matches_the_search_oracle_on_every_pair_up_to_five_strands():
     for n in range(1, 6):
         perms = list(permutations(range(n)))
-        for a in perms:
+        for c in perms:
             for b in perms:
-                assert garside._meet(a, b) == perm_braid_meet_by_search(a, b), (a, b)
+                assert _meet_via_inverse(c, b) == perm_braid_meet_by_search(c, b), (c, b)
 
 
 def test_meet_matches_the_search_oracle_on_sampled_pairs():
@@ -324,8 +337,73 @@ def test_meet_matches_the_search_oracle_on_sampled_pairs():
         top = n * (n - 1) // 2
         for _ in range(30):
             x = grow(tuple(range(n)), rng, rng.randint(0, top // 2))
-            a, b = (grow(x, rng, rng.randint(0, top)) for _ in range(2))
-            assert garside._meet(a, b) == perm_braid_meet_by_search(a, b), (a, b)
+            c, b = (grow(x, rng, rng.randint(0, top)) for _ in range(2))
+            assert _meet_via_inverse(c, b) == perm_braid_meet_by_search(c, b), (c, b)
+
+
+def test_weight_pair_matches_the_search_oracle_on_every_pair_up_to_five_strands():
+    """A left-weighted pair comes back as the same objects; any other pair
+    (A, B) as (A M, M^-1 B), where M is the searched meet of A^-1 Delta
+    and B."""
+    for n in range(1, 6):
+        perms = list(permutations(range(n)))
+        for a in perms:
+            for b in perms:
+                got = garside._weight_pair(a, b)
+                if starting_set(b) <= finishing_set(a):
+                    assert got[0] is a and got[1] is b, (a, b)
+                    continue
+                m = perm_braid_meet_by_search(_complement(a), b)
+                assert got == (_pmul(a, m), _pmul(_pinv(m), b)), (a, b)
+
+
+def benchmark_braid_pair(rng, n, length, equal):
+    """The braid-pair construction of the benchmark's word-problems
+    workload: a random freely reduced word, and a second word with
+    length // 25 conjugated relators inserted (rotated, perhaps inverted,
+    conjugators of up to 2 letters), plus one more letter if unequal."""
+    gens = [Gen("s", (i,)) for i in range(1, n)]
+    letters = []
+    while len(letters) < length:
+        g, e = rng.choice(gens), rng.choice((1, -1))
+        if not (letters and letters[-1] == (g, -e)):
+            letters.append((g, e))
+    w = free_reduce(letters)
+    other = list(w.letters())
+    rels = _relators(n) or [[(gens[0], 1), (gens[0], -1)]]
+    for _ in range(max(1, length // 25)):
+        r = rng.choice(rels)
+        k = rng.randrange(len(r))
+        r = r[k:] + r[:k]
+        if rng.random() < 0.5:
+            r = [(g, -e) for g, e in reversed(r)]
+        u, size = [], rng.randrange(3)
+        while len(u) < size:
+            g, e = rng.choice(gens), rng.choice((1, -1))
+            if not (u and u[-1] == (g, -e)):
+                u.append((g, e))
+        u_inv = [(g, -e) for g, e in reversed(u)]
+        pos = rng.randrange(len(other) + 1)
+        other[pos:pos] = u + r + u_inv
+    if not equal:
+        pos = rng.randrange(len(other) + 1)
+        other[pos:pos] = [(rng.choice(gens), rng.choice((1, -1)))]
+    return w, free_reduce(other)
+
+
+@pytest.mark.parametrize("n, length, pairs", [(8, 120, 2), (4, 600, 1)])
+def test_memoized_repairs_match_the_sweep_oracle_on_benchmark_pairs(n, length, pairs):
+    """Long words repeat pairs within one normal form (about half of them at
+    n = 8, nearly all at n = 4), so most repairs come from the memo.  The
+    first pair of each size is equal, so conjugated relators are in it."""
+    rng = random.Random(30 + n)
+    for k in range(pairs):
+        equal = k % 2 == 0
+        u, v = benchmark_braid_pair(rng, n, length, equal)
+        nu, nv = normal_form(u, n), normal_form(v, n)
+        assert nu == sweep_normal_form(u, n)
+        assert nv == sweep_normal_form(v, n)
+        assert (nu == nv) == equal
 
 
 def test_weight_pair_returns_a_left_weighted_pair_as_the_same_objects():

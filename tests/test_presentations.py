@@ -25,6 +25,7 @@ from braidkit.presentations import (
 )
 from braidkit.series import abelianization
 from braidkit.words import Gen, exponent_sum, parse_word
+from oracles import pure_sphere_kernel
 
 
 def test_artin_braid_counts():
@@ -147,11 +148,21 @@ def test_parse_errors():
         parse_presentation("gens: a b\nrel: a b\n")  # missing header
     with pytest.raises(ParseError):
         parse_presentation("group X\ngens: a\nrel: a b\n")  # undeclared gen
+    with pytest.raises(ParseError, match="line 2, column 1: duplicate generator a"):
+        parse_presentation("group X\ngens: a b a\n")
 
 
 def test_serialize_round_trip_families():
     for p in (artin_braid(4), sphere_braid(5), gamma2_b4(), kent_peifer(3)):
         assert parse_presentation(serialize(p)) == p
+
+
+def test_serialize_round_trip_with_thousands_of_generators():
+    # the raw kernel P_6(S^2): 2 881 generators and 7 920 relators, each
+    # letter checked against the declared generators
+    p = pure_sphere_kernel(6).presentation
+    assert len(p.generators) >= 2000
+    assert parse_presentation(serialize(p)) == p
 
 
 def test_gamma2_presentations_are_perfect_from_six_strands():
