@@ -1,11 +1,11 @@
-"""Exact integer matrices: Hermite and Smith forms, unimodular inverses, lattices.
+"""Exact integer matrices: Hermite and Smith forms, lattices.
 
 One row Hermite form, U * A = H by extended-gcd row operations with the
-entries above each pivot reduced, serves three routines: integer solves
+entries above each pivot reduced, serves two routines: integer solves
 against a lattice basis (`solve_in_lattice`, factoring the basis once for
-any number of targets), the unimodular inverse (U itself when H = I) and
-the Smith form, from Hermite forms of the matrix and of its transpose in
-turn (`_smith`), with the transforms P, Q or without them.
+any number of targets) and the Smith form, from Hermite forms of the
+matrix and of its transpose in turn (`_smith`), with the transforms P, Q
+or without them.
 
 Rewritten presentations have thousands of relations, a few percent dense and
 almost all +/-1: `abelian_invariants` takes them as sparse rows {column:
@@ -80,7 +80,7 @@ def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
     if a.nrows != a.ncols:
         raise ValueError("power of non-square matrix")
     if k < 0:
-        return mat_pow(inv_unimodular(a), -k)
+        raise ValueError("negative power %d of a matrix" % k)
     result = identity(a.nrows)
     base = a
     while k:
@@ -216,23 +216,6 @@ def _smith(m: list[list[int]], p: list[list[int]] | None = None,
                 qt[i], qt[j] = ([x + y for x, y in zip(qt[i], qt[j])],
                                 [s * a * y - t * b * x for x, y in zip(qt[i], qt[j])])
     return d
-
-
-def inv_unimodular(a: IntMatrix) -> IntMatrix:
-    """Inverse of a matrix with determinant ±1 (error otherwise).
-
-    U * A = H = I exactly when A is unimodular, and then U is the inverse.
-    """
-    if a.nrows != a.ncols:
-        raise ValueError("inverse of non-square matrix")
-    eye = [list(r) for r in identity(a.nrows).rows]
-    h = [list(r) for r in a.rows]
-    u = [r[:] for r in eye]
-    _hermite(h, u)
-    if h != eye:
-        raise ValueError("matrix is not unimodular; invariant factors %s"
-                         % (smith_normal_form(a).invariant_factors(),))
-    return IntMatrix(tuple(map(tuple, u)))
 
 
 def abelian_invariants(relations: Sequence[dict[int, int]],
@@ -396,7 +379,12 @@ def parse_matrix(text: str) -> IntMatrix:
         raise ValueError("expected %d rows, got %d" % (nr, len(lines) - 1))
     rows = []
     for ln in lines[1:]:
-        row = [int(x) for x in ln.split()]
+        row = []
+        for x in ln.split():
+            try:
+                row.append(int(x))
+            except ValueError:
+                raise ValueError("row %r has entry %r, expected an integer" % (ln, x)) from None
         if len(row) != nc:
             raise ValueError("row %r has %d entries, expected %d" % (ln, len(row), nc))
         rows.append(row)

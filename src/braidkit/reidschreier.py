@@ -48,7 +48,6 @@ class RsOutput:
 
     presentation: Union[Presentation, IndexedPresentation]
     dictionary: dict
-    transversal: tuple
 
 
 def _rewrite(word: Word, start, moves) -> tuple[Word, Hashable]:
@@ -156,8 +155,7 @@ def rs_finite_cyclic(p: Presentation, modulus: int, t: Gen,
     relators = _rewrites(p.relators, range(modulus), moves)
     sub = Presentation("%s/ker%d" % (p.name, modulus), tuple(dictionary),
                        relators)
-    return RsOutput(sub, dictionary,
-                    tuple(power(letter(t), j) for j in range(modulus)))
+    return RsOutput(sub, dictionary)
 
 
 _COSET_BUDGET = 20000  # cosets rs_coset_table enumerates before it gives up
@@ -224,12 +222,12 @@ def rs_coset_table(p: Presentation, start, act: Callable,
     acts on itself) under an action act(coset, gen) of the generators by
     permutations of a finite set, on the generators of _coset_moves with the
     nontrivial rewrites of each relator from each coset as relators."""
-    cosets, reps, moves, dictionary = _coset_moves(p.generators, start, act,
-                                                   transversal)
+    cosets, _, moves, dictionary = _coset_moves(p.generators, start, act,
+                                                transversal)
     relators = _rewrites(p.relators, range(len(cosets)), moves)
     sub = Presentation("%s/ker%d" % (p.name, len(cosets)), tuple(dictionary),
                        relators)
-    return RsOutput(sub, dictionary, reps)
+    return RsOutput(sub, dictionary)
 
 
 def rs_z_window(p: Presentation, t: Gen, weights: Optional[dict] = None,
@@ -260,7 +258,7 @@ def rs_z_window(p: Presentation, t: Gen, weights: Optional[dict] = None,
                              (), rel_fams)
     dictionary = {name(x, k): _schreier_word(t, x, k, weights[x])
                   for x in fam_name for k in range(-window, window + 1)}
-    return RsOutput(ip, dictionary, (letter(t),))
+    return RsOutput(ip, dictionary)
 
 
 # ---------------------------------------------------------------------------
@@ -496,5 +494,5 @@ def tietze_eliminate(p):
             for g in inner.fixed_generators:
                 if g not in dictionary:
                     dictionary[g] = dictionary[Gen(g.name, (0,))]
-        return RsOutput(inner, dictionary, p.transversal)
+        return RsOutput(inner, dictionary)
     return _tietze_presentation(p)

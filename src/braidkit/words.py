@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import FrozenInstanceError, dataclass
+from functools import total_ordering
 from typing import Iterable, Iterator, Sequence
 
 
 _GENS: dict[tuple, Gen] = {}
 
 
+@total_ordering
 class Gen:
     """A generator symbol: a name plus an optional tuple of integer indices.
 
@@ -60,21 +62,6 @@ class Gen:
         if other.__class__ is not Gen:
             return NotImplemented
         return (self.name, self.indices) < (other.name, other.indices)
-
-    def __le__(self, other):
-        if other.__class__ is not Gen:
-            return NotImplemented
-        return (self.name, self.indices) <= (other.name, other.indices)
-
-    def __gt__(self, other):
-        if other.__class__ is not Gen:
-            return NotImplemented
-        return (self.name, self.indices) > (other.name, other.indices)
-
-    def __ge__(self, other):
-        if other.__class__ is not Gen:
-            return NotImplemented
-        return (self.name, self.indices) >= (other.name, other.indices)
 
     def __repr__(self) -> str:
         return "Gen(name=%r, indices=%r)" % (self.name, self.indices)

@@ -303,9 +303,10 @@ def test_g2g3_transversal_that_does_not_generate_is_an_error():
 
 @pytest.mark.parametrize("command, text, message", [
     (["snf"], "0 3\n", "bad matrix header '0 3'"),
+    (["snf"], "2 2\n1 x\n3 4\n", "row '1 x' has entry 'x', expected an integer"),
     (["ab"], "groupies G\ngens: a\nrel: a^2\n",
      "line 1, column 1: unrecognized line 'groupies G'"),
-], ids=["snf-0x3", "ab-groupies"])
+], ids=["snf-0x3", "snf-non-integer", "ab-groupies"])
 def test_malformed_headers_are_parse_errors(command, text, message):
     res = run(*command, "--in", "-", input=text)
     assert res.exit_code == 3

@@ -1,9 +1,15 @@
-"""The verification suite as a whole: shape, determinism, known outcomes."""
+"""The verification suite as a whole: shape, determinism, known outcomes,
+and the matrix inverses that the 4-strand checks read off the printed data."""
+
+from collections import Counter
+from itertools import product
 
 import pytest
 
-from braidkit import verify
+from braidkit import intlin, verify
+from braidkit.intlin import identity, mat_mul, matrix, solve_in_lattice
 from braidkit.verify import run_verify
+from oracles import inv_unimodular_snf
 
 # Checks whose reference values disagree with what this code base derives;
 # each one is reported with a full expected/got diff rather than patched.
@@ -77,3 +83,66 @@ def test_filtered_run_computes_only_matched_checks(monkeypatch):
 def test_each_check_runs_alone(checks):
     for c in checks:
         assert run_verify(c.id) == [c]
+
+
+def _conjugates_by_inversion():
+    """t c t^-1 over the reduced words t of length <= 3 in u, v, each t
+    inverted by the dense Smith-form oracle."""
+    mats = {1: verify.M_U, 2: verify.M_V, -1: verify.M_U_INV, -2: verify.M_V_INV}
+    for length in range(4):
+        for s in product((1, 2, -1, -2), repeat=length):
+            if any(s[i] == -s[i + 1] for i in range(length - 1)):
+                continue
+            t = identity(5)
+            for g in s:
+                t = mat_mul(t, mats[g])
+            t_inv = inv_unimodular_snf(t)
+            for c in (verify.M_C, verify.M_C_INV):
+                yield mat_mul(t, c, t_inv)
+
+
+def test_conjugates_come_with_their_inverses():
+    pairs = list(verify._commutator_conjugates())
+    assert [x for x, _ in pairs] == list(_conjugates_by_inversion())
+    assert len(pairs) == 106
+    for x, x_inv in pairs:
+        assert x_inv == inv_unimodular_snf(x)
+
+
+def test_one_lattice_solve_matches_one_solve_per_conjugate():
+    cols = verify._commutator_columns()
+    assert cols == [col for x in _conjugates_by_inversion() for col in (
+        mat_mul(verify.M_C, x, verify.M_C_INV, inv_unimodular_snf(x)) - identity(5)
+    ).transpose().rows]
+    one = solve_in_lattice(verify.A_COLUMNS, cols)
+    assert len(one) == 106 * 5 and None not in one
+    assert one == [y for i in range(0, len(cols), 5)
+                   for y in solve_in_lattice(verify.A_COLUMNS, cols[i:i + 5])]
+
+
+def test_verify_factors_the_lattice_once_and_inverts_nothing(monkeypatch):
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(intlin, "_hermite", counted("hermite", intlin._hermite))
+    monkeypatch.setattr(verify, "solve_in_lattice",
+                        counted("solve", verify.solve_in_lattice))
+    run_verify()
+    assert calls["hermite"] <= 20
+    calls.clear()
+    assert run_verify("template-commutator-columns")[0].status == "PASS"
+    assert calls == {"solve": 1, "hermite": 1}
+
+
+def test_a_wrong_printed_inverse_is_caught(monkeypatch):
+    rows = [list(r) for r in verify.M_U_INV.rows]
+    rows[0][0] += 1
+    monkeypatch.setattr(verify, "M_U_INV", matrix(rows))
+    assert [c.status for c in run_verify("mat-u-inverse")] == ["FAIL"]
+    assert any(mat_mul(x, x_inv) != identity(5)
+               for x, x_inv in verify._commutator_conjugates())
