@@ -138,12 +138,12 @@ def ab_cmd(path):
 
 @main.command("rs")
 @click.option("--in", "path", required=True)
-@click.option("--mod", "modulus", type=int, required=True,
+@click.option("--mod", "modulus", type=click.IntRange(min=0), required=True,
               help="cyclic order; 0 for the windowed Z case")
 @click.option("--weights", "weights_spec", default="*=1", show_default=True)
 @click.option("--transversal", "transversal", required=True,
               help="weight-1 generator, e.g. s[1]")
-@click.option("--window", type=int, default=2, show_default=True)
+@click.option("--window", type=click.IntRange(min=1), default=2, show_default=True)
 @click.option("--tietze", is_flag=True, help="run the limited eliminator")
 def rs_cmd(path, modulus, weights_spec, transversal, window, tietze):
     """Reidemeister-Schreier presentation of a weight-map kernel."""
@@ -198,7 +198,7 @@ def snf_cmd(path, transforms):
 
 
 @main.command("braid-eq")
-@click.option("--n", type=int, required=True, help="strand count")
+@click.option("--n", type=click.IntRange(min=2), required=True, help="strand count")
 @click.argument("word1")
 @click.argument("word2")
 def braid_eq_cmd(n, word1, word2):

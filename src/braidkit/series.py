@@ -1,23 +1,24 @@
 """Lower central series machinery.
 
 Abelianization of presentations; the second lower central quotient of a
-group with finite cyclic abelianization, by Schreier rewriting and
-coinvariants; windowed coinvariants of Z-indexed presentations; closed form
-rank formulas for two free-by-cyclic style lower central series.  The
-concrete systems that the verification suite checks are frozen in `verify`.
+group with finite cyclic abelianization, which is trivial because
+Lambda^2 of a cyclic group is 0 (only the abelianization and the chosen
+generator are checked); windowed coinvariants of Z-indexed presentations;
+closed form rank formulas for two free-by-cyclic style lower central
+series.  The concrete systems that the verification suite checks are frozen
+in `verify`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import prod
 from typing import Callable
 
-from .intlin import IntMatrix, abelian_invariants, mat_pow, matrix, smith_normal_form
+from .intlin import IntMatrix, abelian_invariants, mat_pow, matrix
 from .presentations import IndexedPresentation, Presentation
-from .reidschreier import rs_finite_cyclic
-from .words import Gen, exponent_vector, free_reduce, relation_rows
+from .words import Gen, letter, relation_rows
 
 
 @dataclass(frozen=True)
@@ -46,47 +47,31 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 
 
 def gamma2_mod_gamma3(p: Presentation, t: Gen) -> AbelianInvariants:
-    """Second lower central quotient of a group with finite cyclic
-    abelianization: Schreier-present the commutator subgroup over the
-    transversal {t^j}, then abelianize together with the coinvariance
-    relators identifying each Schreier generator with its t-conjugate."""
-    # the transform Q gives the weights, so this Smith form stays dense
-    snf = smith_normal_form(matrix([exponent_vector(r, p.generators) for r in p.relators])
-                            if p.relators else IntMatrix(((0,) * len(p.generators),)))
-    diagonal = [snf.d[j, j] for j in range(min(snf.d.nrows, snf.d.ncols))]
-    ab = AbelianInvariants(len(p.generators) - sum(map(bool, diagonal)),
-                           tuple(d for d in diagonal if d > 1))
+    """Second lower central quotient Gamma_2/Gamma_3 of a group G with finite
+    cyclic abelianization: always trivial.
+
+    The commutator map x ^ y -> [x, y] Gamma_3 takes Lambda^2(G^ab) onto
+    Gamma_2/Gamma_3 (Magnus, Karrass and Solitar, *Combinatorial Group
+    Theory*, ch. 5), and Lambda^2 of a cyclic group is 0.  So Gamma_2 =
+    Gamma_3, hence Gamma_k = Gamma_2 for every k >= 2, as for B_n(S^2) with
+    G^ab = Z/2(n-1) and for a perfect group (G^ab = Z/1).
+
+    Checked, in this order: G^ab is finite cyclic, t is a generator of p,
+    and t generates G^ab.  If t maps to q in Z/m, G^ab modulo t has order
+    gcd(q, m), which the error names mod m."""
+    ab = abelianization(p)
     if ab.free_rank != 0 or len(ab.torsion) > 1:
         raise ValueError("abelianization %s is not finite cyclic" % ab)
     if t not in p.generators:
         raise ValueError("transversal %s is not a generator of %s" % (t, p.name))
-    if not ab.torsion:   # Z/1 is cyclic: G is perfect, Gamma_2 = G = Gamma_3
-        return ab
-    m = ab.torsion[0]
-    # generator weights: image coordinates in the cyclic invariant factor
-    target = diagonal.index(m)
-    raw = {g: snf.q[i, target] % m for i, g in enumerate(p.generators)}
-    try:
-        unit = pow(raw[t], -1, m)
-    except ValueError:
-        # raw[t] depends on Q up to a unit of Z/m; the subgroup it generates,
-        # named by gcd(raw[t], m) reduced mod m, does not
-        raise ValueError("transversal %s maps to %d in Z/%d and does not "
-                         "generate it" % (t, gcd(raw[t], m) % m, m)) from None
-    weights = {g: (raw[g] * unit) % m for g in p.generators}
-    sub = rs_finite_cyclic(p, m, t, weights).presentation
-    relators = list(sub.relators)
-    # t x_c t^-1 is x_(c+1), or w x_0 w^-1 when c + 1 = m, and t w t^-1 is w:
-    # abelianized, conjugation by t shifts the coset index c (the last index
-    # of every Schreier generator but w) mod m.  One relator x_(c+1) x_c^-1
-    # per such generator makes this the abelianization of the t-coinvariants.
-    for s in sub.generators:
-        if s.indices:
-            *head, c = s.indices
-            shifted = Gen(s.name, (*head, (c + 1) % m))
-            relators.append(free_reduce([(shifted, 1), (s, -1)]))
-    return AbelianInvariants(*abelian_invariants(
-        relation_rows(relators, sub.generators), len(sub.generators)))
+    if ab.torsion:
+        m = ab.torsion[0]
+        order = prod(abelianization(Presentation(
+            p.name, p.generators, p.relators + (letter(t),))).torsion)
+        if order > 1:
+            raise ValueError("transversal %s maps to %d in Z/%d and does not "
+                             "generate it" % (t, order % m, m))
+    return AbelianInvariants(0, ())
 
 
 @dataclass(frozen=True)

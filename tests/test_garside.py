@@ -186,6 +186,12 @@ def test_negative_exponents():
     assert braid_equal(w1, w2, 3)
 
 
+def test_normal_form_needs_two_strands():
+    # the CLI refuses braid-eq --n 1 itself; API callers get this error
+    with pytest.raises(ValueError, match="need n >= 2"):
+        normal_form(parse_word("s[1]"), 1)
+
+
 def test_permutation_of_generators():
     assert permutation(parse_word("s[1]"), 3) == (2, 1, 3)
     assert permutation(parse_word("s[1] s[2]"), 3) == permutation(

@@ -52,6 +52,20 @@ def test_ab_loads_neither_garside_nor_models_freesub_hom_or_verify(tmp_path):
                          for m in ("garside", "models", "freesub", "hom", "verify")}
 
 
+@pytest.mark.parametrize("command", [
+    ["ab", "--in", "{}"], ["g2g3", "--in", "{}", "--transversal", "a"],
+    ["lcs-ranks", "--family", "torus", "--max-i", "3"]],
+    ids=["ab", "g2g3", "lcs-ranks"])
+def test_series_commands_load_no_rewriter(tmp_path, command):
+    # g2g3 answers from the abelianization alone, so none of these loads
+    # braidkit.reidschreier
+    pf = tmp_path / "p.txt"
+    pf.write_text("group z6\ngens: a b\nrel: a^6\nrel: b a^-2\n")
+    loaded = _after_command(*(arg.format(pf) for arg in command))
+    assert loaded == START_UP | {"braidkit." + m
+                                 for m in ("series", "intlin", "presentations")}
+
+
 def test_hom_check_loads_its_target_models_but_no_linear_algebra(tmp_path):
     pf, af = tmp_path / "p.txt", tmp_path / "a.txt"
     pf.write_text("group g\ngens: a b\nrel: a b a^-1 b^-1\n")

@@ -268,6 +268,9 @@ def test_rs_weight_checks():
     with pytest.raises(ValueError):
         # exponent sums of a sphere relator are not 0 mod 5
         rs_finite_cyclic(sphere_braid(4), 5, S1)
+    # the CLI refuses a negative --mod itself; API callers get this error
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        rs_finite_cyclic(sphere_braid(4), -2, S1)
 
 
 def test_rs_index_matches_generator_count():

@@ -2,14 +2,19 @@
 
 import dataclasses
 import random
+import re
 from fractions import Fraction
 from functools import partial
+from math import gcd
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from braidkit.intlin import abelian_invariants, matrix
 from braidkit.models import (FreeGroup, Product, act_on_finite, hat_subgroup,
                              q8_semidirect_f2)
 from braidkit.presentations import (
+    Presentation,
     b3_punctured_gamma2_ab,
     gamma2_annulus,
     gamma2_b4,
@@ -28,11 +33,12 @@ from braidkit.series import (
     windowed_coinvariants,
 )
 from braidkit.verify import SHIFTED_Z
-from braidkit import models, reidschreier, series
+from braidkit import models, reidschreier
 from braidkit.reidschreier import rs_finite_cyclic, tietze_eliminate
-from braidkit.words import (Gen, Word, invert, letter, multiply, parse_word,
-                            relation_rows)
-from oracles import cyclic_table, klein_four, nilpotent_class2_gamma2
+from braidkit.words import (Gen, Word, exponent_vector, free_reduce, invert,
+                            letter, multiply, parse_word, relation_rows)
+from oracles import (cyclic_table, klein_four, nilpotent_class2_gamma2,
+                     smith_normal_form_dense)
 
 
 def test_invariants_str():
@@ -85,10 +91,11 @@ def test_shuffled_sphere_kernel_is_perfect():
 
 
 def test_gamma2_mod_gamma3_of_sphere4():
-    # central quotient of the commutator subgroup of the 4-strand sphere
-    # braid group, computed through the finite-cyclic rewriting
+    # B_4(S^2) has abelianization Z/6, so Gamma_2 = Gamma_3; the class-2
+    # nilpotent quotient agrees
     inv = gamma2_mod_gamma3(sphere_braid(4), Gen("s", (1,)))
-    assert isinstance(inv, AbelianInvariants)
+    assert inv == AbelianInvariants(0, ()) and str(inv) == "1"
+    assert nilpotent_class2_gamma2(sphere_braid(4)) == inv
 
 
 def test_gamma2_mod_gamma3_of_perfect_groups():
@@ -134,33 +141,84 @@ _G2G3_INPUTS.append(
      Gen("a"), {Gen("a"): 1, Gen("b"): 2}))
 
 
+def _index_shift_rows(sub, modulus):
+    """The coinvariance rows of the former g2g3 route: t x_c t^-1 is
+    x_(c+1), or w x_0 w^-1 when c + 1 = m, and t w t^-1 is w, so abelianized
+    conjugation by t shifts the last index c of every Schreier generator but
+    w mod m; one row x_(c+1) x_c^-1 per such generator."""
+    shifts = []
+    for s in sub.generators:
+        if s.indices:
+            *head, c = s.indices
+            shifts.append(free_reduce([(Gen(s.name, (*head, (c + 1) % modulus)), 1),
+                                       (s, -1)]))
+    return relation_rows(shifts, sub.generators)
+
+
 @pytest.mark.parametrize("p, t, weights", _G2G3_INPUTS,
                          ids=[p.name for p, _, _ in _G2G3_INPUTS])
-def test_gamma2_mod_gamma3_index_shift_rows_match_the_rewriter(monkeypatch, p, t,
-                                                               weights):
-    # the coinvariance rows are index shifts; the rewriter gives the same
-    # rows (and a zero row for w), also where weights are not all 1
-    calls, matrices = [], []
-    real_rs = series.rs_finite_cyclic
-    monkeypatch.setattr(series, "rs_finite_cyclic",
-                        lambda *args: calls.append(args) or real_rs(*args))
-    real_invariants = series.abelian_invariants
-    monkeypatch.setattr(series, "abelian_invariants", lambda rows, n: (
-        matrices.append(rows) or real_invariants(rows, n)))
-    got = gamma2_mod_gamma3(p, t)
-    (args,) = calls
-    assert args[2:] == (t, weights or {g: 1 for g in p.generators})
-    rows = matrices[-1]
-    sub = real_rs(*args).presentation
-    shift_rows = rows[len(sub.relators):]
+def test_gamma2_mod_gamma3_index_shift_rows_match_the_rewriter(p, t, weights):
+    # the former route, kept as an oracle: rewrite the kernel of the weight
+    # map and abelianize it with the t-coinvariance rows.  The index shifts
+    # are the rows the rewriter gives (and a zero row for w), also where
+    # weights are not all 1
+    args = (p, abelianization(p).torsion[0], t,
+            weights or {g: 1 for g in p.generators})
+    sub = rs_finite_cyclic(*args).presentation
     oracle = [r for r in _rewriter_coinvariance_rows(*args) if r]
-    assert (sorted(tuple(sorted(r.items())) for r in shift_rows)
+    assert (sorted(tuple(sorted(r.items())) for r in _index_shift_rows(sub, args[1]))
             == sorted(tuple(sorted(r.items())) for r in oracle))
-    assert got == AbelianInvariants(*real_invariants(
-        rows[:len(sub.relators)] + oracle, len(sub.generators)))
-    # Lambda^2 of a cyclic group is 0, so Gamma_2 = Gamma_3 both ways
+    rewritten = AbelianInvariants(*abelian_invariants(
+        relation_rows(sub.relators, sub.generators) + oracle, len(sub.generators)))
+    # Lambda^2 of a cyclic group is 0, so Gamma_2 = Gamma_3 all three ways
+    got = gamma2_mod_gamma3(p, t)
+    assert got == rewritten == nilpotent_class2_gamma2(p) == AbelianInvariants(0, ())
     assert str(got) == "1"
-    assert nilpotent_class2_gamma2(p) == got
+
+
+_GENS = (Gen("a"), Gen("b"), Gen("c"))
+
+
+@st.composite
+def _small_presentations(draw):
+    """Presentations on 2 or 3 generators with as many relators, or up to
+    two more, each freely reduced, nonempty and at most 6 letters long."""
+    gens = _GENS[:draw(st.integers(2, 3))]
+    word = st.lists(st.tuples(st.sampled_from(gens), st.integers(-4, 4).filter(bool)),
+                    min_size=1, max_size=6).map(free_reduce).filter(bool)
+    relators = draw(st.lists(word, min_size=len(gens), max_size=len(gens) + 2))
+    return Presentation("h", gens, tuple(relators))
+
+
+def _finite_cyclic(p):
+    ab = abelianization(p)
+    return ab.free_rank == 0 and len(ab.torsion) <= 1
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(_small_presentations().filter(_finite_cyclic))
+def test_gamma2_mod_gamma3_matches_the_oracles_on_random_cyclic_groups(p):
+    # g2g3 is 1, as the class-2 nilpotent quotient is.  A generator t that
+    # does not generate Z/m is refused, naming gcd(q_t, m) mod m, where q_t
+    # is t's coordinate on the Z/m factor read from the column transform Q
+    # of the dense Smith form
+    assert nilpotent_class2_gamma2(p) == AbelianInvariants(0, ())
+    torsion = abelianization(p).torsion
+    snf = smith_normal_form_dense(matrix([exponent_vector(r, p.generators)
+                                          for r in p.relators]))
+    diagonal = [snf.d[j, j] for j in range(len(p.generators))]
+    for i, t in enumerate(p.generators):
+        if torsion:
+            m = torsion[0]
+            q = snf.q[i, diagonal.index(m)] % m
+            if gcd(q, m) != 1:
+                with pytest.raises(ValueError, match=re.escape(
+                        "transversal %s maps to %d in Z/%d and does not generate it"
+                        % (t, gcd(q, m) % m, m))):
+                    gamma2_mod_gamma3(p, t)
+                continue
+        assert gamma2_mod_gamma3(p, t) == AbelianInvariants(0, ())
 
 
 def test_alpha_values():
