@@ -17,12 +17,12 @@ _HOME = {name: module for module, names in (
     ("presentations", ("IndexedPresentation", "Presentation", "parse_presentation")),
     ("intlin", ("IntMatrix", "matrix", "smith_normal_form")),
     ("garside", ("BraidNF", "braid_equal", "normal_form")),
-    ("freesub", ("SubgroupGraph", "express", "fold", "membership")),
+    ("freesub", ("SubgroupGraph", "contains", "express", "fold")),
     ("reidschreier", ("RsOutput", "rs_coset_table", "rs_finite_cyclic",
                       "rs_z_window", "tietze_eliminate")),
     ("series", ("AbelianInvariants", "abelianization", "gamma2_mod_gamma3",
                 "lcs_rank_torus", "lcs_rank_z2_free", "windowed_coinvariants")),
-    ("hom", ("HomReport", "check_hom", "image_order")),
+    ("hom", ("HomReport", "check_hom")),
 ) for name in names}
 
 __all__ = list(_HOME)

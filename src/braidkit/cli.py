@@ -173,7 +173,7 @@ def rs_cmd(path, modulus, weights_spec, transversal, window, tietze):
 @click.option("--in", "path", required=True)
 @click.option("--transversal", required=True)
 def g2g3_cmd(path, transversal):
-    """Second lower central quotient for finite cyclic abelianization."""
+    """Second lower central quotient for cyclic abelianization."""
     from . import series
     p = _load_presentation(path)
     with _exit_on(ValueError, "error", 1):
@@ -245,11 +245,11 @@ def subgroup_express_cmd(basis_path, word_text):
 @click.option("--word", "word_text", required=True)
 def subgroup_member_cmd(basis_path, word_text):
     """Membership of a word in the subgroup generated by the basis words."""
-    from .freesub import fold, membership
+    from .freesub import contains, fold
     with _exit_on(ValueError, "parse error", 3):
         basis = _load_basis(basis_path)
         w = parse_word(word_text)
-    if membership(fold(basis), w):
+    if contains(fold(basis), w):
         click.echo("member")
     else:
         click.echo("not a member")
@@ -262,7 +262,7 @@ def subgroup_member_cmd(basis_path, word_text):
               help="one of: z2-z6, q8-f2, braid:N, braid:N-x-z")
 @click.option("--assign", "assign_path", required=True,
               help="file of lines GEN = IMAGE")
-@click.option("--relator", type=int, default=None,
+@click.option("--relator", type=click.IntRange(min=0), default=None,
               help="evaluate only this relator (0-based index)")
 @click.option("--json", "as_json", is_flag=True)
 def hom_check_cmd(path, target, assign_path, relator, as_json):
@@ -290,21 +290,16 @@ def hom_check_cmd(path, target, assign_path, relator, as_json):
 
 @main.command("lcs-ranks")
 @click.option("--family", type=click.Choice(["z2-free", "torus"]), required=True)
-@click.option("--max-i", type=int, default=8, show_default=True)
+@click.option("--max-i", type=click.IntRange(min=2), default=8, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 def lcs_ranks_cmd(family, max_i, as_json):
     """Closed-form lower central series ranks."""
     from . import series
-    if max_i < 2:
-        raise click.UsageError("--max-i must be >= 2")
     fn = series.lcs_rank_z2_free if family == "z2-free" else series.lcs_rank_torus
-    reports = [fn(i) for i in range(2, max_i + 1)]
-    if as_json:
-        for r in reports:
-            click.echo(json.dumps({"i": r.i, "rank": r.rank}))
-    else:
-        for r in reports:
-            click.echo("R_%d = %d" % (r.i, r.rank))
+    for i in range(2, max_i + 1):
+        rank = fn(i)
+        click.echo(json.dumps({"i": i, "rank": rank}) if as_json
+                   else "R_%d = %d" % (i, rank))
 
 
 @main.command("verify")

@@ -154,9 +154,6 @@ def contains(graph: SubgroupGraph, w: Word) -> bool:
     return _walk(graph.links, graph.basepoint, w) == graph.basepoint
 
 
-membership = contains
-
-
 def express(graph: SubgroupGraph, basis: Sequence[Word], w: Word) -> Word:
     """Express a member word in the given subgroup basis.
 

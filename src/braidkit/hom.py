@@ -3,6 +3,8 @@
 A candidate homomorphism is a generator assignment into a GroupModel, which
 hom-check and verify alike write as `GEN = IMAGE` lines (`parse_assignment`);
 it is well defined exactly when every relator evaluates to the identity.
+Each check carries its relator's 0-based index, from which
+`hom-check --relator INDEX` on the same inputs replays that check alone.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .models import GroupModel, finite_closure
+from .models import GroupModel
 from .presentations import Presentation
 from .words import Gen, Word, parse_gen
 
@@ -21,7 +23,6 @@ class RelatorCheck:
     relator: Word
     image: str
     trivial: bool
-    replay: str
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,8 @@ def check_hom(p: Presentation, model: GroupModel, assignment: dict,
     missing = [g for g in p.generators if g not in assignment]
     if missing:
         raise ValueError("generator %s has no assigned image" % missing[0])
-    extra = [g for g in assignment if g not in p.generators]
+    declared = set(p.generators)
+    extra = [g for g in assignment if g not in declared]
     if extra:
         raise ValueError("%s is assigned an image but is not a generator of %s"
                          % (extra[0], p.name))
@@ -76,13 +78,6 @@ def check_hom(p: Presentation, model: GroupModel, assignment: dict,
     for i in indices:
         r = p.relators[i]
         image = model.eval_word(assignment, r)
-        checks.append(RelatorCheck(
-            i, r, model.text(image), image == model.identity(),
-            "braidkit hom-check --relator %d ..." % i))
+        checks.append(RelatorCheck(i, r, model.text(image),
+                                   image == model.identity()))
     return HomReport(tuple(checks))
-
-
-def image_order(model: GroupModel, values) -> int:
-    """Order of the subgroup generated by the given element values, by
-    `finite_closure`, which raises ValueError past its budget."""
-    return len(finite_closure(model, list(values)))

@@ -391,11 +391,9 @@ def gamma2_b6plus(n: int) -> Presentation:
     elif l == 1:
         rels.append(multiply(yk, u1, invert(yk), invert(a), y, u2, a))
         rels.append(multiply(yk, u2, invert(yk), invert(a), y, invert(u1), u2, a))
-    elif l == 3:
+    else:  # l == 3: 2n-3 is odd, so l is 1, 3 or 5
         rels.append(multiply(yk, invert(u1), invert(yk), invert(a), invert(u2), u1, a))
         rels.append(multiply(yk, u2, invert(yk), invert(a), invert(u2), invert(u1), u2, a))
-    else:  # 2n-2 is even so 2n-3 is odd; only l in {1,3,5} can occur
-        raise AssertionError("unreachable")
     return Presentation("G2B%d(S2)" % n, gens, tuple(rels))
 
 

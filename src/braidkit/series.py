@@ -1,7 +1,7 @@
 """Lower central series machinery.
 
 Abelianization of presentations; the second lower central quotient of a
-group with finite cyclic abelianization, which is trivial because
+group with cyclic abelianization (finite or Z), which is trivial because
 Lambda^2 of a cyclic group is 0 (only the abelianization and the chosen
 generator are checked); windowed coinvariants of Z-indexed presentations;
 closed form rank formulas for two free-by-cyclic style lower central
@@ -47,30 +47,33 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 
 
 def gamma2_mod_gamma3(p: Presentation, t: Gen) -> AbelianInvariants:
-    """Second lower central quotient Gamma_2/Gamma_3 of a group G with finite
-    cyclic abelianization: always trivial.
+    """Second lower central quotient Gamma_2/Gamma_3 of a group G with cyclic
+    abelianization: always trivial.
 
     The commutator map x ^ y -> [x, y] Gamma_3 takes Lambda^2(G^ab) onto
     Gamma_2/Gamma_3 (Magnus, Karrass and Solitar, *Combinatorial Group
     Theory*, ch. 5), and Lambda^2 of a cyclic group is 0.  So Gamma_2 =
     Gamma_3, hence Gamma_k = Gamma_2 for every k >= 2, as for B_n(S^2) with
-    G^ab = Z/2(n-1) and for a perfect group (G^ab = Z/1).
+    G^ab = Z/2(n-1), for Gorin-Lin's B_n with G^ab = Z and for a perfect
+    group (G^ab = Z/1).
 
-    Checked, in this order: G^ab is finite cyclic, t is a generator of p,
-    and t generates G^ab.  If t maps to q in Z/m, G^ab modulo t has order
-    gcd(q, m), which the error names mod m."""
+    Checked, in this order: G^ab is cyclic (finite or Z), t is a generator
+    of p, and t generates G^ab, that is, G^ab modulo t is trivial.  If t maps
+    to q in Z/m, G^ab modulo t has order gcd(q, m), which the error names
+    mod m; if t maps to q in Z, the error names |q|."""
     ab = abelianization(p)
-    if ab.free_rank != 0 or len(ab.torsion) > 1:
-        raise ValueError("abelianization %s is not finite cyclic" % ab)
+    if ab.free_rank + len(ab.torsion) > 1:
+        raise ValueError("abelianization %s is not cyclic" % ab)
     if t not in p.generators:
         raise ValueError("transversal %s is not a generator of %s" % (t, p.name))
-    if ab.torsion:
-        m = ab.torsion[0]
-        order = prod(abelianization(Presentation(
-            p.name, p.generators, p.relators + (letter(t),))).torsion)
-        if order > 1:
-            raise ValueError("transversal %s maps to %d in Z/%d and does not "
-                             "generate it" % (t, order % m, m))
+    quotient = abelianization(Presentation(
+        p.name, p.generators, p.relators + (letter(t),)))
+    if quotient != AbelianInvariants(0, ()):
+        # t maps to q in Z/m (m = 0 for Z), so the quotient is Z/gcd(q, m);
+        # it is all of G^ab exactly when q = 0, named 0
+        order = 0 if quotient == ab else prod(quotient.torsion)
+        raise ValueError("transversal %s maps to %d in %s and does not "
+                         "generate it" % (t, order, ab))
     return AbelianInvariants(0, ())
 
 
@@ -93,12 +96,6 @@ def windowed_coinvariants(ip: IndexedPresentation,
 
 # ---------------------------------------------------------------------------
 # closed-form lower central series ranks
-
-@dataclass(frozen=True)
-class RankReport:
-    i: int
-    rank: int
-
 
 _M = matrix([[0, -1], [-1, 1]])
 
@@ -137,7 +134,7 @@ def _divisor_sum(n: int, k_alpha) -> Fraction:
 
 
 def _lcs_rank(i: int, first_j: int,
-              k_alpha: Callable[[int], Fraction]) -> RankReport:
+              k_alpha: Callable[[int], Fraction]) -> int:
     """The rank sum over j = first_j .. i-2 of the divisor sums of i - j."""
     if i < 2:
         raise ValueError("need i >= 2")
@@ -145,17 +142,17 @@ def _lcs_rank(i: int, first_j: int,
                 Fraction(0))
     if total.denominator != 1:
         raise ValueError("non-integral rank at i=%d: %s" % (i, total))
-    return RankReport(i, int(total))
+    return int(total)
 
 
-def lcs_rank_z2_free(i: int) -> RankReport:
+def lcs_rank_z2_free(i: int) -> int:
     """Rank of the i-th lower central quotient of the two-generator group
     with a single commuting-square relation (free-by-infinite-cyclic with
     monodromy of trace 1)."""
     return _lcs_rank(i, 0, lambda k: k * alpha_k(k))
 
 
-def lcs_rank_torus(i: int) -> RankReport:
+def lcs_rank_torus(i: int) -> int:
     """Rank of the i-th lower central quotient in the torus case, where
     k alpha_k = 2^k + 2(-1)^k and the outer sum starts at j = 1."""
     return _lcs_rank(i, 1, lambda k: 2 ** k + 2 * (-1) ** k)

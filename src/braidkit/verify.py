@@ -299,8 +299,7 @@ def _commutator_exponent_sums():
 def _z_kernel_basis_rows():
     zs = tuple(Gen("z", (i,)) for i in range(1, 6))
     kernel = rs_z_window(Presentation("N", zs, ()), zs[0], Z_WEIGHTS)
-    kb_words = {str(w) for g, w in kernel.dictionary.items()
-                if abs(g.indices[0]) <= 2}
+    kb_words = {str(w) for w in kernel.dictionary.values()}
     wanted = {str(parse_word(t)) for t in
               ("z[1]^-1 z[2]", "z[1] z[4]", "z[2] z[1]^-1", "z[4] z[1]")}
     return True, wanted <= kb_words
@@ -358,11 +357,11 @@ _register("template-commutator-columns",
           lambda: (True, None not in solve_in_lattice(A_COLUMNS, _commutator_columns())))
 _register("lcs-z2-free-ranks", "lower central ranks, order-2 free product case",
           lambda: ((1, 2, 3, 5, 7),
-                   tuple(series.lcs_rank_z2_free(i).rank for i in range(2, 7))))
+                   tuple(series.lcs_rank_z2_free(i) for i in range(2, 7))))
 _register("monodromy-fibonacci", "powers of the trace-1 monodromy matrix",
           _monodromy_fibonacci)
 _register("lcs-torus-small", "torus-case ranks at i=2,3",
-          lambda: ((0, 3), tuple(series.lcs_rank_torus(i).rank for i in (2, 3))))
+          lambda: ((0, 3), tuple(series.lcs_rank_torus(i) for i in (2, 3))))
 for n in (4, 5):
     _register("rs-reproduce-n%d" % n,
               "rewritten commutator-subgroup presentation matches the printed one",
@@ -370,7 +369,7 @@ for n in (4, 5):
 for cid, description, *spec in HOM_CHECKS[:2]:  # the g2b4 image checks follow
     _register(cid, description, partial(_hom, *spec))
 _register("hom-g2b4-finite-order", "order of the finite image part",
-          lambda: (8, hom.image_order(models.q8(), ["x", "y"])))
+          lambda: (8, len(models.finite_closure(models.q8(), ["x", "y"]))))
 _register("hom-g2b4-conjugate", "image of the conjugated torsion generator",
           _hom_g2b4_conjugate)
 for cid, description, *spec in HOM_CHECKS[2:]:

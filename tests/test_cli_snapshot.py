@@ -13,7 +13,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(HERE, os.pardir, "src")
 
 LINES = 7390
-SHA256 = "6460fa5b4976ff049b04c745c905768ec39e8a712c6c91e79fc4f5c3b8e56ce5"
+SHA256 = "bd2b0c240d9a57368522970104c7e7e4e0d81a114b58a454500c035b227c65c5"
 
 
 def test_cli_output_matches_the_pinned_snapshot():

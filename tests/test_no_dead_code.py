@@ -6,7 +6,8 @@ no name, attribute or import in the package refers to, that
 `braidkit.__all__` does not export, and that the benchmark's tracer
 (`perfbench/tracing.py`) does not name.  Click commands are reached
 through their group and are exempt.  Code that only the tests use belongs
-in `tests/oracles.py`."""
+in `tests/oracles.py`.  Nor may a module-level name be a second name for a
+public function or class: one concept, one name."""
 
 import ast
 import os
@@ -59,12 +60,16 @@ def _definitions(module: str, tree):
                     yield "%s.%s.%s" % (module, node.name, item.name), item
 
 
+def _modules() -> dict:
+    return {f[:-3]: _parse(os.path.join(PACKAGE, f))
+            for f in sorted(os.listdir(PACKAGE)) if f.endswith(".py")}
+
+
 def unreferenced_public_definitions() -> list:
     """module.name of each public module-level function or class of the
     package, and module.class.name of each public method, that nothing
     refers to."""
-    modules = {f[:-3]: _parse(os.path.join(PACKAGE, f))
-               for f in sorted(os.listdir(PACKAGE)) if f.endswith(".py")}
+    modules = _modules()
     used = set(braidkit.__all__) | _references(_parse(TRACING), strings=True)
     for tree in modules.values():
         used |= _references(tree)
@@ -75,5 +80,30 @@ def unreferenced_public_definitions() -> list:
             and node.name not in used]
 
 
+def aliases_of_public_definitions() -> list:
+    """module.name of each module-level name bound by plain assignment to a
+    public module-level function or class of the package, as in
+    `alias = function` or `alias = module.function`."""
+    modules = _modules()
+    public = {node.name for tree in modules.values() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    out = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, ast.Assign):
+                continue
+            value = node.value
+            bound = (value.id if isinstance(value, ast.Name) else
+                     value.attr if isinstance(value, ast.Attribute) else None)
+            if bound in public:
+                out.extend("%s.%s" % (module, ast.unparse(t)) for t in node.targets)
+    return out
+
+
 def test_every_public_definition_has_a_caller():
     assert unreferenced_public_definitions() == []
+
+
+def test_no_module_level_alias_of_a_public_definition():
+    assert aliases_of_public_definitions() == []

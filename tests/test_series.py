@@ -15,6 +15,7 @@ from braidkit.models import (FreeGroup, Product, act_on_finite, hat_subgroup,
                              q8_semidirect_f2)
 from braidkit.presentations import (
     Presentation,
+    artin_braid,
     b3_punctured_gamma2_ab,
     gamma2_annulus,
     gamma2_b4,
@@ -117,7 +118,7 @@ def test_gamma2_mod_gamma3_of_perfect_groups():
 ])
 def test_gamma2_mod_gamma3_rejects_abelianizations_that_are_not_cyclic(text, ab):
     p = parse_presentation("group g\n" + text)
-    with pytest.raises(ValueError, match="abelianization %s is not finite cyclic" % ab):
+    with pytest.raises(ValueError, match="abelianization %s is not cyclic" % ab):
         gamma2_mod_gamma3(p, Gen("a"))
 
 
@@ -190,35 +191,48 @@ def _small_presentations(draw):
     return Presentation("h", gens, tuple(relators))
 
 
-def _finite_cyclic(p):
+def _cyclic(p):
     ab = abelianization(p)
-    return ab.free_rank == 0 and len(ab.torsion) <= 1
+    return ab.free_rank + len(ab.torsion) <= 1
 
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much])
-@given(_small_presentations().filter(_finite_cyclic))
+@given(_small_presentations().filter(_cyclic))
 def test_gamma2_mod_gamma3_matches_the_oracles_on_random_cyclic_groups(p):
     # g2g3 is 1, as the class-2 nilpotent quotient is.  A generator t that
-    # does not generate Z/m is refused, naming gcd(q_t, m) mod m, where q_t
-    # is t's coordinate on the Z/m factor read from the column transform Q
-    # of the dense Smith form
+    # does not generate G^ab = Z/m (m = 0 for Z) is refused, naming
+    # gcd(q_t, m) mod m, where q_t is t's coordinate on the Z/m factor read
+    # from the column transform Q of the dense Smith form (the factor whose
+    # diagonal entry is m); for Z that number is |q_t|
     assert nilpotent_class2_gamma2(p) == AbelianInvariants(0, ())
-    torsion = abelianization(p).torsion
+    ab = abelianization(p)
+    if ab.free_rank + len(ab.torsion) == 0:
+        for t in p.generators:
+            assert gamma2_mod_gamma3(p, t) == AbelianInvariants(0, ())
+        return
+    m = ab.torsion[0] if ab.torsion else 0
     snf = smith_normal_form_dense(matrix([exponent_vector(r, p.generators)
                                           for r in p.relators]))
     diagonal = [snf.d[j, j] for j in range(len(p.generators))]
     for i, t in enumerate(p.generators):
-        if torsion:
-            m = torsion[0]
-            q = snf.q[i, diagonal.index(m)] % m
-            if gcd(q, m) != 1:
-                with pytest.raises(ValueError, match=re.escape(
-                        "transversal %s maps to %d in Z/%d and does not generate it"
-                        % (t, gcd(q, m) % m, m))):
-                    gamma2_mod_gamma3(p, t)
-                continue
-        assert gamma2_mod_gamma3(p, t) == AbelianInvariants(0, ())
+        q = snf.q[i, diagonal.index(m)]
+        if gcd(q, m) != 1:
+            with pytest.raises(ValueError, match=re.escape(
+                    "transversal %s maps to %d in %s and does not generate it"
+                    % (t, gcd(q, m) % m if m else abs(q), ab))):
+                gamma2_mod_gamma3(p, t)
+        else:
+            assert gamma2_mod_gamma3(p, t) == AbelianInvariants(0, ())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_gamma2_mod_gamma3_of_artin_braid_groups_with_abelianization_z(n):
+    # B_n has G^ab = Z, and Lambda^2(Z) = 0: Gamma_2 = Gamma_3 both ways
+    p = artin_braid(n)
+    assert abelianization(p) == AbelianInvariants(1, ())
+    assert gamma2_mod_gamma3(p, Gen("s", (1,))) == AbelianInvariants(0, ())
+    assert nilpotent_class2_gamma2(p) == AbelianInvariants(0, ())
 
 
 def test_alpha_values():
@@ -249,11 +263,11 @@ def test_mobius_increments_are_integral():
 
 
 def test_z2_free_ranks():
-    assert [lcs_rank_z2_free(i).rank for i in range(2, 7)] == [1, 2, 3, 5, 7]
+    assert [lcs_rank_z2_free(i) for i in range(2, 7)] == [1, 2, 3, 5, 7]
 
 
 def test_torus_ranks():
-    r = [lcs_rank_torus(i).rank for i in (2, 3)]
+    r = [lcs_rank_torus(i) for i in (2, 3)]
     assert r == [0, 3]
 
 
