@@ -19,6 +19,7 @@ from contextlib import contextmanager
 from fnmatch import fnmatch
 
 import click
+from click.core import ParameterSource
 
 from .words import Gen, parse_gen, parse_word, word_to_text
 
@@ -117,9 +118,11 @@ def present_cmd(family, n, m):
     from . import presentations
     builder, names = _FAMILIES[family]
     values = {"n": n, "m": m}
-    for name in names:
-        if values[name] is None:
+    for name, value in values.items():
+        if name in names and value is None:
             raise click.UsageError("--family %s needs --%s" % (family, name))
+        if name not in names and value is not None:
+            raise click.UsageError("--family %s does not read --%s" % (family, name))
     try:
         p = getattr(presentations, builder)(*(values[name] for name in names))
     except ValueError as exc:
@@ -149,6 +152,9 @@ def rs_cmd(path, modulus, weights_spec, transversal, window, tietze):
     """Reidemeister-Schreier presentation of a weight-map kernel."""
     from .presentations import IndexedPresentation, serialize
     from .reidschreier import rs_finite_cyclic, rs_z_window, tietze_eliminate
+    if (modulus and click.get_current_context().get_parameter_source("window")
+            is ParameterSource.COMMANDLINE):
+        raise click.UsageError("--window is read only with --mod 0")
     p = _load_presentation(path)
     t = _parse_gen(transversal)
     weights = _parse_weights(p, weights_spec)
@@ -305,9 +311,7 @@ def lcs_ranks_cmd(family, max_i, as_json):
 @main.command("verify")
 @click.option("--filter", "filter_glob", default="all", show_default=True)
 @click.option("--json", "as_json", is_flag=True)
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="accepted for reproducibility; the suite is deterministic")
-def verify_cmd(filter_glob, as_json, seed):
+def verify_cmd(filter_glob, as_json):
     """Run the named verification suite."""
     from .verify import run_verify
     checks = run_verify(filter_glob)

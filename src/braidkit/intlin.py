@@ -43,9 +43,6 @@ class IntMatrix:
         i, j = ij
         return self.rows[i][j]
 
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        return mat_mul(self, other)
-
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
@@ -85,8 +82,8 @@ def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
     base = a
     while k:
         if k & 1:
-            result = result * base
-        base = base * base
+            result = mat_mul(result, base)
+        base = mat_mul(base, base)
         k >>= 1
     return result
 

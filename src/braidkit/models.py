@@ -8,8 +8,9 @@ presentation generators are evaluated into a model via an assignment of
 generator images.  A semidirect product carries its action (`Product.act`):
 each stock one, such as `q8_semidirect_f2`, is where its action is stated,
 and `hat_subgroup` takes the normal closure of its twisted commutators in a
-finite normal part.  `target` names the stock models that hom-check and
-verify map into.
+finite normal part.  Q8 is stated by its rule, the elements +-x^a y^b
+with y x = -x y and x^2 = y^2 = -1 (`q8`).  `target` names the stock
+models that hom-check and verify map into.
 """
 
 from __future__ import annotations
@@ -182,18 +183,16 @@ class FiniteTable(GroupModel):
 
 @dataclass(frozen=True)
 class FreeAutomorphism:
-    """An automorphism of a free group, by generator images (plus, optionally,
-    the images under the inverse automorphism)."""
+    """An automorphism of a free group, by its generator images and those of
+    its inverse."""
 
     images: dict[Gen, Word]
-    inverse_images: Optional[dict[Gen, Word]] = None
+    inverse_images: dict[Gen, Word]
 
     def apply(self, w: Word) -> Word:
         return substitute(w, self.images)
 
     def inverse(self) -> "FreeAutomorphism":
-        if self.inverse_images is None:
-            raise ValueError("no inverse images declared for this automorphism")
         return FreeAutomorphism(self.inverse_images, self.images)
 
 
@@ -281,25 +280,25 @@ class Product(GroupModel):
 _CLOSURE_BUDGET = 20000  # elements finite_closure enumerates before it gives up
 
 
-def finite_closure(model: GroupModel, seeds) -> dict:
-    """The subgroup generated by the seeds, as {element: a shortest word of
-    seed indices whose product it is}: a breadth-first walk from the
-    identity by right multiplication by each seed.  In a finite group this
-    reaches the whole subgroup, since each inverse is a positive power.
-    Raises ValueError once the walk passes _CLOSURE_BUDGET elements."""
+def finite_closure(model: GroupModel, seeds) -> list:
+    """The subgroup generated by the seeds, its elements in breadth-first
+    order: a walk from the identity by right multiplication by each seed.
+    In a finite group this reaches the whole subgroup, since each inverse is
+    a positive power.  Raises ValueError once the walk passes
+    _CLOSURE_BUDGET elements."""
     seeds = list(seeds)
-    words = {model.identity(): ()}
-    order = list(words)
+    order = [model.identity()]
+    seen = set(order)
     for a in order:
-        for i, s in enumerate(seeds):
+        for s in seeds:
             b = model.mul(a, s)
-            if b not in words:
-                words[b] = words[a] + (i,)
+            if b not in seen:
+                seen.add(b)
                 order.append(b)
-                if len(words) > _CLOSURE_BUDGET:
+                if len(order) > _CLOSURE_BUDGET:
                     raise ValueError("closure exceeded budget %d"
                                      % _CLOSURE_BUDGET)
-    return words
+    return order
 
 
 def hat_subgroup(model: Product, acting_words: Sequence[Word]) -> tuple[str, ...]:
@@ -319,30 +318,22 @@ def hat_subgroup(model: Product, acting_words: Sequence[Word]) -> tuple[str, ...
 # stock models
 
 def q8() -> FiniteTable:
-    """Quaternion group of order 8 on x, y (with x^2 = y^2 central)."""
-    units = {"1": (1, "1"), "x": (1, "i"), "y": (1, "j"), "xy": (1, "k")}
-    names = {}
-    for nm, (sg, u) in units.items():
-        names[(sg, u)] = nm
-        names[(-sg, u)] = "-" + nm if nm != "1" else "-1"
-    quat = {("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-            ("i", "1"): (1, "i"), ("j", "1"): (1, "j"), ("k", "1"): (1, "k"),
-            ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-            ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-            ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
-            ("k", "i"): (1, "j"), ("i", "k"): (-1, "j")}
+    """Quaternion group of order 8: the elements +-x^a y^b (a, b in {0, 1}),
+    with y x = -x y and x^2 = y^2 = -1 central."""
+    keys = [(s, a, b) for b in (0, 1) for a in (0, 1) for s in (1, -1)]
 
-    def mul(a, b):
-        sa, ua = a
-        sb, ub = b
-        sc, uc = quat[(ua, ub)]
-        return (sa * sb * sc, uc)
+    def name(s, a, b):
+        body = "x" * a + "y" * b or "1"
+        return body if s > 0 else "-" + body
 
-    elements = tuple(names[key] for key in sorted(names, key=lambda k: (k[1], -k[0])))
-    inv_names = {v: k for k, v in names.items()}
-    table = tuple(tuple(names[mul(inv_names[a], inv_names[b])] for b in elements)
-                  for a in elements)
-    return FiniteTable(elements, table)
+    def mul(p, q):
+        # y^b1 x^a2 = (-1)^(b1 a2) x^a2 y^b1, then x^2 = y^2 = -1
+        (s1, a1, b1), (s2, a2, b2) = p, q
+        sign = s1 * s2 * (-1) ** (b1 * a2 + a1 * a2 + b1 * b2)
+        return (sign, (a1 + a2) % 2, (b1 + b2) % 2)
+
+    return FiniteTable(tuple(name(*k) for k in keys),
+                       tuple(tuple(name(*mul(p, q)) for q in keys) for p in keys))
 
 
 def automorphism_from_images(table: FiniteTable, gen_images: dict[str, str]) -> dict[str, str]:

@@ -35,7 +35,8 @@ from typing import Iterable, Sequence
 
 from braidkit.freesub import express, fold
 from braidkit.garside import permutation
-from braidkit.intlin import IntMatrix, SnfResult, abelian_invariants, identity, matrix
+from braidkit.intlin import (IntMatrix, SnfResult, abelian_invariants, identity, mat_mul,
+                             matrix)
 from braidkit.models import FiniteTable, FreeAutomorphism
 from braidkit.presentations import Presentation, sphere_braid
 from braidkit.reidschreier import RsOutput, rs_coset_table
@@ -411,7 +412,7 @@ def inv_unimodular_snf(a: IntMatrix) -> IntMatrix:
     if any(snf.d[i, i] != 1 for i in range(a.nrows)):
         raise ValueError("matrix is not unimodular; invariant factors %s"
                          % (snf.invariant_factors(),))
-    return snf.q * snf.p
+    return mat_mul(snf.q, snf.p)
 
 
 def nilpotent_class2_gamma2(p: Presentation) -> AbelianInvariants:
@@ -517,6 +518,35 @@ def s3_table() -> FiniteTable:
     return FiniteTable(tuple(name[p] for p in perms),
                        tuple(tuple(name[tuple(p[i] for i in q)] for q in perms)
                              for p in perms))
+
+
+def q8_by_unit_products() -> FiniteTable:
+    """Q8 from the sixteen products of the units 1, i, j, k written out by
+    hand, with x = i, y = j, xy = k; elements listed as 1, -1, x, -x, y, -y,
+    xy, -xy."""
+    units = {"1": (1, "1"), "x": (1, "i"), "y": (1, "j"), "xy": (1, "k")}
+    names = {}
+    for nm, (sg, u) in units.items():
+        names[(sg, u)] = nm
+        names[(-sg, u)] = "-" + nm if nm != "1" else "-1"
+    quat = {("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
+            ("i", "1"): (1, "i"), ("j", "1"): (1, "j"), ("k", "1"): (1, "k"),
+            ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
+            ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
+            ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
+            ("k", "i"): (1, "j"), ("i", "k"): (-1, "j")}
+
+    def mul(a, b):
+        sa, ua = a
+        sb, ub = b
+        sc, uc = quat[(ua, ub)]
+        return (sa * sb * sc, uc)
+
+    elements = tuple(names[key] for key in sorted(names, key=lambda k: (k[1], -k[0])))
+    inv_names = {v: k for k, v in names.items()}
+    table = tuple(tuple(names[mul(inv_names[a], inv_names[b])] for b in elements)
+                  for a in elements)
+    return FiniteTable(elements, table)
 
 
 def table_by_position(t: FiniteTable):

@@ -49,6 +49,29 @@ def test_present_window_is_no_longer_an_option():
     assert "No such option" in res.output
 
 
+@pytest.mark.parametrize("args, option", [
+    (("verify", "--seed", "1"), "--seed"),
+    (("present", "--family", "b22", "--n", "4"), "--n"),
+    (("present", "--family", "sphere", "--n", "4", "--m", "3"), "--m"),
+    (("rs", "--in", "-", "--mod", "6", "--window", "3", "--transversal", "s[1]"),
+     "--window"),
+], ids=["verify-seed", "present-b22-n", "present-sphere-m", "rs-mod-window"])
+def test_unread_option_is_a_usage_error(args, option):
+    pres = run("present", "--family", "sphere", "--n", "4").output
+    res = run(*args, input=pres)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert option in res.stderr
+
+
+def test_rs_window_defaults_to_two():
+    pres = run("present", "--family", "artin", "--n", "3").output
+    args = ("rs", "--in", "-", "--mod", "0", "--transversal", "s[1]")
+    res = run(*args, input=pres)
+    assert res.exit_code == 0
+    assert res.output == run(*args, "--window", "2", input=pres).output
+
+
 def test_ab_reads_stdin():
     res = run("ab", "--in", "-", input="group C2\ngens: a\nrel: a^2\n")
     assert res.exit_code == 0

@@ -16,8 +16,8 @@ from braidkit.models import (
     z2z6_model,
 )
 from braidkit.words import Gen, Word, free_reduce, letter, parse_word
-from oracles import (action_of_word, check_inverse, compose, klein_four, s3_table,
-                     table_by_position)
+from oracles import (action_of_word, check_inverse, compose, klein_four,
+                     q8_by_unit_products, s3_table, table_by_position)
 
 
 def test_q8_table():
@@ -67,19 +67,15 @@ def test_q8_subgroup_closure():
     t = q8()
     centre = finite_closure(t, [t.mul("x", "x")])
     assert sorted(centre) == ["-1", "1"]
+    whole = finite_closure(t, ["x", t.mul("x", "y")])
+    assert whole[0] == t.identity()
+    assert sorted(whole) == sorted(t.elements)
 
 
-def test_finite_closure_words_spell_their_elements():
-    t = q8()
-    seeds = ["x", t.mul("x", "y")]
-    words = finite_closure(t, seeds)
-    assert sorted(words) == sorted(t.elements)
-    assert words[t.identity()] == ()
-    for element, word in words.items():
-        product = t.identity()
-        for i in word:
-            product = t.mul(product, seeds[i])
-        assert product == element
+def test_q8_by_its_rule_is_the_table_of_the_unit_products():
+    t, oracle = q8(), q8_by_unit_products()
+    assert t.elements == oracle.elements
+    assert t.table == oracle.table
 
 
 def test_finite_closure_of_an_infinite_group_raises_at_the_budget():

@@ -7,7 +7,9 @@ no name, attribute or import in the package refers to, that
 (`perfbench/tracing.py`) does not name.  Click commands are reached
 through their group and are exempt.  Code that only the tests use belongs
 in `tests/oracles.py`.  Nor may a module-level name be a second name for a
-public function or class: one concept, one name."""
+public function or class: one concept, one name.  And every parameter of a
+click command in `cli.py` is read in the command's body: an option that
+nothing reads is input the command silently drops."""
 
 import ast
 import os
@@ -101,9 +103,26 @@ def aliases_of_public_definitions() -> list:
     return out
 
 
+def unread_cli_parameters() -> list:
+    """command.parameter of each parameter of a click command function in
+    `cli.py` that the function's body does not read."""
+    out = []
+    for node in _parse(os.path.join(PACKAGE, "cli.py")).body:
+        if isinstance(node, ast.FunctionDef) and _is_click_command(node):
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            out.extend("%s.%s" % (node.name, a.arg) for a in node.args.args
+                       if a.arg not in read)
+    return out
+
+
 def test_every_public_definition_has_a_caller():
     assert unreferenced_public_definitions() == []
 
 
 def test_no_module_level_alias_of_a_public_definition():
     assert aliases_of_public_definitions() == []
+
+
+def test_every_cli_option_is_read():
+    assert unread_cli_parameters() == []
