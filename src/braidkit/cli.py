@@ -316,8 +316,7 @@ def verify_cmd(filter_glob, as_json):
     from .verify import run_verify
     checks = run_verify(filter_glob)
     if not checks:
-        click.echo("warning: no checks match %r" % filter_glob, err=True)
-        return
+        raise click.UsageError("--filter %r matches no check" % filter_glob)
     failed = 0
     for c in checks:
         if as_json:

@@ -10,7 +10,8 @@ each stock one, such as `q8_semidirect_f2`, is where its action is stated,
 and `hat_subgroup` takes the normal closure of its twisted commutators in a
 finite normal part.  Q8 is stated by its rule, the elements +-x^a y^b
 with y x = -x y and x^2 = y^2 = -1 (`q8`).  `target` names the stock
-models that hom-check and verify map into.
+models that hom-check and verify map into (free-group automorphisms are
+`words.FreeAutomorphism`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 from . import garside
 from .garside import nf_to_word
-from .words import IDENTITY, Gen, Word, invert, multiply, parse_word, substitute, word_to_text
+from .words import IDENTITY, Gen, Word, invert, multiply, parse_word, word_to_text
 
 
 def _integer(text: str, what: str) -> int:
@@ -179,21 +180,6 @@ class FiniteTable(GroupModel):
 
     def inv(self, a):
         return self._inverse[a]
-
-
-@dataclass(frozen=True)
-class FreeAutomorphism:
-    """An automorphism of a free group, by its generator images and those of
-    its inverse."""
-
-    images: dict[Gen, Word]
-    inverse_images: dict[Gen, Word]
-
-    def apply(self, w: Word) -> Word:
-        return substitute(w, self.images)
-
-    def inverse(self) -> "FreeAutomorphism":
-        return FreeAutomorphism(self.inverse_images, self.images)
 
 
 def act_on_finite(actions: dict[Gen, dict[str, str]], w: Word, h: str) -> str:

@@ -16,7 +16,9 @@ The suite is one ordered registry of (id, description, thunk) entries; a
 thunk returns (expected, got) and runs only when its id is selected.  To add
 a check, add one ``_register(id, description, thunk)`` call where the check
 should appear in the output; a homomorphism check is a HOM_CHECKS entry, its
-images written as the `--assign` text that hom-check replays it from.
+group named by its `presentations` builder and its images written as the
+`--assign` text that hom-check replays it from.  The module loads `words`
+and `intlin` only; a thunk imports every other layer it runs in its body.
 """
 
 from __future__ import annotations
@@ -24,19 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fnmatch import fnmatch
 from functools import partial
+from importlib import import_module
 from typing import Callable, Optional
 
-from . import garside, hom, models, series
-from .freesub import express, fold
 from .intlin import (IntMatrix, abelian_invariants, identity, lattice_restrict,
                      mat_mul, mat_pow, matrix, smith_normal_form, solve_in_lattice)
-from .presentations import (IndexedPresentation, Presentation, affine_C,
-                            b3_punctured_gamma2_ab, fullpres, gamma2_annulus,
-                            gamma2_b4, gamma2_b5, punctured_sphere, sphere_braid)
-from .reidschreier import (canonical_relator, rs_coset_table, rs_finite_cyclic,
-                           rs_z_window, tietze_eliminate)
-from .words import (Gen, Word, commutator, exponent_sum, invert, letter,
-                    multiply, parse_word, power, substitute)
+from .words import (FreeAutomorphism, Gen, Word, commutator, conjugate, exponent_sum,
+                    invert, letter, multiply, parse_word, power, substitute)
 
 # ---------------------------------------------------------------------------
 # frozen reference data
@@ -44,10 +40,10 @@ from .words import (Gen, Word, commutator, exponent_sum, invert, letter,
 A, B = Gen("a"), Gen("b")
 
 # the u- and v-actions of the rank-2 free quotient on F2(a, b)
-DISC_U = models.FreeAutomorphism(                # a -> b, b -> b^2 a^-1 b
+DISC_U = FreeAutomorphism(                       # a -> b, b -> b^2 a^-1 b
     {A: parse_word("b"), B: parse_word("b^2 a^-1 b")},
     {A: parse_word("a b^-1 a^2"), B: parse_word("a")})
-DISC_V = models.FreeAutomorphism(                # a -> a^-1 b, b -> (a^-1 b)^3 a^-2 b
+DISC_V = FreeAutomorphism(                       # a -> a^-1 b, b -> (a^-1 b)^3 a^-2 b
     {A: parse_word("a^-1 b"), B: parse_word("a^-1 b a^-1 b a^-1 b a^-2 b")},
     {A: parse_word("a b^-1 a^3"), B: parse_word("a b^-1 a^4")})
 
@@ -120,16 +116,15 @@ VACTION_TABLE = (
 
 
 def _vaction_z4() -> Word:
-    a2 = power(parse_word(_VZ1), 2)
-    mid = parse_word("z[3]^-1 z[5] z[2]")
-    return multiply(a2, mid, invert(a2))
+    return conjugate(parse_word("z[3]^-1 z[5] z[2]"), power(parse_word(_VZ1), 2))
 
 
-# abelianized conjugation data for the rank-2 free kernel with basis
-# z_i = t^i x t^-(i+1): both ambient generators shift z_i to z_{i+1}, and the
-# half-twist sends z_i to the inverse of z_{i-1} (abelianized)
-SHIFTED_Z = IndexedPresentation("zshift", (), ("z",), (),
-                                (parse_word("z[0] z[1]^-1"), parse_word("z[0] z[-1]")))
+def shifted_z():
+    """Abelianized conjugation data of the rank-2 free kernel, basis z_i = t^i x t^-(i+1):
+    both ambient generators shift z_i to z_{i+1}, the half-twist sends it to -z_{i-1}."""
+    return _layer("presentations").IndexedPresentation(
+        "zshift", (), ("z",), (), (parse_word("z[0] z[1]^-1"), parse_word("z[0] z[-1]")))
+
 
 PRINTED_SCHREIER_BASIS = ("a^2", "a b a^2 b^-1 a^-1", "b a b^-1 a^-1",
                           "a b^2 a^-1", "b^2")
@@ -140,18 +135,18 @@ A4, B4 = "s[3] s[1]^-1", "s[2] s[3] s[1]^-1 s[2]^-1"
 G2B4_IMAGES = "g[1] = 1;a\ng[2] = 1;b\ng[3] = x;1\n"  # onto Q8 x| F2
 _DELTA_M2 = "s[1]^-1 s[2]^-1 s[1]^-2 s[2]^-1 s[1]^-1"  # Delta^-2 in B_3
 
-# (id, description, presentation builder, its args, target, --assign images)
+# (id, description, `presentations` builder, its args, target, --assign images)
 HOM_CHECKS = (
-    ("hom-sphere4", "4-strand sphere braid group onto Z^2 x| Z/6", sphere_braid, (4,),
+    ("hom-sphere4", "4-strand sphere braid group onto Z^2 x| Z/6", "sphere_braid", (4,),
      "z2-z6", "s[1] = (0, 0);1\ns[2] = (1, 0);1\ns[3] = (0, 0);1\n"),
-    ("hom-g2b4", "commutator subgroup onto Q8 x| F2", gamma2_b4, (), "q8-f2", G2B4_IMAGES),
+    ("hom-g2b4", "commutator subgroup onto Q8 x| F2", "gamma2_b4", (), "q8-f2", G2B4_IMAGES),
     *(("hom-affine-c-retract-m%d" % m,
-       "retraction of the affine-C presentation onto the braid group", affine_C, (m,),
+       "retraction of the affine-C presentation onto the braid group", "affine_C", (m,),
        "braid:%d" % m,
        "r[1] = 1\nr[%d] = 1\n" % m + "".join("s[%d] = s[%d]\n" % (i, i) for i in range(1, m)))
       for m in (2, 3, 4)),
     ("hom-punctured-4-2", "4 strands, twice-punctured sphere onto B3 x Z",
-     punctured_sphere, (4, 2), "braid:3-x-z",
+     "punctured_sphere", (4, 2), "braid:3-x-z",
      "s[1] = s[1];0\ns[2] = s[2];0\ns[3] = s[1];0\n" + "".join(
          "A[1,%d] = 1;1\nA[2,%d] = %s;-1\n" % (k, k, _DELTA_M2) for k in range(3, 7))),
 )
@@ -174,8 +169,17 @@ def _register(cid: str, description: str, thunk: Callable[[], tuple]) -> None:
     REGISTRY.append((cid, description, thunk))
 
 
+def _layer(name: str):
+    """The braidkit module `name`, imported by the check that runs it."""
+    return import_module("." + name, __package__)
+
+
+def _build(builder: str, *args):
+    return getattr(_layer("presentations"), builder)(*args)
+
+
 def _ab(p) -> str:
-    return str(series.abelianization(p))
+    return str(_layer("series").abelianization(p))
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +218,7 @@ def _commutator_columns() -> list[tuple[int, ...]]:
 
 
 def _monodromy_fibonacci():
+    from . import series
     fib = [0, 1]
     while len(fib) < 15:
         fib.append(fib[-1] + fib[-2])
@@ -234,30 +239,37 @@ def _rename_rs_generator(g: Gen) -> Gen:
     return g
 
 
+def _sphere_kernel(n: int):
+    """The Tietze-reduced kernel of B_n(S^2) onto its abelianization Z/2(n-1)."""
+    from .reidschreier import rs_finite_cyclic, tietze_eliminate
+    return tietze_eliminate(rs_finite_cyclic(
+        _build("sphere_braid", n), 2 * (n - 1), Gen("s", (1,)))).presentation
+
+
 def _rs_reproduction(n: int):
-    target = fullpres(n) if n == 4 else gamma2_b5()
-    rs = tietze_eliminate(rs_finite_cyclic(sphere_braid(n), 2 * (n - 1), Gen("s", (1,))))
-    sub = rs.presentation
+    from .reidschreier import canonical_relator
+    target = _build("fullpres", n) if n == 4 else _build("gamma2_b5")
+    sub = _sphere_kernel(n)
     renamed_gens = sorted(_rename_rs_generator(g) for g in sub.generators)
     mapping = {g: letter(_rename_rs_generator(g)) for g in sub.generators}
     got_rels = sorted(canonical_relator(substitute(r, mapping)) for r in sub.relators)
     want_rels = sorted(canonical_relator(r) for r in target.relators)
     matches = len(set(got_rels) & set(want_rels))
-    expected = "gens=%s relators=%d matching=%d" % (
-        sorted(target.generators), len(want_rels), len(want_rels))
-    got = "gens=%s relators=%d matching=%d" % (
-        renamed_gens, len(got_rels), matches)
-    return expected, got
+    text = "gens=%s relators=%d matching=%d"
+    return (text % (sorted(target.generators), len(want_rels), len(want_rels)),
+            text % (renamed_gens, len(got_rels), matches))
 
 
 def _hom(builder, args, target: str, images: str):
     """(True, whether `images` define a homomorphism builder(*args) -> target)."""
+    from . import hom, models
     model = models.target(target)
-    report = hom.check_hom(builder(*args), model, hom.parse_assignment(images, model))
+    report = hom.check_hom(_build(builder, *args), model, hom.parse_assignment(images, model))
     return True, report.all_trivial
 
 
 def _hom_g2b4_conjugate():
+    from . import hom, models
     qf = models.target("q8-f2")
     conj = qf.eval_word(hom.parse_assignment(G2B4_IMAGES, qf),
                         parse_word("g[1] g[3] g[1]^-1"))
@@ -266,20 +278,22 @@ def _hom_g2b4_conjugate():
 
 def _braid_equal(w1: str, w2: str, n: int):
     """(True, whether the two spellings are the same braid on n strands)."""
-    return True, garside.braid_equal(parse_word(w1), parse_word(w2), n)
+    return True, _layer("garside").braid_equal(parse_word(w1), parse_word(w2), n)
 
 
 def _schreier_basis_printed():
     # F(a, b) onto the Klein four-group: cosets are exponent sums mod 2
+    from . import presentations, reidschreier
     transversal = [parse_word(t) for t in ("1", "a", "a b", "a b a^-1")]
-    basis = rs_coset_table(Presentation("F2", (A, B), ()), (0, 0),
-                           lambda c, x: (c[0] ^ (x == A), c[1] ^ (x == B)),
-                           transversal).dictionary.values()
+    basis = reidschreier.rs_coset_table(
+        presentations.Presentation("F2", (A, B), ()), (0, 0),
+        lambda c, x: (c[0] ^ (x == A), c[1] ^ (x == B)), transversal).dictionary.values()
     return (sorted(str(parse_word(t)) for t in PRINTED_SCHREIER_BASIS),
             sorted(str(w) for w in basis))
 
 
 def _action_table(aut, table):
+    from .freesub import express, fold
     graph = fold(Z_BASIS)
     wanted = [_vaction_z4() if t is None else parse_word(t) for t in table]
     return True, all(express(graph, Z_BASIS, aut.apply(zw)) == w
@@ -297,8 +311,9 @@ def _commutator_exponent_sums():
 
 
 def _z_kernel_basis_rows():
+    from . import presentations, reidschreier
     zs = tuple(Gen("z", (i,)) for i in range(1, 6))
-    kernel = rs_z_window(Presentation("N", zs, ()), zs[0], Z_WEIGHTS)
+    kernel = reidschreier.rs_z_window(presentations.Presentation("N", zs, ()), zs[0], Z_WEIGHTS)
     kb_words = {str(w) for w in kernel.dictionary.values()}
     wanted = {str(parse_word(t)) for t in
               ("z[1]^-1 z[2]", "z[1] z[4]", "z[2] z[1]^-1", "z[4] z[1]")}
@@ -306,11 +321,12 @@ def _z_kernel_basis_rows():
 
 
 def _coinvariants(ip) -> str:
-    res = series.windowed_coinvariants(ip, window=4)
+    res = _layer("series").windowed_coinvariants(ip, window=4)
     return "%s %s" % (res.invariants, "stable" if res.stable else "unstable")
 
 
 def _hat_closure(words):
+    from . import models
     return models.hat_subgroup(models.q8_semidirect_f2(), words)
 
 
@@ -320,19 +336,19 @@ def _hat_closure(words):
 for n in range(3, 9):
     _register("ab-sphere-n%d" % n,
               "abelianization of the %d-strand sphere braid group" % n,
-              lambda n=n: ("Z/%d" % (2 * (n - 1)), _ab(sphere_braid(n))))
+              lambda n=n: ("Z/%d" % (2 * (n - 1)), _ab(_build("sphere_braid", n))))
 for m in range(1, 5):
     for n in range(1, 5):
         _register("ab-punctured-m%d-n%d" % (m, n),
                   "abelianization, %d strands on the %d-punctured sphere" % (m, n),
                   lambda m=m, n=n: ("Z^%d" % n if n > 1 else "Z",
-                                    _ab(punctured_sphere(m, n))))
+                                    _ab(_build("punctured_sphere", m, n))))
 _register("snf-18-18", "invariant factors of the 5x2 relation matrix",
           lambda: ("(18, 18)",
                    str(smith_normal_form(A_COLUMNS).invariant_factors())))
 _register("coker-rank3-18-18", "cokernel of the relation columns",
-          lambda: ("Z^3 x Z/18 x Z/18", str(series.AbelianInvariants(*abelian_invariants(
-              [dict(enumerate(c)) for c in (COL_A1, COL_A2)], 5)))))
+          lambda: ("Z^3 x Z/18 x Z/18", str(_layer("series").AbelianInvariants(
+              *abelian_invariants([dict(enumerate(c)) for c in (COL_A1, COL_A2)], 5)))))
 _register("mat-u-inverse", "printed inverse of the u matrix",
           lambda: (identity(5), mat_mul(M_U, M_U_INV)))
 _register("mat-v-inverse", "printed inverse of the v matrix",
@@ -356,12 +372,11 @@ _register("template-commutator-columns",
           "columns of nested commutators minus identity lie in the lattice",
           lambda: (True, None not in solve_in_lattice(A_COLUMNS, _commutator_columns())))
 _register("lcs-z2-free-ranks", "lower central ranks, order-2 free product case",
-          lambda: ((1, 2, 3, 5, 7),
-                   tuple(series.lcs_rank_z2_free(i) for i in range(2, 7))))
+          lambda: ((1, 2, 3, 5, 7), tuple(map(_layer("series").lcs_rank_z2_free, range(2, 7)))))
 _register("monodromy-fibonacci", "powers of the trace-1 monodromy matrix",
           _monodromy_fibonacci)
 _register("lcs-torus-small", "torus-case ranks at i=2,3",
-          lambda: ((0, 3), tuple(series.lcs_rank_torus(i) for i in (2, 3))))
+          lambda: ((0, 3), tuple(map(_layer("series").lcs_rank_torus, (2, 3)))))
 for n in (4, 5):
     _register("rs-reproduce-n%d" % n,
               "rewritten commutator-subgroup presentation matches the printed one",
@@ -369,7 +384,8 @@ for n in (4, 5):
 for cid, description, *spec in HOM_CHECKS[:2]:  # the g2b4 image checks follow
     _register(cid, description, partial(_hom, *spec))
 _register("hom-g2b4-finite-order", "order of the finite image part",
-          lambda: (8, len(models.finite_closure(models.q8(), ["x", "y"]))))
+          lambda: (8, len(_layer("models").finite_closure(
+              _layer("models").q8(), ["x", "y"]))))
 _register("hom-g2b4-conjugate", "image of the conjugated torsion generator",
           _hom_g2b4_conjugate)
 for cid, description, *spec in HOM_CHECKS[2:]:
@@ -383,9 +399,9 @@ _register("braid-eq-ab-squared", "two spellings of the squared product in B4",
           lambda: _braid_equal(" ".join((A4, B4) * 2),
                                "s[1]^-1 s[2] s[1]^-1 s[3]^2 s[2] s[1]^-1 s[2]^-1", 4))
 _register("braid-perm-a", "underlying permutation of the first basis braid",
-          lambda: ((2, 1, 4, 3), garside.permutation(parse_word(A4), 4)))
+          lambda: ((2, 1, 4, 3), _layer("garside").permutation(parse_word(A4), 4)))
 _register("braid-perm-b", "underlying permutation of the second basis braid",
-          lambda: ((3, 4, 1, 2), garside.permutation(parse_word(B4), 4)))
+          lambda: ((3, 4, 1, 2), _layer("garside").permutation(parse_word(B4), 4)))
 _register("schreier-basis-printed",
           "Schreier generators over the printed transversal",
           _schreier_basis_printed)
@@ -401,20 +417,19 @@ _register("z-kernel-basis-rows", "tabulated weighted-kernel basis rows",
 for m, inv in ((3, "Z^4"), (4, "Z^2"), (5, "Z")):
     _register("annulus-coinvariants-m%d" % m,
               "abelianized coinvariants of the annular commutator subgroup",
-              lambda m=m, inv=inv: (inv + " stable", _coinvariants(gamma2_annulus(m))))
+              lambda m=m, inv=inv: (inv + " stable", _coinvariants(_build("gamma2_annulus", m))))
 _register("punctured-b3-rank4",
           "abelianized commutator subgroup, 3 strands twice-punctured disc",
-          lambda: ("Z^4 stable", _coinvariants(b3_punctured_gamma2_ab())))
+          lambda: ("Z^4 stable", _coinvariants(_build("b3_punctured_gamma2_ab"))))
 _register("half-twist-z2", "coinvariants of the shifted kernel basis",
-          lambda: ("Z/2 stable", _coinvariants(SHIFTED_Z)))
+          lambda: ("Z/2 stable", _coinvariants(shifted_z())))
 _register("perfect-g2b5", "perfectness of the 5-strand commutator subgroup",
-          lambda: ("1", _ab(gamma2_b5())))
+          lambda: ("1", _ab(_build("gamma2_b5"))))
 _register("perfect-sphere6-kernel",
           "perfectness of the rewritten 6-strand commutator subgroup",
-          lambda: ("1", _ab(tietze_eliminate(rs_finite_cyclic(
-              sphere_braid(6), 10, Gen("s", (1,)))).presentation)))
+          lambda: ("1", _ab(_sphere_kernel(6))))
 _register("rank2-g2b4", "abelianization of the 4-strand commutator subgroup",
-          lambda: ("Z^2", _ab(gamma2_b4())))
+          lambda: ("Z^2", _ab(_build("gamma2_b4"))))
 _register("hat-full", "twisted-commutator closure under both actions",
           lambda: (8, len(_hat_closure([parse_word("a"), parse_word("b")]))))
 _register("hat-centre", "twisted-commutator closure under the commutator",

@@ -7,7 +7,8 @@ and `invert_runs` inverts them.  They, `substitute_runs` and
 `cyclic_reduce_runs` take letters of any hashable type, so interned int
 letters and subgroup labels share them.  A relation row is sparse,
 {column: exponent sum} over a generator basis (`relation_rows`);
-`exponent_vector` is the dense view of one.
+`exponent_vector` is the dense view of one.  `FreeAutomorphism` applies by
+`substitute`.
 
 Generators are interned, one `Gen` per (name, indices), so generator
 equality is identity and dict and set lookups hash an address.  The pool
@@ -231,6 +232,20 @@ def substitute(w: Word, images: dict[Gen, Word]) -> Word:
     check that first."""
     return Word(substitute_runs(w.runs, {g: images[g].runs for g, _ in w.runs
                                          if g in images}))
+
+
+@dataclass(frozen=True)
+class FreeAutomorphism:
+    """A free-group automorphism, by its generator images and its inverse's."""
+
+    images: dict[Gen, Word]
+    inverse_images: dict[Gen, Word]
+
+    def apply(self, w: Word) -> Word:
+        return substitute(w, self.images)
+
+    def inverse(self) -> FreeAutomorphism:
+        return FreeAutomorphism(self.inverse_images, self.images)
 
 
 _TOKEN = re.compile(

@@ -37,13 +37,13 @@ from braidkit.freesub import express, fold
 from braidkit.garside import permutation
 from braidkit.intlin import (IntMatrix, SnfResult, abelian_invariants, identity, mat_mul,
                              matrix)
-from braidkit.models import FiniteTable, FreeAutomorphism
+from braidkit.models import FiniteTable
 from braidkit.presentations import Presentation, sphere_braid
 from braidkit.reidschreier import RsOutput, rs_coset_table
 from braidkit.series import AbelianInvariants
 from braidkit.verify import Z_BASIS
-from braidkit.words import (Gen, Word, exponent_vector, invert, letter, multiply,
-                            substitute)
+from braidkit.words import (FreeAutomorphism, Gen, Word, exponent_vector, invert, letter,
+                            multiply, substitute)
 
 # ---------------------------------------------------------------------------
 # word kernels

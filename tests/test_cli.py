@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import braidkit
-from braidkit import verify
+from braidkit import presentations, verify
 from braidkit.cli import main
 from braidkit.intlin import mat_mul, parse_matrix
 from braidkit.presentations import serialize
@@ -298,10 +298,12 @@ def test_verify_filter_and_json():
     assert all("paper_ref" in c for c in rows)
 
 
-def test_verify_empty_filter_warns():
+def test_verify_filter_that_matches_no_check_is_a_usage_error():
+    # a mistyped filter must not pass with no check run
     res = run("verify", "--filter", "no-such-check-*")
-    assert res.exit_code == 0
-    assert "warning" in res.output.lower() or "no checks" in res.output.lower()
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "'no-such-check-*' matches no check" in res.stderr
 
 
 def test_g2g3():
@@ -488,7 +490,7 @@ def test_verify_hom_check_replays_and_its_mutation_is_caught(tmp_path, check):
     lines = images.splitlines()
     lines[lines.index(line)] = mutated
     pf = tmp_path / "p.txt"
-    pf.write_text(serialize(builder(*args)))
+    pf.write_text(serialize(getattr(presentations, builder)(*args)))
     af = tmp_path / "assign.txt"
     for text, code in ((images, 0), ("\n".join(lines), mutated_exit)):
         af.write_text(text)

@@ -1,6 +1,7 @@
 """What importing braidkit loads: the package root binds its public names on
-first use, and each CLI command loads only the layers it runs.  Footprints
-are read from `sys.modules` of a fresh interpreter."""
+first use, and each CLI command and each `verify` check loads only the
+layers it runs.  Footprints are read from `sys.modules` of a fresh
+interpreter."""
 
 import os
 import subprocess
@@ -74,6 +75,30 @@ def test_hom_check_loads_its_target_models_but_no_linear_algebra(tmp_path):
                             "--assign", str(af))
     assert loaded == START_UP | {"braidkit." + m
                                  for m in ("presentations", "hom", "models", "garside")}
+
+
+def _after_verify(pattern: str) -> set:
+    """The footprint of `verify --filter PATTERN`, which exits 1 when it
+    selects a documented discrepancy."""
+    return _loaded("from braidkit.cli import main\ntry:\n"
+                   "    main(['verify', '--filter', %r], standalone_mode=False)\n"
+                   "except SystemExit as exc:\n    assert exc.code == 1\n" % pattern)
+
+
+def test_verify_of_the_frozen_matrices_loads_only_linear_algebra():
+    assert _after_verify("mat-*") == START_UP | {"braidkit.verify", "braidkit.intlin"}
+
+
+def test_verify_of_the_braid_checks_adds_only_garside():
+    assert _after_verify("braid-*") == START_UP | {"braidkit." + m
+                                                   for m in ("verify", "intlin", "garside")}
+
+
+def test_verify_of_the_abelianizations_loads_no_rewriter_or_model():
+    loaded = _after_verify("ab-*")
+    assert "braidkit.series" in loaded
+    assert not loaded & {"braidkit." + m
+                         for m in ("garside", "models", "freesub", "hom", "reidschreier")}
 
 
 def test_every_public_name_is_the_object_of_its_home_module():

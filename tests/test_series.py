@@ -33,7 +33,7 @@ from braidkit.series import (
     lcs_rank_z2_free,
     windowed_coinvariants,
 )
-from braidkit.verify import SHIFTED_Z
+from braidkit.verify import shifted_z
 from braidkit import models, reidschreier
 from braidkit.reidschreier import rs_finite_cyclic, tietze_eliminate
 from braidkit.words import (Gen, Word, exponent_vector, free_reduce, invert,
@@ -295,7 +295,7 @@ def test_annulus_commutator_subgroup_is_perfect_from_six_strands():
 
 
 def test_shifted_z_system_gives_order_two():
-    res = windowed_coinvariants(SHIFTED_Z, window=4)
+    res = windowed_coinvariants(shifted_z(), window=4)
     assert res.stable
     assert res.invariants == AbelianInvariants(0, (2,))
 

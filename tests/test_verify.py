@@ -1,12 +1,17 @@
 """The verification suite as a whole: shape, determinism, known outcomes,
 and the matrix inverses that the 4-strand checks read off the printed data."""
 
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import product
 
 import pytest
 
-from braidkit import intlin, verify
+import braidkit
+from braidkit import hom, intlin, series, verify
 from braidkit.intlin import identity, mat_mul, matrix, solve_in_lattice
 from braidkit.verify import run_verify
 from oracles import inv_unimodular_snf
@@ -71,8 +76,8 @@ def test_deterministic(checks):
 def test_filtered_run_computes_only_matched_checks(monkeypatch):
     def unexpected(*_args, **_kwargs):
         raise AssertionError("a check outside the filter was computed")
-    monkeypatch.setattr(verify.series, "abelianization", unexpected)
-    monkeypatch.setattr(verify.hom, "check_hom", unexpected)
+    monkeypatch.setattr(series, "abelianization", unexpected)
+    monkeypatch.setattr(hom, "check_hom", unexpected)
     sub = run_verify("mat-*")
     assert [c.id for c in sub] == ["mat-u-inverse", "mat-v-inverse",
                                    "mat-commutator", "mat-c-inverse",
@@ -83,6 +88,20 @@ def test_filtered_run_computes_only_matched_checks(monkeypatch):
 def test_each_check_runs_alone(checks):
     for c in checks:
         assert run_verify(c.id) == [c]
+
+
+def test_checks_run_in_reverse_order_in_a_fresh_interpreter_as_in_a_full_run(checks):
+    # each check imports the layers it runs: none may lean on a layer that a
+    # check before it in the registry loaded
+    code = ("import json\nfrom braidkit.verify import REGISTRY, run_verify\n"
+            "print(json.dumps([(c.id, c.status, c.got) for cid, _, _ in reversed(REGISTRY)"
+            " for c in run_verify(cid)]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(braidkit.__file__))))
+    assert proc.returncode == 0, proc.stderr
+    assert [tuple(r) for r in json.loads(proc.stdout)][::-1] == \
+        [(c.id, c.status, c.got) for c in checks]
 
 
 def _conjugates_by_inversion():
