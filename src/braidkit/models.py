@@ -10,8 +10,7 @@ each stock one, such as `q8_semidirect_f2`, is where its action is stated,
 and `hat_subgroup` takes the normal closure of its twisted commutators in a
 finite normal part.  Q8 is stated by its rule, the elements +-x^a y^b
 with y x = -x y and x^2 = y^2 = -1 (`q8`).  `target` names the stock
-models that hom-check and verify map into (free-group automorphisms are
-`words.FreeAutomorphism`).
+models that hom-check and verify map into.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .words import (Gen, Word, commutator, free_reduce, invert, letter,
-                    multiply, parse_word, power, word_to_text)
+                    multiply, parse_runs, parse_word, power, word_to_text)
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,10 @@ def parse_presentation(text: str) -> Presentation:
         elif line.startswith("gens:"):
             body = line[len("gens:"):]
             try:
-                w = parse_word(body)
+                runs = parse_runs(body)   # each token, before free reduction
             except ValueError as e:
                 raise ParseError(str(e), lineno, len("gens:") + 1)
-            for g, e in w.runs:
+            for g, e in runs:
                 if e != 1:
                     raise ParseError("exponent not allowed in generator list", lineno)
                 if g in declared:

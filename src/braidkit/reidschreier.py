@@ -88,15 +88,15 @@ class _OnDemand(dict):
         return value
 
 
-def _weight_moves(t: Gen, weights: dict, modulus: int,
-                  name: Callable[[Gen, int], Gen], w_gen: Optional[Gen]):
+def _weight_moves(t: Gen, weights: dict, modulus: int, name: Callable[[Gen, int], Gen]):
     """Move map of the weight map onto Z/modulus (Z for modulus 0), each move
     computed on its first use: x^+-1 emits name(x, c) = t^c x
-    t^-(c+omega(x)), t none, and q wraps back into [0, m) emit w_gen^q."""
+    t^-(c+omega(x)), t none, and q wraps back into [0, m) emit w^q (modulo
+    0 nothing wraps)."""
     def move(c: int, x: Gen, sign: int) -> tuple[int, tuple]:
         d = c + sign * weights[x]
         q, d = divmod(d, modulus) if modulus else (0, d)
-        wraps = ((w_gen, q),) if q else ()
+        wraps = ((Gen("w"), q),) if q else ()
         if x == t:
             return d, wraps
         if sign > 0:
@@ -148,7 +148,7 @@ def rs_finite_cyclic(p: Presentation, modulus: int, t: Gen,
     if modulus < 1:
         raise ValueError("modulus must be positive")
     weights = _check_weights(p, weights, t, modulus)
-    moves = _weight_moves(t, weights, modulus, _finite_name, Gen("w"))
+    moves = _weight_moves(t, weights, modulus, _finite_name)
     dictionary = {Gen("w"): power(letter(t), modulus)}
     dictionary.update((_finite_name(x, c), _schreier_word(t, x, c, weights[x]))
                       for x in p.generators if x != t for c in range(modulus))
@@ -252,7 +252,7 @@ def rs_z_window(p: Presentation, t: Gen, weights: Optional[dict] = None,
     def name(x: Gen, c: int) -> Gen:
         return Gen(fam_name[x], (c,))
 
-    moves = _weight_moves(t, weights, 0, name, None)
+    moves = _weight_moves(t, weights, 0, name)
     rel_fams = tuple(_rewrite(r, 0, moves)[0] for r in p.relators)
     ip = IndexedPresentation("%s/kerZ" % p.name, (), tuple(fam_name.values()),
                              (), rel_fams)

@@ -2,11 +2,12 @@
 
 Abelianization of presentations; the second lower central quotient of a
 group with cyclic abelianization (finite or Z), which is trivial because
-Lambda^2 of a cyclic group is 0 (only the abelianization and the chosen
-generator are checked); windowed coinvariants of Z-indexed presentations;
-closed form rank formulas for two free-by-cyclic style lower central
-series.  The concrete systems that the verification suite checks are frozen
-in `verify`.
+Lambda^2 of a cyclic group is 0, so only G^ab and G^ab modulo the chosen
+generator are checked, both from one read of the relators; windowed
+coinvariants of Z-indexed presentations; closed form rank formulas for two
+free-by-cyclic style lower central series.  The concrete systems that the
+verification suite checks are frozen in `verify`.  `presentations` is
+imported for annotations only.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .intlin import IntMatrix, abelian_invariants, mat_pow, matrix
-from .presentations import IndexedPresentation, Presentation
-from .words import Gen, letter, relation_rows
+from .words import Gen, relation_rows
+
+if TYPE_CHECKING:
+    from .presentations import IndexedPresentation, Presentation
 
 
 @dataclass(frozen=True)
@@ -61,13 +64,14 @@ def gamma2_mod_gamma3(p: Presentation, t: Gen) -> AbelianInvariants:
     of p, and t generates G^ab, that is, G^ab modulo t is trivial.  If t maps
     to q in Z/m, G^ab modulo t has order gcd(q, m), which the error names
     mod m; if t maps to q in Z, the error names |q|."""
-    ab = abelianization(p)
+    rows = relation_rows(p.relators, p.generators)
+    ab = AbelianInvariants(*abelian_invariants(rows, len(p.generators)))
     if ab.free_rank + len(ab.torsion) > 1:
         raise ValueError("abelianization %s is not cyclic" % ab)
     if t not in p.generators:
         raise ValueError("transversal %s is not a generator of %s" % (t, p.name))
-    quotient = abelianization(Presentation(
-        p.name, p.generators, p.relators + (letter(t),)))
+    quotient = AbelianInvariants(*abelian_invariants(
+        rows + [{p.generators.index(t): 1}], len(p.generators)))
     if quotient != AbelianInvariants(0, ()):
         # t maps to q in Z/m (m = 0 for Z), so the quotient is Z/gcd(q, m);
         # it is all of G^ab exactly when q = 0, named 0

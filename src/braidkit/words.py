@@ -7,8 +7,8 @@ and `invert_runs` inverts them.  They, `substitute_runs` and
 `cyclic_reduce_runs` take letters of any hashable type, so interned int
 letters and subgroup labels share them.  A relation row is sparse,
 {column: exponent sum} over a generator basis (`relation_rows`);
-`exponent_vector` is the dense view of one.  `FreeAutomorphism` applies by
-`substitute`.
+`exponent_vector` is the dense view of one.  An action on a free group is a
+dict of generator images, applied by `substitute`.
 
 Generators are interned, one `Gen` per (name, indices), so generator
 equality is identity and dict and set lookups hash an address.  The pool
@@ -234,20 +234,6 @@ def substitute(w: Word, images: dict[Gen, Word]) -> Word:
                                          if g in images}))
 
 
-@dataclass(frozen=True)
-class FreeAutomorphism:
-    """A free-group automorphism, by its generator images and its inverse's."""
-
-    images: dict[Gen, Word]
-    inverse_images: dict[Gen, Word]
-
-    def apply(self, w: Word) -> Word:
-        return substitute(w, self.images)
-
-    def inverse(self) -> FreeAutomorphism:
-        return FreeAutomorphism(self.inverse_images, self.images)
-
-
 _TOKEN = re.compile(
     r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"(?:\[(?P<idx>-?\d+(?:\s*,\s*-?\d+)*)\])?"
@@ -255,10 +241,11 @@ _TOKEN = re.compile(
 )
 
 
-def parse_word(text: str) -> Word:
-    """Parse the ``s[1]^2 s[2] s[1]^-3`` word syntax.  ``1`` is the identity."""
+def parse_runs(text: str) -> list[tuple[Gen, int]]:
+    """The (generator, exponent) runs of a word in the `parse_word` syntax,
+    one per token, before free reduction."""
     if text.strip() in ("", "1"):
-        return IDENTITY
+        return []
     runs: list[tuple[Gen, int]] = []
     pos = 0
     while pos < len(text):
@@ -276,15 +263,20 @@ def parse_word(text: str) -> Word:
         pos = m.end()
     if text[pos:].strip():
         raise ValueError("trailing garbage in word: %r" % text[pos:])
-    return free_reduce(runs)
+    return runs
+
+
+def parse_word(text: str) -> Word:
+    """Parse the ``s[1]^2 s[2] s[1]^-3`` word syntax.  ``1`` is the identity."""
+    return free_reduce(parse_runs(text))
 
 
 def parse_gen(text: str) -> Gen:
-    """Parse a word that is one generator to the power 1, such as ``s[1]``."""
-    w = parse_word(text)
-    if len(w) != 1 or w.runs[0][1] != 1:
+    """Parse one token that is a generator to the power 1, such as ``s[1]``."""
+    runs = parse_runs(text)
+    if len(runs) != 1 or runs[0][1] != 1:
         raise ValueError("%r is not a single generator" % text)
-    return w.runs[0][0]
+    return runs[0][0]
 
 
 def word_to_text(w: Word) -> str:

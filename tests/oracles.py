@@ -6,7 +6,8 @@ against, and the free-group actions only the tests use.
   repeated image letters and cyclic reduction by stripping letters, both
   reduced on that stack, and a canonical relator key that scans every
   rotation.
-- Free-group automorphisms: composition, inverse check, the action of a
+- Free-group automorphisms (`FreeAutomorphism`, a pair of generator-image
+  dicts applied by `substitute`): composition, inverse check, the action of a
   word, the Artin action of braid generators and its relatives, and the
   abelianized action on the z-basis of N = ker(F2 -> Z2 x Z2).
 - A Bareiss determinant and a class-2 nilpotent collector for the second
@@ -28,6 +29,7 @@ against, and the free-group actions only the tests use.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -42,8 +44,7 @@ from braidkit.presentations import Presentation, sphere_braid
 from braidkit.reidschreier import RsOutput, rs_coset_table
 from braidkit.series import AbelianInvariants
 from braidkit.verify import Z_BASIS
-from braidkit.words import (FreeAutomorphism, Gen, Word, exponent_vector, invert, letter,
-                            multiply, substitute)
+from braidkit.words import Gen, Word, exponent_vector, invert, letter, multiply, substitute
 
 # ---------------------------------------------------------------------------
 # word kernels
@@ -158,21 +159,30 @@ def perm_braid_meet_by_search(a, b) -> tuple:
 # free-group automorphisms
 
 
+@dataclass(frozen=True)
+class FreeAutomorphism:
+    """A free-group automorphism, by its generator images and its inverse's."""
+
+    images: dict[Gen, Word]
+    inverse_images: dict[Gen, Word]
+
+    def apply(self, w: Word) -> Word:
+        return substitute(w, self.images)
+
+    def inverse(self) -> FreeAutomorphism:
+        return FreeAutomorphism(self.inverse_images, self.images)
+
+
 def compose(a: FreeAutomorphism, b: FreeAutomorphism) -> FreeAutomorphism:
     """a after b: x -> a(b(x))."""
     gens = set(a.images) | set(b.images)
     images = {g: a.apply(b.images.get(g, letter(g))) for g in gens}
-    inv = None
-    if a.inverse_images is not None and b.inverse_images is not None:
-        inv = {g: substitute(a.inverse_images.get(g, letter(g)),
-                             b.inverse_images)
-               for g in gens}
+    inv = {g: substitute(a.inverse_images.get(g, letter(g)), b.inverse_images)
+           for g in gens}
     return FreeAutomorphism(images, inv)
 
 
 def check_inverse(a: FreeAutomorphism) -> bool:
-    if a.inverse_images is None:
-        return False
     return all(a.apply(substitute(letter(g), a.inverse_images)) == letter(g)
                for g in a.images)
 

@@ -6,22 +6,25 @@ from hypothesis import given, settings, strategies as st
 
 from braidkit.garside import braid_equal
 from braidkit.intlin import identity, mat_mul
-from braidkit.verify import (DISC_U, DISC_V, Z_BASIS, conjugation_template,
-                             template_parameters)
+from braidkit.verify import (DISC_U, DISC_U_INV, DISC_V, DISC_V_INV, Z_BASIS,
+                             conjugation_template, template_parameters)
 from braidkit.words import Gen, free_reduce, letter, multiply, parse_word
-from oracles import (action_matrix, action_of_word, artin_action,
+from oracles import (FreeAutomorphism, action_matrix, action_of_word, artin_action,
                      check_inverse, compose, half_twist_action,
                      puncture_strand_action, z_action)
 
+DISC_U_AUT = FreeAutomorphism(DISC_U, DISC_U_INV)
+DISC_V_AUT = FreeAutomorphism(DISC_V, DISC_V_INV)
+
 
 def test_disc_automorphisms_invertible():
-    for aut in (DISC_U, DISC_V, half_twist_action()):
+    for aut in (DISC_U_AUT, DISC_V_AUT, half_twist_action()):
         assert check_inverse(aut)
 
 
 def test_z_action_matrices_mutually_inverse():
-    u = z_action(DISC_U)
-    ui = z_action(DISC_U.inverse())
+    u = z_action(DISC_U_AUT)
+    ui = z_action(DISC_U_AUT.inverse())
     assert mat_mul(action_matrix(u), action_matrix(ui)) == identity(5)
 
 

@@ -306,6 +306,20 @@ def test_verify_filter_that_matches_no_check_is_a_usage_error():
     assert "'no-such-check-*' matches no check" in res.stderr
 
 
+def test_verify_empty_filter_is_a_usage_error():
+    # '' matches no check id, so it runs none and is refused like any such filter
+    res = run("verify", "--filter", "")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "--filter '' matches no check" in res.stderr
+
+
+def test_verify_star_filter_selects_every_check():
+    everything, starred = run("verify"), run("verify", "--filter", "*")
+    assert starred.stdout == everything.stdout
+    assert starred.exit_code == everything.exit_code
+
+
 def test_g2g3():
     pres = run("present", "--family", "sphere", "--n", "4").output
     res = run("g2g3", "--in", "-", "--transversal", "s[1]", input=pres)
@@ -360,6 +374,21 @@ def test_repeated_generator_is_a_parse_error():
     res = run("ab", "--in", "-", input="group g\ngens: a b a\nrel: a\n")
     assert res.exit_code == 3
     assert "parse error: line 2, column 1: duplicate generator a" in res.output
+
+
+def test_cancelling_generator_list_is_a_parse_error():
+    # read before free reduction: "a a^-1 b" must not declare b alone
+    res = run("ab", "--in", "-", input="group g\ngens: a a^-1 b\nrel: b^2\n")
+    assert (res.exit_code, res.stdout) == (3, "")
+    assert res.stderr == ("parse error: line 2, column 1: "
+                          "exponent not allowed in generator list\n")
+
+
+def test_transversal_that_only_reduces_to_a_generator_is_a_usage_error():
+    pres = run("present", "--family", "sphere", "--n", "4").output
+    res = run("g2g3", "--in", "-", "--transversal", "s[1] s[2] s[2]^-1", input=pres)
+    assert res.exit_code == 2
+    assert "'s[1] s[2] s[2]^-1' is not a single generator" in res.stderr
 
 
 @pytest.mark.parametrize("rel", ["1", "a a^-1"])

@@ -53,18 +53,24 @@ def test_ab_loads_neither_garside_nor_models_freesub_hom_or_verify(tmp_path):
                          for m in ("garside", "models", "freesub", "hom", "verify")}
 
 
-@pytest.mark.parametrize("command", [
-    ["ab", "--in", "{}"], ["g2g3", "--in", "{}", "--transversal", "a"],
-    ["lcs-ranks", "--family", "torus", "--max-i", "3"]],
+@pytest.mark.parametrize("command, layers", [
+    (["ab", "--in", "{}"], ("series", "intlin", "presentations")),
+    (["g2g3", "--in", "{}", "--transversal", "a"], ("series", "intlin", "presentations")),
+    (["lcs-ranks", "--family", "torus", "--max-i", "3"], ("series", "intlin"))],
     ids=["ab", "g2g3", "lcs-ranks"])
-def test_series_commands_load_no_rewriter(tmp_path, command):
+def test_series_commands_load_no_rewriter(tmp_path, command, layers):
     # g2g3 answers from the abelianization alone, so none of these loads
-    # braidkit.reidschreier
+    # braidkit.reidschreier; presentations comes with the file parser, which
+    # lcs-ranks does not run
     pf = tmp_path / "p.txt"
     pf.write_text("group z6\ngens: a b\nrel: a^6\nrel: b a^-2\n")
     loaded = _after_command(*(arg.format(pf) for arg in command))
-    assert loaded == START_UP | {"braidkit." + m
-                                 for m in ("series", "intlin", "presentations")}
+    assert loaded == START_UP | {"braidkit." + m for m in layers}
+
+
+def test_series_imports_presentations_for_annotations_only():
+    assert _loaded("import braidkit.series") == {
+        "braidkit", "braidkit.series", "braidkit.intlin", "braidkit.words"}
 
 
 def test_hom_check_loads_its_target_models_but_no_linear_algebra(tmp_path):

@@ -14,8 +14,8 @@ from braidkit.models import (
     q8_semidirect_f2,
     z2z6_model,
 )
-from braidkit.words import FreeAutomorphism, Gen, Word, free_reduce, letter, parse_word
-from oracles import (action_of_word, check_inverse, compose, klein_four,
+from braidkit.words import Gen, Word, free_reduce, letter, parse_word
+from oracles import (FreeAutomorphism, action_of_word, check_inverse, compose, klein_four,
                      q8_by_unit_products, s3_table, table_by_position)
 
 

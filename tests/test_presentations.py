@@ -150,6 +150,13 @@ def test_parse_errors():
         parse_presentation("group X\ngens: a\nrel: a b\n")  # undeclared gen
     with pytest.raises(ParseError, match="line 2, column 1: duplicate generator a"):
         parse_presentation("group X\ngens: a b a\n")
+    # the generator list is read token by token: free reduction would
+    # declare b alone for "a a^-1 b" and report a^2 for "a a"
+    for gens, message in (("a a^-1 b", "exponent not allowed in generator list"),
+                          ("b a a^-1", "exponent not allowed in generator list"),
+                          ("a a", "duplicate generator a")):
+        with pytest.raises(ParseError, match="line 2, column 1: " + message):
+            parse_presentation("group X\ngens: %s\nrel: b^2\n" % gens)
 
 
 def test_serialize_round_trip_families():

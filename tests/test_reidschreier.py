@@ -159,12 +159,12 @@ def test_rewrite_matches_the_former_closures(word, modulus, start, wx, wy):
     weights = {_T: 1, _X: wx, _Y: wy}
     if modulus:
         start %= modulus
-        moves = reidschreier._weight_moves(_T, weights, modulus, _finite_name, Gen("w"))
+        moves = reidschreier._weight_moves(_T, weights, modulus, _finite_name)
         got = reidschreier._rewrite(word, start, moves)[0]
         assert got == former_finite_rewrite(word, start, _T, weights, modulus)
     else:
         moves = reidschreier._weight_moves(_T, weights, 0,
-                                           lambda x, c: Gen(_FAM[x], (c,)), None)
+                                           lambda x, c: Gen(_FAM[x], (c,)))
         got = reidschreier._rewrite(word, start, moves)[0]
         assert got == former_z_rewrite(word, start, _T, weights, _FAM)
 
@@ -664,12 +664,12 @@ def _expansion_cases():
     s4_act = strand_permutation_act(4)
     return [
         ("Z/5", gens,
-         reidschreier._weight_moves(_T, weights, 5, _finite_name, Gen("w")),
+         reidschreier._weight_moves(_T, weights, 5, _finite_name),
          rs_finite_cyclic(free, 5, _T, weights).dictionary, range(5),
          t_power, lambda c, w: (c + weight(w)) % 5),
         ("Z", gens,
          reidschreier._weight_moves(_T, weights, 0,
-                                    lambda x, c: Gen(_FAM[x], (c,)), None),
+                                    lambda x, c: Gen(_FAM[x], (c,))),
          rs_z_window(free, _T, weights, window=z_window).dictionary,
          range(-_START, _START + 1),
          t_power, lambda c, w: c + weight(w)),

@@ -131,7 +131,7 @@ def _rewriter_coinvariance_rows(p, modulus, t, weights):
         conj = multiply(letter(t), rs.dictionary[s], invert(letter(t)))
         image = reidschreier._rewrite(conj, 0, reidschreier._weight_moves(
             t, weights, modulus,
-            lambda x, c: Gen(x.name, x.indices + (c,)), Gen("w")))[0]
+            lambda x, c: Gen(x.name, x.indices + (c,))))[0]
         relators.append(multiply(image, invert(letter(s))))
     return relation_rows(relators, rs.presentation.generators)
 

@@ -22,6 +22,8 @@ from braidkit.words import (
     invert_runs,
     letter,
     multiply,
+    parse_gen,
+    parse_runs,
     parse_word,
     power,
     reduce_runs,
@@ -187,6 +189,21 @@ def test_parse_identity_and_indices():
     assert parse_word("1") == IDENTITY
     w = parse_word("A[2,3]^-1 s[1]")
     assert w == multiply(invert(letter(Gen("A", (2, 3)))), letter(Gen("s", (1,))))
+
+
+def test_parse_runs_keeps_every_token_before_reduction():
+    a, b = Gen("a"), Gen("b")
+    assert parse_runs("a a^-1 b") == [(a, 1), (a, -1), (b, 1)]
+    assert parse_runs(" 1 ") == []
+    assert parse_word("a a^-1 b") == letter(b)
+
+
+@pytest.mark.parametrize("text", ["a a^-1 b", "b a a^-1", "a^2 a^-1"])
+def test_parse_gen_needs_one_token(text):
+    # a word that only reduces to one generator is not a single generator
+    with pytest.raises(ValueError, match="is not a single generator"):
+        parse_gen(text)
+    assert parse_gen(" s[1] ") == Gen("s", (1,))
 
 
 @pytest.mark.parametrize("text, message", [
