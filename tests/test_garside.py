@@ -5,13 +5,15 @@ action of B_n on the free group F_n, which is faithful, and the former
 implementation (one factor per letter, eager tau, a global sweep), kept
 here as `sweep_normal_form`.  The left meet that repairs each pair, and the
 pair repair itself, are checked against a search over all permutations, and
-the repairs a normal form memoizes against the sweep on long words."""
+the repairs a normal form memoizes against the sweep on long words.  The
+blocks `normal_form` appends whole are counted against `block_count`, which
+tracks the crossed strand pairs as a set."""
 
 import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidkit import garside
 from braidkit.garside import braid_equal, nf_to_word, normal_form, permutation
@@ -431,3 +433,85 @@ def test_deep_meets_match_the_sweep_oracle(case):
     assert a == sweep_normal_form(u, n)
     assert garside.nf_mul(a, b) == sweep_normal_form(multiply(u, v), n)
     assert garside.nf_inv(a) == sweep_normal_form(invert(u), n)
+
+
+# -- blocks: one append per longest same-sign run whose product is simple --
+
+def block_count(word, n):
+    """Number of blocks in a word: a letter starts a new block when its sign
+    differs from the block's, or when the two strands it crosses have
+    crossed in the block already.  Whether a product is simple does not
+    depend on the tau frame, so the letters are read as written."""
+    count, sign, crossed, at = 0, 0, set(), list(range(n))
+    for g, e in word.letters():
+        i = g.indices[0]
+        if e != sign or frozenset(at[i - 1:i + 1]) in crossed:
+            count, sign, crossed, at = count + 1, e, set(), list(range(n))
+        crossed.add(frozenset(at[i - 1:i + 1]))
+        at[i - 1], at[i] = at[i], at[i - 1]
+    return count
+
+
+def count_appends(monkeypatch):
+    """Record the simple element of every `garside._append` call."""
+    calls = []
+    real = garside._append
+
+    def counting(factors, x, *args):
+        calls.append(x)
+        real(factors, x, *args)
+
+    monkeypatch.setattr(garside, "_append", counting)
+    return calls
+
+
+def test_normal_form_appends_once_per_block(monkeypatch):
+    calls = count_appends(monkeypatch)
+    delta = free_reduce(garside._perm_braid_word(_pdelta(6)))
+    assert len(delta) == 15
+    assert normal_form(delta, 6) == garside.BraidNF(6, 1, ())
+    assert calls == [_pdelta(6)]
+    calls.clear()
+    # Delta^-1 = Delta^-1 (Delta Delta^-1): the one factor is the identity
+    assert normal_form(invert(delta), 6) == garside.BraidNF(6, -1, ())
+    assert calls == [tuple(range(6))]
+    calls.clear()
+    assert normal_form(parse_word("s[1]^5"), 3) == sweep_normal_form(
+        parse_word("s[1]^5"), 3)
+    assert len(calls) == 5
+
+
+@st.composite
+def block_words(draw):
+    """(n, w): whole permutation braids written out by `_perm_braid_word`,
+    each with a random sign and some followed by its last letter again, to
+    the power 1..3 (a pair crossed already, and runs s_i^e with |e| >= 2).
+    Same-sign neighbours run together, so blocks also end inside one."""
+    n = draw(st.integers(2, 8))
+    runs = []
+    for _ in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from((1, -1)))
+        word = garside._perm_braid_word(draw(st.permutations(range(n))))
+        runs += [(g, sign * e) for g, e in word]
+        if word and draw(st.booleans()):
+            runs.append((word[-1][0], sign * draw(st.integers(1, 3))))
+    return n, free_reduce(runs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(block_words())
+# a block ends on a pair crossed already (s[2] after Delta)
+@example((3, parse_word("s[1] s[2] s[1] s[2] s[1]")))
+# negative blocks in both tau frames, one after the other and after a positive one
+@example((4, parse_word("s[1]^-1 s[2]^-1 s[1]^-1 s[3]^-1 s[2]^-1 s[3] s[2] s[1]^-1")))
+# runs s_i^e with |e| >= 2 of either sign, inside and between blocks
+@example((5, parse_word("s[2]^-3 s[1] s[3]^2 s[4] s[3]^-2")))
+def test_blocks_match_the_sweep_and_artin_oracles(case):
+    n, w = case
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_appends(mp)
+        nf = normal_form(w, n)
+    assert len(calls) == block_count(w, n)
+    assert nf == sweep_normal_form(w, n)
+    acts = {Gen("s", (i,)): artin_action(i, n) for i in range(1, n)}
+    assert action_of_word(acts, nf_to_word(nf)).images == action_of_word(acts, w).images
