@@ -427,6 +427,10 @@ class IndexedPresentation:
     relator_families: tuple[Word, ...]
 
     def __post_init__(self):
+        for n, w in enumerate(self.fixed_relators):
+            if not isinstance(w, Word):
+                raise TypeError("fixed relator %d of %s is a %s, not a Word"
+                                % (n, self.name, type(w).__name__))
         for n, w in enumerate(self.relator_families):
             if not isinstance(w, Word):
                 raise TypeError("relator family %d of %s is a %s, not a Word"

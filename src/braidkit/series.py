@@ -4,10 +4,11 @@ Abelianization of presentations; the second lower central quotient of a
 group with cyclic abelianization (finite or Z), which is trivial because
 Lambda^2 of a cyclic group is 0, so only G^ab and G^ab modulo the chosen
 generator are checked, both from one read of the relators; windowed
-coinvariants of Z-indexed presentations; closed form rank formulas for two
-free-by-cyclic style lower central series.  The concrete systems that the
-verification suite checks are frozen in `verify`.  `presentations` is
-imported for annotations only.
+coinvariants of Z-indexed presentations, whose relation rows are each
+relator family's row read once and shifted, with no instance built; closed
+form rank formulas for two free-by-cyclic style lower central series.  The
+concrete systems that the verification suite checks are frozen in
+`verify`.  `presentations` is imported for annotations only.
 """
 
 from __future__ import annotations
@@ -87,14 +88,52 @@ class WindowedInvariants:
     stable: bool
 
 
+def _window_rows(ip: IndexedPresentation,
+                 window: int) -> tuple[list[dict[int, int]], int]:
+    """The relation rows of ip.instantiate(window), in order, and its
+    generator count, with no instance built.  The column of f@j is
+    len(fixed) + index(f)(2K+1) + j + K, as in `instantiate`.  A relator
+    family is summed once, into the columns of its first instance, and each
+    later instance shifts its family columns by one; fixed relators and
+    family words with no family letter go through `relation_rows`."""
+    gens = tuple(ip.fixed_generators) + tuple(
+        Gen(f, (k,)) for f in ip.families for k in range(-window, window + 1))
+    if len(set(gens)) < len(gens):
+        dup = next(g for n, g in enumerate(gens) if g in gens[:n])
+        raise ValueError("duplicate generator %s in %s[K=%d]" % (dup, ip.name, window))
+    if not all(ip.fixed_relators):
+        raise ValueError("empty relator in %s[K=%d]" % (ip.name, window))
+    fixed = {g: i for i, g in enumerate(ip.fixed_generators)}
+    start = {f: len(fixed) + n * (2 * window + 1) for n, f in enumerate(ip.families)}
+    rows = relation_rows(ip.fixed_relators, gens)
+    for w in ip.relator_families:
+        offsets = [g.indices[0] for g, _ in w.runs if g.name in start]
+        if not offsets:
+            rows += relation_rows((w,) if w else (), gens)
+            continue
+        # with offsets o, all indices k + o lie in [-K, K] exactly for the
+        # 2K + 1 - (max o - min o) instances from k = -K - min o on
+        lo, count = min(offsets), 2 * window + 1 - max(offsets) + min(offsets)
+        row: dict[int, int] = {}
+        for g, e in w.runs if count > 0 else ():
+            c = start[g.name] + g.indices[0] - lo if g.name in start else fixed.get(g)
+            if c is None:
+                raise ValueError("undeclared generator %s in %s" % (g, ip.name))
+            row[c] = row.get(c, 0) + e
+        rows += ({c + k if c >= len(fixed) else c: e for c, e in row.items() if e}
+                 for k in range(count))
+    return rows, len(gens)
+
+
 def windowed_coinvariants(ip: IndexedPresentation,
                           window: int) -> WindowedInvariants:
     """Abelian invariants of the presentation instantiated over the window
-    [-K, K].  Stable when windows K and K+1 agree."""
+    [-K, K], from its relation rows (`_window_rows`); no instance word or
+    presentation is built.  Stable when windows K and K+1 agree."""
     if window < 2:
         raise ValueError("window must be >= 2")
-    here = abelianization(ip.instantiate(window))
-    nxt = abelianization(ip.instantiate(window + 1))
+    here, nxt = (AbelianInvariants(*abelian_invariants(*_window_rows(ip, k)))
+                 for k in (window, window + 1))
     return WindowedInvariants(here, here == nxt)
 
 

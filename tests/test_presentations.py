@@ -113,6 +113,12 @@ def test_relator_families_must_be_words():
                             (lambda k: parse_word("p[%d]" % k),))
 
 
+def test_fixed_relators_must_be_words():
+    # a relator given as text was refused only when its rows were read
+    with pytest.raises(TypeError, match="fixed relator 1 of text is a str, not a Word"):
+        IndexedPresentation("text", (Gen("q"),), ("p",), (parse_word("q^2"), "p[0]"), ())
+
+
 def test_family_letters_must_be_singly_indexed():
     for bad in ("p[1,2] p[0]^-1", "p q"):
         with pytest.raises(ValueError, match="not a singly indexed family generator"):

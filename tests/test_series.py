@@ -14,12 +14,14 @@ from braidkit.intlin import abelian_invariants, matrix
 from braidkit.models import (FreeGroup, Product, act_on_finite, hat_subgroup,
                              q8_semidirect_f2)
 from braidkit.presentations import (
+    IndexedPresentation,
     Presentation,
     artin_braid,
     b3_punctured_gamma2_ab,
     gamma2_annulus,
     gamma2_b4,
     gamma2_b5,
+    kent_peifer,
     parse_presentation,
     sphere_braid,
 )
@@ -34,10 +36,11 @@ from braidkit.series import (
     windowed_coinvariants,
 )
 from braidkit.verify import shifted_z
-from braidkit import models, reidschreier
-from braidkit.reidschreier import rs_finite_cyclic, tietze_eliminate
-from braidkit.words import (Gen, Word, exponent_vector, free_reduce, invert,
-                            letter, multiply, parse_word, relation_rows)
+from braidkit import models, presentations, reidschreier, series
+from braidkit.reidschreier import rs_finite_cyclic, rs_z_window, tietze_eliminate
+from braidkit.words import (Gen, Word, commutator, conjugate, exponent_vector,
+                            free_reduce, invert, letter, multiply, parse_word,
+                            relation_rows)
 from oracles import (cyclic_table, klein_four, nilpotent_class2_gamma2,
                      smith_normal_form_dense)
 
@@ -298,6 +301,124 @@ def test_shifted_z_system_gives_order_two():
     res = windowed_coinvariants(shifted_z(), window=4)
     assert res.stable
     assert res.invariants == AbelianInvariants(0, (2,))
+
+
+def _instantiated_rows(ip, window):
+    """The oracle of `series._window_rows`: the relation rows of the
+    instantiated presentation."""
+    inst = ip.instantiate(window)
+    return relation_rows(inst.relators, inst.generators), len(inst.generators)
+
+
+_BUILT_IN_INDEXED = (
+    [gamma2_annulus(m) for m in range(3, 8)] + [b3_punctured_gamma2_ab(), shifted_z()]
+    + [tietze_eliminate(rs_z_window(kent_peifer(m), Gen("t"))).presentation
+       for m in range(3, 6)]
+    + [tietze_eliminate(rs_z_window(artin_braid(n), Gen("s", (1,)))).presentation
+       for n in range(3, 6)])
+
+
+@pytest.mark.parametrize("ip", _BUILT_IN_INDEXED, ids=lambda ip: ip.name)
+def test_window_rows_match_the_instantiated_rows(ip):
+    for window in range(1, 14):
+        assert series._window_rows(ip, window) == _instantiated_rows(ip, window), window
+
+
+_FIXED = (Gen("q", (1,)), Gen("q", (2,)))
+
+
+@st.composite
+def _indexed_presentations(draw):
+    """Indexed presentations on one or two families and up to two fixed
+    generators.  Family words mix family letters at offsets near 0 or up
+    to 20, so some have no instance in small windows, with fixed letters
+    and an undeclared x now and then; some are conjugates or commutators,
+    whose letters cancel in the exponent sums, and some have no family
+    letter or are empty.  Fixed relators may name family letters near 0."""
+    families = draw(st.sampled_from((("p",), ("p", "r"))))
+    fixed = _FIXED[:draw(st.integers(0, 2))]
+
+    def words(offsets, extra=()):
+        letters = st.builds(lambda f, j: Gen(f, (j,)), st.sampled_from(families), offsets)
+        if fixed + extra:
+            letters |= st.sampled_from(fixed + extra)
+        return st.lists(st.tuples(letters, st.integers(-3, 3).filter(bool)),
+                        max_size=5).map(free_reduce)
+    family_word = words(st.integers(-2, 2) | st.integers(-20, 20), (Gen("x"),))
+    family_words = st.one_of(
+        family_word, st.builds(conjugate, family_word, family_word),
+        st.builds(commutator, family_word, family_word),
+        st.lists(st.tuples(st.sampled_from(fixed + (Gen("x"),)),
+                           st.integers(-2, 2).filter(bool)), max_size=3).map(free_reduce))
+    return IndexedPresentation(
+        "random", fixed, families,
+        tuple(draw(st.lists(words(st.integers(-4, 4)).filter(bool), max_size=2))),
+        tuple(draw(st.lists(family_words, max_size=4))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_indexed_presentations())
+def test_window_rows_match_the_instantiated_rows_on_random_systems(ip):
+    for window in (1, 2, 3, 5):
+        try:
+            want = _instantiated_rows(ip, window)
+        except ValueError:
+            with pytest.raises(ValueError):
+                series._window_rows(ip, window)
+            continue
+        assert series._window_rows(ip, window) == want, window
+
+
+_PAIR = parse_word("p[0] p[1]^-1")
+
+
+@pytest.mark.parametrize("ip, window, named, instantiated", [
+    (IndexedPresentation("undeclared", (), ("p",), (), (parse_word("p[0] x p[1]^-1"),)),
+     4, "x", "relator uses undeclared generator x in undeclared[K=4]"),
+    (IndexedPresentation("outside", (), ("p",), (parse_word("p[5]"),), (_PAIR,)),
+     4, "p[5]", "relator uses undeclared generator p[5] in outside[K=4]"),
+    # p[3] is a family instance from window 3 on, so window 2 fails at K + 1
+    (IndexedPresentation("clash", (Gen("p", (3,)),), ("p",), (), (_PAIR,)),
+     2, "p[3]", "duplicate generator in clash[K=3]"),
+    (IndexedPresentation("twice", (), ("p", "p"), (), (_PAIR,)),
+     4, "p[-4]", "duplicate generator in twice[K=4]"),
+    (IndexedPresentation("empty", (), ("p",), (Word(),), (_PAIR,)),
+     4, None, "empty relator in empty[K=4]"),
+], ids=["undeclared", "outside", "clash", "twice", "empty"])
+def test_windowed_coinvariants_fails_where_instantiate_fails(ip, window, named,
+                                                             instantiated):
+    for k in (window, window + 1):
+        try:
+            ip.instantiate(k)
+        except ValueError as exc:
+            assert str(exc) == instantiated
+            break
+    else:
+        pytest.fail("instantiate accepted windows %d and %d" % (window, window + 1))
+    with pytest.raises(ValueError) as exc:
+        windowed_coinvariants(ip, window)
+    if named is None:
+        assert str(exc.value) == instantiated
+    else:
+        assert named in str(exc.value).split()
+
+
+def test_windowed_coinvariants_builds_no_instance(monkeypatch):
+    systems = [(gamma2_annulus(3), "Z^4"), (gamma2_annulus(4), "Z^2"),
+               (gamma2_annulus(5), "1"), (b3_punctured_gamma2_ab(), "Z^4")]
+    half_twist = shifted_z()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an instance was built")
+    monkeypatch.setattr(IndexedPresentation, "instantiate", refuse)
+    monkeypatch.setattr(presentations, "shift_families", refuse)
+    monkeypatch.setattr(Presentation, "__post_init__", refuse)
+    monkeypatch.setattr(Word, "__post_init__", refuse)
+    # the values `verify` checks at K = 4 and the benchmark's at K = 12
+    for window, checked in ((4, systems + [(half_twist, "Z/2")]), (12, systems)):
+        for ip, want in checked:
+            res = windowed_coinvariants(ip, window)
+            assert (str(res.invariants), res.stable) == (want, True), (ip.name, window)
 
 
 def test_hat_subgroup_of_q8():
