@@ -28,11 +28,17 @@ identity factor only at the end, where it is dropped.
 Within one `normal_form` the same pairs come up again and again (of the
 pairs met in the normal form of a random word of 120 letters, 30 % were met
 before in it at n = 8, and 75 % at n = 4; 44 % and 87 % when each letter was
-appended alone), so the call keeps a dict from each pair it has met to its
-repair, or to None for a pair that was left-weighted.  The dict is local to
-the call: no cache outlives it, so memory stays bounded by one normal form.
-`nf_mul` and `nf_inv` build short products, where a memo measured slightly
-slower, and repair without one.
+appended alone), and so do they across the products of one homomorphism
+check.  So repairs go through a memo, a dict from each pair met to its
+repair, or to None for a pair that was left-weighted.  A repair is a pure
+function of its pair, so one memo may serve any products on n strands;
+keyed by pairs of permutations, it holds at most (n!)^2 entries.
+`normal_form`, `nf_product`, `nf_mul` and `nf_inv` each take one as an
+optional argument.  Without it `normal_form` keeps a dict of its own that
+dies with the call, and the other three repair without a memo (for one
+short product a memo of its own measured slightly slower).
+`models.GarsideBraidGroup` keeps one memo for as long as the model lives and
+passes it to all four, so its hom checks repair each distinct pair once.
 
 A negative block s_j1^-1 ... s_jr^-1 is Delta^-1 (Delta P^-1) with P the
 simple s_jr ... s_j1; the permutation of Delta P^-1 is that of the block's
@@ -42,7 +48,11 @@ elements (tau(s_i) = s_(n-i)).  Rather than rewriting the stored factors,
 the construction keeps a parity bit: the stored factors are tau^parity of
 the true ones, each block's letters are mirrored into the frame it is
 stored in, and tau is applied once at the end.  The repair is the same in
-the twisted frame because tau preserves left-weightedness.
+the twisted frame because tau preserves left-weightedness.  A product of
+normal forms (`nf_product`) counts the parity from the other end: knowing
+every operand's power before it starts, it stores each operand's factors
+in the frame of the powers after it, so each factor is twisted at most
+once, when appended, and the frame at the end is the true one.
 """
 
 from __future__ import annotations
@@ -129,9 +139,9 @@ def _weight_pair(a, b):
 def _append(factors: list, x, ident, memo: dict | None = None) -> None:
     """Right-multiply a left-weighted sequence by the simple element x, in
     place: append x and repair pairs from right to left.  The memo, if
-    given, maps each pair (A, B) already met in this product to its repair,
-    or to None when it was left-weighted, where the pass stops; a lookup
-    that returns the key itself is a pair not met yet."""
+    given, maps each pair (A, B) met before to its repair, or to None when
+    it was left-weighted, where the pass stops; a lookup that returns the
+    key itself is a pair not met yet."""
     factors.append(x)
     j = len(factors) - 2
     while j >= 0:
@@ -180,15 +190,17 @@ class BraidNF:
         return " ".join(parts) if parts else "1"
 
 
-def normal_form(word: Word, n: int) -> BraidNF:
-    """Normal form of a braid word in generators s[1]..s[n-1]."""
+def normal_form(word: Word, n: int, memo: dict | None = None) -> BraidNF:
+    """Normal form of a braid word in generators s[1]..s[n-1]; pair repairs
+    go through `memo`, or through a dict of this call's own."""
     if n < 2:
         raise ValueError("need n >= 2")
     ident = _perm_id(n)
     power = 0
     twisted = False
     factors: list[tuple[int, ...]] = []
-    memo: dict = {}
+    if memo is None:
+        memo = {}
     sign, p, q = 0, None, None  # the open block: sign, permutation, inverse
     for g, e in word.runs:
         i = _gen_index(g, n)
@@ -210,19 +222,32 @@ def normal_form(word: Word, n: int) -> BraidNF:
     return _finish(n, power, factors, twisted)
 
 
-def nf_mul(a: BraidNF, b: BraidNF) -> BraidNF:
+def nf_product(n: int, operands, memo: dict | None = None) -> BraidNF:
+    """The normal form of the product of `operands`, normal forms on n
+    strands (not checked here), built as one left-weighted sequence: each
+    operand's factors are appended in the tau frame of the Delta powers of
+    the operands after it (see the module docstring)."""
+    twisted = sum(x.power for x in operands) % 2
+    ident = _perm_id(n)
+    power = 0
+    factors: list[tuple[int, ...]] = []
+    for x in operands:
+        power += x.power
+        twisted ^= x.power % 2
+        for f in x.factors:
+            _append(factors, _tau(f) if twisted else f, ident, memo)
+    return _finish(n, power, factors, False)
+
+
+def nf_mul(a: BraidNF, b: BraidNF, memo: dict | None = None) -> BraidNF:
     """Product of two normal forms: Delta^(p+q) tau^q(A_1..A_k), then each
     B_j appended."""
     if a.n != b.n:
         raise ValueError("braids on %d and %d strands" % (a.n, b.n))
-    factors = [_tau(f) for f in a.factors] if b.power % 2 else list(a.factors)
-    ident = _perm_id(a.n)
-    for f in b.factors:
-        _append(factors, f, ident)
-    return _finish(a.n, a.power + b.power, factors, False)
+    return nf_product(a.n, (a, b), memo)
 
 
-def nf_inv(a: BraidNF) -> BraidNF:
+def nf_inv(a: BraidNF, memo: dict | None = None) -> BraidNF:
     """Inverse of a normal form: Delta^(-p-k) times the complements
     tau^(p+i)(A_i^-1 Delta) for i = k..1."""
     k = len(a.factors)
@@ -230,7 +255,7 @@ def nf_inv(a: BraidNF) -> BraidNF:
     ident = _perm_id(a.n)
     for i in range(k, 0, -1):
         c = _complement(a.factors[i - 1])
-        _append(factors, _tau(c) if (a.power + i) % 2 else c, ident)
+        _append(factors, _tau(c) if (a.power + i) % 2 else c, ident, memo)
     return _finish(a.n, -a.power - k, factors, False)
 
 

@@ -26,10 +26,8 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.rows:
-            width = len(self.rows[0])
-            if any(len(r) != width for r in self.rows):
-                raise ValueError("ragged matrix")
+        if len(set(map(len, self.rows))) > 1:
+            raise ValueError("ragged matrix")
 
     @property
     def nrows(self) -> int:

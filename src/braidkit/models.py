@@ -196,9 +196,15 @@ def act_on_finite(actions: dict[Gen, dict[str, str]], w: Word, h: str) -> str:
 @dataclass(frozen=True)
 class GarsideBraidGroup(GroupModel):
     """Braid group B_n with elements in Garside normal form; products and
-    inverses are computed on normal forms, never through words."""
+    inverses are computed on normal forms, never through words.  The model
+    keeps one memo of pair repairs (see `garside`) for all its products,
+    inverses and normal forms: a repair is a pure function of the pair, so
+    sharing it changes no result, and it holds at most (n!)^2 entries.  It
+    is outside equality, hash and repr, which are those of n."""
 
     n: int
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -208,13 +214,26 @@ class GarsideBraidGroup(GroupModel):
         return garside.BraidNF(self.n, 0, ())
 
     def mul(self, a, b):
-        return garside.nf_mul(a, b)
+        return garside.nf_mul(a, b, self._memo)
 
     def inv(self, a):
-        return garside.nf_inv(a)
+        return garside.nf_inv(a, self._memo)
 
     def from_word(self, w: Word):
-        return garside.normal_form(w, self.n)
+        return garside.normal_form(w, self.n, self._memo)
+
+    def eval_word(self, assignment: dict[Gen, object], w: Word):
+        """The product of the letters' images, built as one normal form
+        (`garside.nf_product`) rather than one product per letter."""
+        operands = []
+        for g, e in w.runs:
+            if g not in assignment:
+                raise ValueError("no image assigned for generator %s" % g)
+            image = assignment[g]
+            if image.n != self.n:
+                raise ValueError("braids on %d and %d strands" % (self.n, image.n))
+            operands += [image if e > 0 else self.inv(image)] * abs(e)
+        return garside.nf_product(self.n, operands, self._memo)
 
     def parse(self, text):
         return self.from_word(parse_word(text))

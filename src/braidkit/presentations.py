@@ -9,6 +9,7 @@ are instantiated over a finite index window.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .words import (Gen, Word, commutator, free_reduce, invert, letter,
@@ -24,7 +25,8 @@ class Presentation:
     def __post_init__(self):
         declared = set(self.generators)
         if len(declared) != len(self.generators):
-            raise ValueError("duplicate generator in %s" % self.name)
+            twice = next(g for g, k in Counter(self.generators).items() if k > 1)
+            raise ValueError("duplicate generator %s in %s" % (twice, self.name))
         for r in self.relators:
             if not r:
                 raise ValueError("empty relator in %s" % self.name)

@@ -7,20 +7,25 @@ here as `sweep_normal_form`.  The left meet that repairs each pair, and the
 pair repair itself, are checked against a search over all permutations, and
 the repairs a normal form memoizes against the sweep on long words.  The
 blocks `normal_form` appends whole are counted against `block_count`, which
-tracks the crossed strand pairs as a set."""
+tracks the crossed strand pairs as a set.  The braid model's memo, kept
+across its products, is checked against the same evaluations with no memo
+and against the repair of each pair it holds."""
 
 import random
 from itertools import permutations
+from math import factorial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from braidkit import garside
+from braidkit import garside, models
 from braidkit.garside import braid_equal, nf_to_word, normal_form, permutation
 from braidkit.hom import check_hom
-from braidkit.models import GarsideBraidGroup
+from braidkit.models import GarsideBraidGroup, GroupModel
 from braidkit.presentations import artin_braid
-from braidkit.words import Gen, free_reduce, invert, letter, multiply, parse_word
+from braidkit.words import (Gen, free_reduce, invert, letter, multiply, parse_word,
+                            substitute)
 from oracles import (action_of_word, artin_action, perm_braid_meet_by_search,
                      perm_braid_word_by_restarts)
 
@@ -292,6 +297,9 @@ def test_two_strands_are_powers_of_delta():
 
 
 def test_model_mul_and_inv_never_pass_through_words(monkeypatch):
+    """Nor does a relator: each is evaluated as one `nf_product`, and the
+    only normal forms written out as words are the images `check_hom`
+    prints."""
     model = GarsideBraidGroup(4)
     p = artin_braid(4)
     g = parse_word("s[2] s[1]^-1 s[3]")
@@ -300,16 +308,95 @@ def test_model_mul_and_inv_never_pass_through_words(monkeypatch):
     s1 = Gen("s", (1,))
     squared = dict(images)
     squared[s1] = model.mul(images[s1], images[s1])
+    want = [model.eval_word(a, r) for a in (images, squared) for r in p.relators]
 
     def refuse(*_args):
         raise AssertionError("a braid model product went through a word")
 
+    printed, products = [], []
+    print_word, product = models.nf_to_word, garside.nf_product
     monkeypatch.setattr(garside, "nf_to_word", refuse)
     monkeypatch.setattr(garside, "normal_form", refuse)
+    monkeypatch.setattr(models, "nf_to_word",
+                        lambda nf: printed.append(nf) or print_word(nf))
+    monkeypatch.setattr(garside, "nf_product",
+                        lambda *args: products.append(args) or product(*args))
     assert check_hom(p, model, images).all_trivial
     report = check_hom(p, model, squared)
     # s[1]^2 still commutes with s[3]; only the braid relation on s[1] fails
     assert [c.index for c in report.checks if not c.trivial] == [1]
+    assert printed == want
+    assert len(products) == len(want)
+    printed.clear()
+    assert [model.eval_word(squared, r) for r in p.relators] == want[len(p.relators):]
+    assert printed == []
+
+
+# -- the model's memo of pair repairs ---------------------------------------
+
+@st.composite
+def conjugate_images_and_words(draw):
+    """(n, images, words): each generator of B_n sent to g s_i^+-1 g^-1,
+    with g a random word and i random, and random words in the generators."""
+    n = draw(st.integers(2, 6))
+    images = {}
+    for i in range(1, n):
+        g = draw(braid_words(n, max_runs=4))
+        s = letter(Gen("s", (draw(st.integers(1, n - 1)),)), draw(st.sampled_from((1, -1))))
+        images[Gen("s", (i,))] = multiply(g, s, invert(g))
+    return n, images, draw(st.lists(braid_words(n, max_runs=10), min_size=1, max_size=4))
+
+
+_REUSED = {}  # one model per n, its memo kept across examples
+
+
+@settings(max_examples=150, deadline=None)
+@given(conjugate_images_and_words())
+def test_memoized_eval_word_matches_unmemoized_paths(case):
+    n, images, relators = case
+    model = _REUSED.setdefault(n, GarsideBraidGroup(n))
+    assignment = {g: model.from_word(w) for g, w in images.items()}
+    # GroupModel.eval_word one letter at a time, through products with no memo
+    plain = SimpleNamespace(identity=lambda: garside.BraidNF(n, 0, ()),
+                            mul=garside.nf_mul, inv=garside.nf_inv)
+    for w in relators:
+        got = model.eval_word(assignment, w)
+        assert got == GroupModel.eval_word(plain, assignment, w)
+        assert got == GarsideBraidGroup(n).eval_word(assignment, w)
+        assert got == normal_form(substitute(w, images), n)
+    assert assignment == {g: normal_form(w, n) for g, w in images.items()}
+
+
+def test_memo_is_outside_equality_hash_and_repr():
+    used = GarsideBraidGroup(4)
+    a = used.from_word(parse_word("s[1] s[2]^-1 s[3] s[2] s[1]^-1"))
+    used.mul(a, used.inv(a))
+    assert used._memo
+    assert GarsideBraidGroup(4) == used
+    assert hash(GarsideBraidGroup(4)) == hash(used)
+    assert repr(used) == "GarsideBraidGroup(n=4)"
+    assert GarsideBraidGroup(4) != GarsideBraidGroup(5)
+    with pytest.raises(TypeError):
+        GarsideBraidGroup(4, {})
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_memo_holds_only_true_repairs_of_at_most_n_factorial_squared_pairs(n):
+    """Every entry is the repair of its own pair (None for a left-weighted
+    pair), after many hom checks into one model."""
+    rng = random.Random(39 + n)
+    model = GarsideBraidGroup(n)
+    p = artin_braid(n)
+    for _ in range(60):
+        g = free_reduce([(Gen("s", (rng.randrange(1, n),)), rng.choice((1, -1)))
+                         for _ in range(rng.randrange(6))])
+        images = {s: model.from_word(multiply(g, letter(s, rng.choice((1, 2))), invert(g)))
+                  for s in p.generators}
+        check_hom(p, model, images)
+    assert 0 < len(model._memo) <= factorial(n) ** 2
+    for (a, b), repair in model._memo.items():
+        got = garside._weight_pair(a, b)
+        assert repair == (None if got[0] is a else got), (a, b)
 
 
 def test_permutation_braid_words_match_the_restarting_bubble_sort():

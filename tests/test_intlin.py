@@ -226,6 +226,13 @@ def test_serialize_round_trip():
     assert parse_matrix(serialize_matrix(m)) == m
 
 
+@pytest.mark.parametrize("rows", [((1, 2), (3,)), ((1,), (2,), ()),
+                                  ((), (1,)), ((1, 2), (3, 4), (5, 6, 7))])
+def test_ragged_rows_are_refused(rows):
+    with pytest.raises(ValueError, match="ragged matrix"):
+        IntMatrix(rows)
+
+
 @pytest.mark.parametrize("header", ["0 3", "3 0", "-1 2", "2 -1"])
 def test_parse_matrix_rejects_shapes_it_cannot_keep(header):
     # a 0x3 matrix would come back as 0x0, and a negative size is no shape

@@ -5,6 +5,7 @@ import pytest
 from braidkit.presentations import (
     IndexedPresentation,
     ParseError,
+    Presentation,
     affine_A,
     affine_C,
     artin_braid,
@@ -105,6 +106,19 @@ def test_instantiate_keeps_every_instance_of_a_far_offset_family():
         return parse_word("p[%d] p[%d]^-1" % (k + 9, k + 10))
     assert ip.instantiate(2).relators == tuple(at(k) for k in range(-11, -7))
     assert ip.instantiate(12).relators == tuple(at(k) for k in range(-21, 3))
+
+
+def test_duplicate_generator_is_named():
+    a, b = Gen("a"), Gen("b")
+    with pytest.raises(ValueError) as exc:
+        Presentation("dup", (a, b, Gen("c"), b, a), ())
+    assert str(exc.value) == "duplicate generator a in dup"
+    ip = IndexedPresentation("clash", (Gen("p", (3,)),), ("p",), (),
+                             (parse_word("p[0] p[1]^-1"),))
+    ip.instantiate(2)
+    with pytest.raises(ValueError) as exc:
+        ip.instantiate(3)
+    assert str(exc.value) == "duplicate generator p[3] in clash[K=3]"
 
 
 def test_relator_families_must_be_words():

@@ -379,9 +379,9 @@ _PAIR = parse_word("p[0] p[1]^-1")
      4, "p[5]", "relator uses undeclared generator p[5] in outside[K=4]"),
     # p[3] is a family instance from window 3 on, so window 2 fails at K + 1
     (IndexedPresentation("clash", (Gen("p", (3,)),), ("p",), (), (_PAIR,)),
-     2, "p[3]", "duplicate generator in clash[K=3]"),
+     2, "p[3]", "duplicate generator p[3] in clash[K=3]"),
     (IndexedPresentation("twice", (), ("p", "p"), (), (_PAIR,)),
-     4, "p[-4]", "duplicate generator in twice[K=4]"),
+     4, "p[-4]", "duplicate generator p[-4] in twice[K=4]"),
     (IndexedPresentation("empty", (), ("p",), (Word(),), (_PAIR,)),
      4, None, "empty relator in empty[K=4]"),
 ], ids=["undeclared", "outside", "clash", "twice", "empty"])
