@@ -10,6 +10,14 @@ z per generating word, so that the labels along a closed path at the
 basepoint spell that path in those words (Kapovich-Myasnikov, J. Algebra
 2002); `express` is one walk that reads them off.  Schreier generators of
 finite-index subgroups come from `reidschreier.rs_coset_table`.
+
+Cost model.  Words are read by runs, and a fold pays per letter only where
+the graph changes.  A letter that opens a fresh edge to a fresh vertex from
+an unmerged vertex costs two dict writes: no clash test and no label, since
+such an edge is labelled 1.  Label products happen only across merges (and
+where a word resumes from a merged vertex), and the plain fold that `fold`
+runs never builds a label.  `express` folds, ranks and checks a basis once
+per graph; later calls with that basis are one walk.
 """
 
 from __future__ import annotations
@@ -64,7 +72,9 @@ def _fold(words: Sequence[Word], labelled: bool) -> tuple[dict, dict]:
     closing edge of word i is seeded with z[i].  A clash shows P(b) =
     f P(a) for the vertices it joins, and merging gone into keep, with
     P(gone) = g P(keep), relabels gone's edges l -> g^-1 l (loops g^-1 l g).
-    Unlabelled, no label is seeded and the label arithmetic is skipped."""
+    Unlabelled, no label is seeded and the label arithmetic is skipped.  A
+    letter read from an unmerged vertex that has no edge under its key
+    links a fresh vertex at once: P(u) key P(fresh)^-1 = 1."""
     links: dict[int, dict[tuple[Gen, int], int]] = {0: {}}
     labels: dict = {}               # (u, key) -> label
     merged: dict[int, tuple] = {}   # gone -> (keep, g)
@@ -100,15 +110,25 @@ def _fold(words: Sequence[Word], labelled: bool) -> tuple[dict, dict]:
 
     next_vertex = 1
     for i, w in enumerate(words, 1):
-        prev, letters = 0, list(w.letters())
+        letters: list[tuple[Gen, int]] = []
+        for gen, e in w.runs:
+            letters += [(gen, 1)] * e if e > 0 else [(gen, -1)] * -e
+        prev, last = 0, len(letters) - 1
         for idx, key in enumerate(letters):
-            tgt = 0 if idx == len(letters) - 1 else next_vertex
-            if tgt != 0:
-                links[tgt] = {}
+            if idx < last:
+                tgt = next_vertex
                 next_vertex += 1
+                if prev not in merged and key not in links[prev]:
+                    # a fresh edge to a fresh vertex: label 1, no clash
+                    links[prev][key], links[tgt] = tgt, {(key[0], -key[1]): prev}
+                    prev = tgt
+                    continue
+                links[tgt] = {}
+            else:
+                tgt = 0
             u, h = live(prev)   # the closing edge of word i is z[i]
-            attach(u, key, tgt, _mul(invert_runs(h), () if tgt else ((i, 1),))
-                   if labelled else ())
+            label = ((i, 1),) if labelled and not tgt else ()
+            attach(u, key, tgt, _mul(invert_runs(h), label) if h else label)
             while clashes:
                 a, b, f = clashes.pop()
                 (ra, ha), (rb, hb) = live(a), live(b)
@@ -163,27 +183,34 @@ def express(graph: SubgroupGraph, basis: Sequence[Word], w: Word) -> Word:
     is unique.  The basis must have as many words as the subgroup's rank,
     and, unless it is the graph's own words, fold to the same subgroup:
     then it is a free basis, since free groups are Hopfian.  The result is
-    read off the labelled fold of the basis along w's path.
+    read off the labelled fold of the basis along w's path.  The graph keeps
+    that fold, so the checks run when a basis is first seen and a refused
+    basis is refused again on every call.
     """
-    n_rank = rank(graph)
-    if len(basis) != n_rank:
-        raise ValueError("basis size %d != subgroup rank %d" % (len(basis), n_rank))
     key = tuple(basis)
-    if key not in graph._labelled:
+    found = graph._labelled.get(key)
+    if found is None:
+        n_rank = rank(graph)
+        if len(key) != n_rank:
+            raise ValueError("basis size %d != subgroup rank %d" % (len(key), n_rank))
         links, labels = _fold(key, True)
         if key != graph.words and not (
                 all(_walk(graph.links, 0, b) == 0 for b in key)
                 and all(_walk(links, 0, u) == 0 for u in graph.words)):
             raise ValueError("given words are not a free basis of the subgroup "
                              "(they generate another subgroup)")
-        graph._labelled[key] = links, labels
-    links, labels = graph._labelled[key]
+        graph._labelled[key] = found = links, labels
+    links, labels = found
     v, read = graph.basepoint, []
-    for step in w.letters():
-        u, v = v, links[v].get(step)
-        if v is None:
-            raise ValueError("word leaves the subgroup graph at %s" % step[0])
-        read += labels.get((u, step), ())
+    for g, e in w.runs:
+        step = (g, 1) if e > 0 else (g, -1)
+        for _ in range(abs(e)):
+            u, v = v, links[v].get(step)
+            if v is None:
+                raise ValueError("word leaves the subgroup graph at %s" % g)
+            label = labels.get((u, step))
+            if label:
+                read += label
     if v != graph.basepoint:
         raise ValueError("word is not in the subgroup (open path)")
     return Word(tuple((Gen("z", (i,)), e) for i, e in reduce_runs(read)))

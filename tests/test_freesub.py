@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from braidkit import freesub
 from braidkit.freesub import (
     SubgroupGraph,
     _fold,
@@ -351,3 +352,102 @@ def test_graph_equality_survives_rank_and_express():
     rank(g1)
     express(g1, basis, basis[0])
     assert g1 == g2
+
+
+def counting(monkeypatch, name):
+    """Count the calls of freesub's module-level `name` from here on."""
+    calls = []
+    inner = getattr(freesub, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(freesub, name, counted)
+    return calls
+
+
+def test_a_bouquet_with_no_clash_folds_without_label_products(monkeypatch):
+    # no two edges at 0 share a key and every other vertex is fresh, so
+    # neither fold multiplies a label
+    basis = [parse_word(t) for t in ("a b^2", "c a^2 c", "a^-1 c^-3 b^-1")]
+    mul_calls = counting(monkeypatch, "_mul")
+    g = fold(basis)
+    links, labels = _fold(tuple(basis), True)
+    assert mul_calls == []
+    assert links == g.links and rank(g) == 3
+    # only the closing edges, into 0, carry labels
+    assert labels == {(2, (B, 1)): ((1, 1),), (0, (B, -1)): ((1, -1),),
+                      (5, (C, 1)): ((2, 1),), (0, (C, -1)): ((2, -1),),
+                      (9, (B, -1)): ((3, 1),), (0, (B, 1)): ((3, -1),)}
+    for expr in ("z[1] z[2]^-1 z[3]^2", "z[3]^-1 z[1]^3", "z[2] z[1] z[3]"):
+        w = substitute(parse_word(expr), z_images(basis))
+        assert express(g, basis, w) == parse_word(expr)
+
+
+def test_wrong_size_basis_is_refused_on_every_call():
+    g = fold([parse_word("a^2"), parse_word("b")])
+    basis = [parse_word("a^2")]
+    for _ in range(3):
+        with pytest.raises(ValueError, match="basis size 1 != subgroup rank 2"):
+            express(g, basis, parse_word("a^2"))
+        assert g._labelled == {}
+
+
+def test_express_checks_and_folds_each_basis_once(monkeypatch):
+    graph_words = [parse_word(t) for t in ("a^2", "b^2", "a b a b")]
+    g = fold(graph_words)
+    rank_calls = counting(monkeypatch, "rank")
+    fold_calls = counting(monkeypatch, "_fold")
+    other = [graph_words[1], graph_words[0], graph_words[2]]
+    for basis in (graph_words, other):
+        for w in graph_words * 3:
+            assert substitute(express(g, basis, w), z_images(basis)) == w
+    assert len(rank_calls) == len(fold_calls) == 2
+    assert [args[0] for args in fold_calls] == [tuple(graph_words), tuple(other)]
+
+
+RUN_BASES = [
+    ["a^3", "b^2 a b^-2"],
+    ["a^3", "b^2 a b^-2", "b^5"],
+    ["a^2 b^3", "b^-3 a^2 b^-4"],
+    ["c^4 a^-3", "a^3 b^2 a^-3", "b^-2 c^2"],
+]
+
+
+@pytest.mark.parametrize("texts", RUN_BASES)
+def test_run_level_reading_matches_the_oracles(texts):
+    basis = [parse_word(t) for t in texts]
+    g = fold(basis)
+    basepoint, edges = sweep_fold(basis)
+    assert list(g.edges.items()) == list(edges.items())
+    assert rank(g) == len(basis)
+    rng = random.Random(len(texts))
+    images = z_images(basis)
+    for _ in range(40):
+        expr = random_word(rng, list(images), rng.randrange(7))
+        member = substitute(expr, images)
+        got = express(g, basis, member)
+        assert got == expr and substitute(got, images) == member
+        assert contains(g, member) and sweep_contains(basepoint, edges, member)
+        for w in (perturbed(rng, member, [A, B, C]),
+                  multiply(member, parse_word("a^2 b^-3"))):
+            assert contains(g, w) == sweep_contains(basepoint, edges, w)
+
+
+def test_a_word_leaving_the_graph_inside_a_run_names_that_run():
+    # the graph of a^3, b^2 a b^-2 has a b-path of length 2 from the
+    # basepoint and no b-edge into it, so b^3, and b^-3 read back along
+    # that path, leave it at their third letter; the graph of a^2 b has
+    # no a^3 from the basepoint
+    for texts, word in ((("a^3", "b^2 a b^-2"), "b^3"),
+                        (("a^3", "b^2 a b^-2"), "b^2 a^2 b^-3"),
+                        (("a^2 b",), "a^3")):
+        basis = [parse_word(t) for t in texts]
+        g = fold(basis)
+        w = parse_word(word)
+        assert not contains(g, w)
+        with pytest.raises(ValueError) as caught:
+            express(g, basis, w)
+        assert str(caught.value) == "word leaves the subgroup graph at %s" % (
+            w.runs[-1][0])
