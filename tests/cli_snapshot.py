@@ -5,15 +5,19 @@ Usage:
     python tests/cli_snapshot.py SRC > snapshot.txt
 
 SRC is the `src` directory of the tree to snapshot.  Every run goes through
-click's CliRunner in a scratch directory; for each one the script prints its
-arguments, exit code and output (stderr included).  Run it on two trees and
-diff the two outputs to see exactly which outputs a change moved.  This is a
-script, not a test: pytest does not collect it, but
-`tests/test_cli_snapshot.py` pins the size and sha256 of its output.
+the in-process runner of `tests/cli_runner.py` in a scratch directory; for
+each one the script prints its arguments, exit code and output (stderr
+included).  Run it on two trees and diff the two outputs to see exactly
+which outputs a change moved.  This is a script, not a test: pytest does not
+collect it, but `tests/test_cli_snapshot.py` pins the size and sha256 of its
+output.
 """
 
 import os
 import sys
+import tempfile
+
+from cli_runner import invoke
 
 
 def _sizes(option, values):
@@ -180,17 +184,15 @@ def main(argv):
     if len(argv) != 2:
         sys.exit("usage: python tests/cli_snapshot.py SRC")
     sys.path.insert(0, os.path.abspath(argv[1]))
-    from click.testing import CliRunner
-
     from braidkit.cli import main as cli
 
-    runner = CliRunner()
-    with runner.isolated_filesystem():
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
         for path, text in list(FILES.items()) + list(MATRICES.items()):
             with open(path, "w") as fh:
                 fh.write(text)
         for args in invocations():
-            res = runner.invoke(cli, args)
+            res = invoke(cli, args)
             if _saved(args) and res.exit_code == 0:
                 with open(_saved(args), "w") as fh:
                     fh.write(res.output)

@@ -1,4 +1,6 @@
-"""Command line interface, driven through the click test runner."""
+"""Command line interface, driven in process through `tests/cli_runner.py`
+and, where the program name or a fresh interpreter matters, as
+`python -m braidkit.cli`."""
 
 import json
 import os
@@ -6,20 +8,20 @@ import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import commands, invoke
 
 import braidkit
 from braidkit import presentations, verify
-from braidkit.cli import main
+from braidkit.cli import COMMANDS, main
 from braidkit.intlin import mat_mul, parse_matrix
 from braidkit.presentations import serialize
 from braidkit.words import Gen
 
-runner = CliRunner()
+SRC = os.path.dirname(os.path.dirname(braidkit.__file__))
 
 
 def run(*args, **kw):
-    return runner.invoke(main, list(args), **kw)
+    return invoke(main, args, **kw)
 
 
 def test_present_and_ab_pipeline(tmp_path):
@@ -86,6 +88,83 @@ def test_parse_error_exit_code():
 def test_usage_error_exit_code():
     res = run("ab")
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["ab", "--in", "{}"],
+    ["snf", "--in", "{}"],
+    ["subgroup", "member", "--basis", "{}", "--word", "a"],
+    ["subgroup", "express", "--basis", "{}", "--word", "a"],
+    ["hom-check", "--in", "-", "--target", "z2-z6", "--assign", "{}"],
+], ids=["ab-in", "snf-in", "member-basis", "express-basis", "hom-check-assign"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_input_file_is_a_usage_error(tmp_path, command, kind):
+    path, reason = ((str(tmp_path / "nonexistent"), "No such file or directory")
+                    if kind == "missing" else (str(tmp_path), "Is a directory"))
+    pres = run("present", "--family", "sphere", "--n", "4").output
+    res = run(*(arg.format(path) for arg in command), input=pres)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert res.stderr.splitlines()[-1] == "Error: cannot read %r: %s" % (path, reason)
+
+
+# (arguments, the usage line after the program name, the error)
+USAGE_ERRORS = [
+    (["ab"], "ab [OPTIONS]", "Missing option '--in'."),
+    (["braid-eq", "--n", "3", "s[1]"], "braid-eq [OPTIONS] WORD1 WORD2",
+     "Missing argument 'WORD2'."),
+    (["verify", "--seed", "1"], "verify [OPTIONS]", "No such option '--seed'."),
+    (["lcs-ranks", "--fam", "torus"], "lcs-ranks [OPTIONS]",
+     "No such option '--fam'. Did you mean '--family'?"),
+    (["nosuch"], "[OPTIONS] COMMAND [ARGS]...", "No such command 'nosuch'."),
+    (["lcs-ranks", "--family", "torus", "--max-i", "1"], "lcs-ranks [OPTIONS]",
+     "Invalid value for '--max-i': 1 is not in the range x>=2."),
+    (["braid-eq", "--n", "x", "s[1]", "s[1]"], "braid-eq [OPTIONS] WORD1 WORD2",
+     "Invalid value for '--n': 'x' is not a valid integer range."),
+    (["lcs-ranks", "--family", "x"], "lcs-ranks [OPTIONS]",
+     "Invalid value for '--family': 'x' is not one of 'z2-free', 'torus'."),
+]
+
+
+@pytest.mark.parametrize("args, usage, message", USAGE_ERRORS,
+                         ids=[" ".join(a) for a, _u, _m in USAGE_ERRORS])
+def test_usage_error_of_a_real_process_names_the_program(args, usage, message):
+    proc = subprocess.run([sys.executable, "-m", "braidkit.cli", *args],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    command = "python -m braidkit.cli" + ("" if args == ["nosuch"] else " " + args[0])
+    assert proc.stderr.splitlines() == [
+        "Usage: python -m braidkit.cli " + usage,
+        "Try '%s --help' for help." % command, "", "Error: " + message]
+
+
+def test_console_script_names_the_program(tmp_path):
+    # the `braidkit` script that pip writes for `braidkit.cli:main`
+    script = tmp_path / "braidkit"
+    script.write_text("import sys\nfrom braidkit.cli import main\nsys.exit(main())\n")
+    proc = subprocess.run([sys.executable, str(script), "ab"],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[:2] == ["Usage: braidkit ab [OPTIONS]",
+                                            "Try 'braidkit ab --help' for help."]
+
+
+def test_help_of_every_command_names_each_of_its_options():
+    for path, _function, options in commands(COMMANDS):
+        res = run(*path, "--help")
+        assert (res.exit_code, res.stderr) == (0, ""), path
+        assert res.stdout.startswith("Usage: main %s [OPTIONS]" % " ".join(path))
+        assert {o.name for o in options} <= set(res.stdout.split()), path
+    assert "--window INTEGER RANGE  [default: 2; x>=1]" in run("rs", "--help").stdout
+    # a group run with no command prints its help as a usage error
+    for group in ((), ("subgroup",)):
+        res = run(*group)
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert "\nCommands:\n" in res.stderr
 
 
 def test_snf(tmp_path):
@@ -245,7 +324,7 @@ def test_lcs_ranks_json():
 
 
 def test_cli_runs_without_sympy(tmp_path):
-    # stands in for a clean install, where click is the only dependency: each
+    # stands in for a clean install, which has no dependency: each
     # subcommand, run in a fresh interpreter, loads its own layers there
     files = {"p.txt": run("present", "--family", "sphere", "--n", "4").output,
              "m.txt": "2 2\n2 4\n6 8\n", "basis.txt": "a^2\nb a b^-1\n",
@@ -253,8 +332,7 @@ def test_cli_runs_without_sympy(tmp_path):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     p, m, basis, assign = (str(tmp_path / name) for name in files)
-    src = os.path.dirname(os.path.dirname(braidkit.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     for args in (["present", "--family", "sphere", "--n", "4"],
                  ["ab", "--in", p],
                  ["rs", "--in", p, "--mod", "6", "--transversal", "s[1]"],
@@ -278,14 +356,13 @@ def test_output_does_not_depend_on_the_hash_seed():
     # str hashes, and the address hashes of interned generators, change from
     # run to run; no printed order may follow the order of a set or dict
     # keyed by them
-    src = os.path.dirname(os.path.dirname(braidkit.__file__))
     sphere = run("present", "--family", "sphere", "--n", "6").output
     for args, stdin in ((["verify", "--json"], None),
                         (["rs", "--in", "-", "--mod", "10", "--transversal", "s[1]",
                           "--tietze"], sphere)):
         outs = [subprocess.run([sys.executable, "-m", "braidkit.cli"] + args,
                                input=stdin, capture_output=True, text=True, timeout=120,
-                               env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+                               env=dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed)
                                ).stdout for seed in ("0", "1")]
         assert outs[0] and outs[0] == outs[1], args
 
@@ -532,7 +609,7 @@ def test_verify_hom_check_replays_and_its_mutation_is_caught(tmp_path, check):
 def test_hom_check_help_lists_exactly_the_targets():
     from braidkit import models
 
-    option, = (o for o in main.commands["hom-check"].params if o.name == "target")
+    option, = (o for o in COMMANDS["hom-check"][1] if o.name == "--target")
     assert option.help == "one of: " + ", ".join(models.TARGETS)
     assert option.help in " ".join(run("hom-check", "--help").output.split())
 

@@ -1,11 +1,13 @@
 """What importing braidkit loads: the package root binds its public names on
 first use, and each CLI command and each `verify` check loads only the
 layers it runs.  Footprints are read from `sys.modules` of a fresh
-interpreter."""
+interpreter.  Nothing braidkit runs loads a module from outside the
+standard library: braidkit has no runtime dependency."""
 
 import os
 import subprocess
 import sys
+import tomllib
 
 import pytest
 
@@ -15,20 +17,36 @@ SRC = os.path.dirname(os.path.dirname(braidkit.__file__))
 START_UP = {"braidkit", "braidkit.cli", "braidkit.words"}
 
 
-def _loaded(code: str) -> set:
-    """The braidkit modules a fresh interpreter holds after running `code`."""
-    probe = code + ("\nimport sys\nprint(' '.join(m for m in sys.modules"
-                    " if m.split('.')[0] == 'braidkit'))")
+def _modules(code: str) -> tuple:
+    """(the braidkit modules a fresh interpreter holds after running `code`,
+    the modules from outside braidkit and the standard library that `code`
+    loaded)."""
+    probe = ("import sys\nbefore = set(sys.modules)\n" + code +
+             "\nprint(' '.join(m for m in sys.modules if m.split('.')[0] == 'braidkit'))"
+             "\nprint(' '.join(m for m in set(sys.modules) - before"
+             " if m.split('.')[0] not in sys.stdlib_module_names | {'braidkit'}))")
     proc = subprocess.run([sys.executable, "-c", probe],
                           env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
+    ours, foreign = proc.stdout.splitlines()[-2:]
+    return set(ours.split()), set(foreign.split())
+
+
+def _loaded(code: str) -> set:
+    """The braidkit modules a fresh interpreter holds after running `code`."""
+    return _modules(code)[0]
+
+
+def _run(args, code: int = 0) -> str:
+    """Code that runs the command line `args` and checks its exit code."""
+    return ("from braidkit.cli import main\ntry:\n    main(%r)\n"
+            "except SystemExit as exc:\n    assert exc.code == %d, exc.code\n"
+            % (list(args), code))
 
 
 def _after_command(*args) -> set:
-    return _loaded("from braidkit.cli import main\nmain(%r, standalone_mode=False)"
-                   % (list(args),))
+    return _loaded(_run(args))
 
 
 def test_import_braidkit_loads_no_layer():
@@ -37,6 +55,50 @@ def test_import_braidkit_loads_no_layer():
 
 def test_cli_start_up_loads_only_words():
     assert _loaded("import braidkit.cli") == START_UP
+    assert _modules("import braidkit.cli")[1] == set()
+
+
+def test_pyproject_lists_no_runtime_dependency():
+    with open(os.path.join(SRC, os.pardir, "pyproject.toml"), "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []
+
+
+# (id, command line, exit code) of runs that cover every command, its
+# --help, a group with no command, a usage error and an error exit
+RUNS = [
+    ("no-command", [], 2), ("help", ["--help"], 0), ("rs-help", ["rs", "--help"], 0),
+    ("present", ["present", "--family", "sphere", "--n", "4"], 0),
+    ("ab", ["ab", "--in", "{p}"], 0),
+    ("rs-tietze", ["rs", "--in", "{p}", "--mod", "6", "--transversal", "s[1]",
+                   "--tietze"], 0),
+    ("rs-error", ["rs", "--in", "{p}", "--mod", "0", "--transversal", "s[1]"], 1),
+    ("g2g3", ["g2g3", "--in", "{p}", "--transversal", "s[1]"], 0),
+    ("snf", ["snf", "--in", "{m}", "--transforms"], 0),
+    ("braid-eq", ["braid-eq", "--n", "4", "s[1] s[2] s[1]", "s[2] s[1] s[2]"], 0),
+    ("member", ["subgroup", "member", "--basis", "{basis}", "--word", "b a^2 b^-1"], 0),
+    ("express", ["subgroup", "express", "--basis", "{basis}", "--word", "b a^2 b^-1"], 0),
+    ("hom-check", ["hom-check", "--in", "{p}", "--target", "z2-z6",
+                   "--assign", "{assign}", "--json"], 0),
+    ("lcs-ranks", ["lcs-ranks", "--family", "z2-free", "--json"], 0),
+    ("verify", ["verify", "--json"], 1),
+    ("usage-error", ["lcs-ranks", "--fam", "torus"], 2),
+]
+
+
+@pytest.mark.parametrize("args, code", [run[1:] for run in RUNS],
+                         ids=[run[0] for run in RUNS])
+def test_cli_loads_only_the_standard_library(tmp_path, args, code):
+    files = {"p": "group B4(S2)\ngens: s[1] s[2] s[3]\nrel: s[1] s[3] s[1]^-1 s[3]^-1\n"
+                  "rel: s[1] s[2] s[1] s[2]^-1 s[1]^-1 s[2]^-1\n"
+                  "rel: s[2] s[3] s[2] s[3]^-1 s[2]^-1 s[3]^-1\n"
+                  "rel: s[1] s[2] s[3]^2 s[2] s[1]\n",
+             "m": "2 2\n2 4\n6 8\n", "basis": "a^2\nb a b^-1\n",
+             "assign": "s[1] = (0,0);1\ns[2] = (1,0);1\ns[3] = (0,0);1\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    paths = {name: str(tmp_path / name) for name in files}
+    _ours, foreign = _modules(_run([arg.format(**paths) for arg in args], code))
+    assert foreign == set()
 
 
 def test_braid_eq_adds_only_garside():
@@ -83,12 +145,10 @@ def test_hom_check_loads_its_target_models_but_no_linear_algebra(tmp_path):
                                  for m in ("presentations", "hom", "models", "garside")}
 
 
-def _after_verify(pattern: str) -> set:
+def _after_verify(pattern: str, code: int = 0) -> set:
     """The footprint of `verify --filter PATTERN`, which exits 1 when it
     selects a documented discrepancy."""
-    return _loaded("from braidkit.cli import main\ntry:\n"
-                   "    main(['verify', '--filter', %r], standalone_mode=False)\n"
-                   "except SystemExit as exc:\n    assert exc.code == 1\n" % pattern)
+    return _loaded(_run(["verify", "--filter", pattern], code))
 
 
 def test_verify_of_the_frozen_matrices_loads_only_linear_algebra():
@@ -101,7 +161,7 @@ def test_verify_of_the_braid_checks_adds_only_garside():
 
 
 def test_verify_of_the_abelianizations_loads_no_rewriter_or_model():
-    loaded = _after_verify("ab-*")
+    loaded = _after_verify("ab-*", 1)
     assert "braidkit.series" in loaded
     assert not loaded & {"braidkit." + m
                          for m in ("garside", "models", "freesub", "hom", "reidschreier")}

@@ -4,17 +4,21 @@ An `ast` scan lists every public module-level function and class of the
 package, and every public method of those classes, and fails on those that
 no name, attribute or import in the package refers to, that
 `braidkit.__all__` does not export, and that the benchmark's tracer
-(`perfbench/tracing.py`) does not name.  Click commands are reached
-through their group and are exempt.  Code that only the tests use belongs
-in `tests/oracles.py`.  Nor may a module-level name be a second name for a
-public function or class: one concept, one name.  And every parameter of a
-click command in `cli.py` is read in the command's body: an option that
-nothing reads is input the command silently drops."""
+(`perfbench/tracing.py`) does not name.  Code that only the tests use
+belongs in `tests/oracles.py`.  Nor may a module-level name be a second
+name for a public function or class: one concept, one name.  And every
+option and argument in the command table of `cli.py` is read in its
+command's body: an option that nothing reads is input the command silently
+drops."""
 
 import ast
+import inspect
 import os
+import textwrap
 
 import braidkit
+from braidkit.cli import COMMANDS
+from cli_runner import commands
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 PACKAGE = os.path.join(ROOT, "src", "braidkit")
@@ -42,12 +46,6 @@ def _references(tree, strings: bool = False) -> set:
               and isinstance(node.value, str)):
             out.add(node.value)
     return out
-
-
-def _is_click_command(node) -> bool:
-    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
-               and d.func.attr in ("command", "group")
-               for d in node.decorator_list)
 
 
 def _definitions(module: str, tree):
@@ -78,7 +76,6 @@ def unreferenced_public_definitions() -> list:
     return [name for module, tree in modules.items()
             for name, node in _definitions(module, tree)
             if not node.name.startswith("_")
-            and not _is_click_command(node)
             and node.name not in used]
 
 
@@ -104,15 +101,15 @@ def aliases_of_public_definitions() -> list:
 
 
 def unread_cli_parameters() -> list:
-    """command.parameter of each parameter of a click command function in
-    `cli.py` that the function's body does not read."""
+    """function.parameter of each option or argument in the command table
+    of `cli.py` whose command function does not read it in its body."""
     out = []
-    for node in _parse(os.path.join(PACKAGE, "cli.py")).body:
-        if isinstance(node, ast.FunctionDef) and _is_click_command(node):
-            read = {n.id for stmt in node.body for n in ast.walk(stmt)
-                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-            out.extend("%s.%s" % (node.name, a.arg) for a in node.args.args
-                       if a.arg not in read)
+    for _path, function, options in commands(COMMANDS):
+        node, = ast.parse(textwrap.dedent(inspect.getsource(function))).body
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out.extend("%s.%s" % (function.__name__, o.dest) for o in options
+                   if o.dest not in read)
     return out
 
 
